@@ -33,12 +33,16 @@ def center_matrix(values: np.ndarray) -> np.ndarray:
 
 
 def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
-    """Frobenius cosine of the centered matrices, in [-1, 1]."""
+    """Frobenius cosine of the centered matrices, in [-1, 1].
+
+    A matrix whose centered norm is at most 1e-12 of its own Frobenius norm
+    is constant up to rounding, so its alignment is undefined.
+    """
     ct = center_matrix(target)
     cv = center_matrix(values)
     nt = np.linalg.norm(ct)
     nv = np.linalg.norm(cv)
-    if nt == 0.0 or nv == 0.0:
+    if nt <= 1e-12 * np.linalg.norm(target) or nv <= 1e-12 * np.linalg.norm(values):
         raise ValueError("centered matrix is zero; alignment undefined for constant kernels")
     return float(np.sum(ct * cv) / (nt * nv))
 

@@ -39,6 +39,8 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.features.ndim != 2:
             raise ValueError("features must be a 2D array")
+        if not np.isfinite(self.features).all():
+            raise ValueError("features must be finite (found NaN or inf)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
         if self.importance:

@@ -12,9 +12,15 @@ and parallelism cannot change sampled results, and re-running at a different
 tolerance reuses identical counts.
 
 Two evaluation routes exist and are tested against each other: an explicit
-circuit simulation, and a fast contraction that exploits the fact that the
-embedding layers collapse to one product rotation per qubit whose angle is
-the difference of the two samples' embedding angles.
+circuit simulation, and, for the noiseless exact tolerance-0 kernel, a
+phase-feature Gram product.  The embedding layers collapse to one rotation
+per qubit about a shared axis, and such rotations are diagonal in one basis:
+R(a) = V RZ(a) V^dagger.  With t_k = |<k|V^dagger psi>|^2 and signs z_kq = +-1
+(+1 when bit q of k is clear), each sample becomes one row
+F[k] = sqrt(t_k) exp(-i z_k . a / 2), and K = |conj(F_a) F_b^T|^2.  That costs
+n single-qubit passes on the fiducial plus O(m_a m_b 2**n) for the product,
+and the 2**n basis axis is streamed in blocks whose feature and sign rows
+hold at most ``_CHUNK_AMPS`` values together.
 """
 
 from __future__ import annotations
@@ -62,29 +68,22 @@ class KernelMatrixEstimate:
 
 
 # ---------------------------------------------------------------------------
-# fast route: product-rotation overlaps against a fixed fiducial state
+# exact route: phase-feature Gram product against a fixed fiducial state
 # ---------------------------------------------------------------------------
 
-def _wht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform (length must be a power of two)."""
-    a = np.array(vec)
-    m = a.shape[0]
-    h = 1
-    while h < m:
-        a = a.reshape(-1, 2, h)
-        top = a[:, 0, :] + a[:, 1, :]
-        bot = a[:, 0, :] - a[:, 1, :]
-        a = np.stack([top, bot], axis=1).reshape(m)
-        h *= 2
-    return a
+# V^dagger per embedding axis, where R_axis(t) = V RZ(t) V^dagger
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+_TO_Z_BASIS = {"x": _HADAMARD, "y": _HADAMARD @ np.diag([1, -1j]), "z": np.eye(2)}
 
 
-def _rz_all(psi: np.ndarray, n: int, angle: float) -> np.ndarray:
-    """Apply RZ(angle) on every qubit of a flat amplitude vector."""
-    state = sc.StateVector(n, psi.copy())
-    for q in range(n):
-        state = sc.apply_gate(state, sc.rz(q, angle))
-    return state.amplitudes
+def _phase_rows(angles: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """exp(-i z_k . a / 2) for basis indices lo..hi-1, one row per angle row a.
+
+    z_kq is +1 when bit q of k is clear and -1 when it is set; only this
+    block's (hi - lo) x n sign rows are built.
+    """
+    bits = (np.arange(lo, hi)[:, None] >> np.arange(angles.shape[1])) & 1
+    return np.exp(-0.5j * (angles @ (1.0 - 2.0 * bits).T))
 
 
 def product_rotation_overlaps(psi: np.ndarray, deltas: np.ndarray, axis: str = "x") -> np.ndarray:
@@ -92,59 +91,46 @@ def product_rotation_overlaps(psi: np.ndarray, deltas: np.ndarray, axis: str = "
 
     ``deltas`` has one row per evaluation and one column per qubit.  This is
     the collapsed form of embed(x)^-1 then embed(y): per qubit the two
-    rotations share an axis, so only the angle difference matters.
+    rotations share an axis, so only the angle difference matters, and the
+    value is the kernel between the zero-angle row and ``delta``.
     """
     deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    n = deltas.shape[1]
-    if psi.shape[0] != 2 ** n:
-        raise ValueError("state size does not match the number of angle columns")
-    if axis == "y":
-        # RZ(pi/2)^dag Y RZ(pi/2) = X, so fold the basis change into the state
-        psi = _rz_all(psi, n, -np.pi / 2)
-        axis = "x"
-    if axis == "x":
-        f = _wht(psi)
-        t = _wht((f.conj() * f).real) / (2 ** n)
-        half = deltas / 2.0
-        v0 = np.cos(half).astype(complex)
-        v1 = -1j * np.sin(half)
-    elif axis == "z":
-        t = (psi.conj() * psi).real
-        half = deltas / 2.0
-        v0 = np.exp(-1j * half)
-        v1 = np.exp(1j * half)
-    else:
-        raise ValueError(f"unknown rotation axis {axis!r}")
-
-    out = np.empty(deltas.shape[0])
-    chunk = max(1, _CHUNK_AMPS // (2 ** n))
-    for lo in range(0, deltas.shape[0], chunk):
-        hi = min(lo + chunk, deltas.shape[0])
-        cur = t.astype(complex).reshape(1, -1)
-        cur = np.broadcast_to(cur, (hi - lo, cur.shape[1]))
-        for q in range(n - 1, -1, -1):
-            half_len = 2 ** q
-            view = cur.reshape(hi - lo, -1, 2, half_len)
-            cur = (v0[lo:hi, q, None, None] * view[:, :, 0, :]
-                   + v1[lo:hi, q, None, None] * view[:, :, 1, :]).reshape(hi - lo, -1)
-        vals = cur[:, 0]
-        out[lo:hi] = (vals.conj() * vals).real
-    return out
+    return overlap_kernel_from_state(psi, np.zeros((1, deltas.shape[1])), deltas, axis)[0]
 
 
 def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
                               angles_b: np.ndarray | None = None,
                               axis: str = "x") -> np.ndarray:
-    """Kernel matrix K[i, j] = |<psi| prod R(b_j - a_i) |psi>|^2.
+    """Kernel matrix K[i, j] = |<psi| prod R(b_j - a_i) |psi>|^2 = |conj(F_a) F_b^T|^2.
 
     Takes per-qubit embedding angles directly, which is handy for analytic
-    constructions where the feature values are the rotation angles.
+    constructions where the feature values are the rotation angles.  F holds
+    one phase-feature row per sample (see the module docstring), built one
+    basis block at a time; ``angles_b=None`` reuses F_a as F_b.
     """
     angles_a = np.atleast_2d(np.asarray(angles_a, dtype=float))
-    angles_b = angles_a if angles_b is None else np.atleast_2d(np.asarray(angles_b, dtype=float))
-    ra, cb = angles_a.shape[0], angles_b.shape[0]
-    deltas = (angles_b[None, :, :] - angles_a[:, None, :]).reshape(ra * cb, -1)
-    return product_rotation_overlaps(psi, deltas, axis).reshape(ra, cb)
+    n = angles_a.shape[1]
+    symmetric = angles_b is None
+    angles_b = angles_a if symmetric else np.atleast_2d(np.asarray(angles_b, dtype=float))
+    if angles_b.shape[1] != n:
+        raise ValueError("both angle sets need one column per qubit")
+    if psi.shape[0] != 2 ** n:
+        raise ValueError("state size does not match the number of angle columns")
+    if axis not in _TO_Z_BASIS:
+        raise ValueError(f"unknown rotation axis {axis!r}")
+    for q in range(n):
+        psi = sc._apply_rotation(psi, n, q, _TO_Z_BASIS[axis])
+    t = (psi.conj() * psi).real
+    held = n + angles_a.shape[0] + (0 if symmetric else angles_b.shape[0])
+    width = max(1, _CHUNK_AMPS // held)
+    amp = np.zeros((angles_a.shape[0], angles_b.shape[0]), dtype=complex)
+    for lo in range(0, 2 ** n, width):
+        hi = min(lo + width, 2 ** n)
+        root = np.sqrt(t[lo:hi])
+        fa = root * _phase_rows(angles_a, lo, hi)
+        fb = fa if symmetric else root * _phase_rows(angles_b, lo, hi)
+        amp += fa.conj() @ fb.T
+    return amp.real ** 2 + amp.imag ** 2   # own float array, not a view pinning amp
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +220,8 @@ def _check_features(spec: FeatureMapSpec, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError("feature array must be two-dimensional (samples x features)")
+    if not np.isfinite(xs).all():
+        raise ValueError("features must be finite (found NaN or inf)")
     if xs.shape[1] <= max(spec.assignment):
         raise ValueError(
             f"{xs.shape[1]} feature columns cannot serve assignment {spec.assignment}")
@@ -283,8 +271,10 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     """Symmetric kernel matrix over one sample set.
 
     Entries (i, j) and (j, i) come from the single evaluation with i < j.  The
-    noiseless exact zero-tolerance case runs through the fast contraction
-    route; everything else goes through batched circuit simulation.
+    noiseless exact zero-tolerance case is the phase-feature Gram product
+    K = |conj(F) F^T|^2, symmetrized, streaming F over the basis axis within
+    ``_CHUNK_AMPS`` amplitudes; everything else goes through batched circuit
+    simulation.
     """
     xs = _check_features(spec, xs)
     m = xs.shape[0]
@@ -292,7 +282,7 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     if noiseless and config.shots is None and config.tolerance == 0:
         psi = _fiducial_state(spec, params)
         angles = spec.angle_scale * xs[:, np.array(spec.assignment)]
-        values = overlap_kernel_from_state(psi, angles, angles, spec.embed_axis)
+        values = overlap_kernel_from_state(psi, angles, axis=spec.embed_axis)
         values = (values + values.T) / 2.0
         if not config.estimate_diagonal:
             np.fill_diagonal(values, 1.0)

@@ -116,6 +116,17 @@ def test_degenerate_kernel_scores_worst_loss():
     assert loss == 1.0
 
 
+def test_degenerate_kernel_with_rounding_noise_scores_worst_loss():
+    # identical non-zero samples under a random fiducial give a kernel of
+    # 1 +- 1e-16, which is constant up to rounding and must not score
+    rng = np.random.default_rng(17)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3)
+    xs = np.tile(rng.normal(size=3), (4, 1))
+    params = rng.uniform(-np.pi, np.pi, 9)
+    loss = al.alignment_loss(xs, [0, 1, 0, 1], spec, params, kn.KernelConfig())
+    assert loss == 1.0
+
+
 def test_trace_csv_roundtrip(tmp_path):
     losses = np.array([0.9, 0.4, 0.6])
     history = np.random.default_rng(0).normal(size=(3, 4))

@@ -259,6 +259,20 @@ def test_fit_missing_dataset_is_a_data_error(tmp_path):
     assert run(["fit", "--config", cfg]) == 3
 
 
+def test_fit_non_finite_feature_is_a_data_error(tmp_path, capsys):
+    train_path, _ = bell_files(tmp_path)
+    with open(train_path) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[1].split(",")
+    fields[0] = "nan"
+    lines[1] = ",".join(fields)
+    with open(train_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, "c.json", {"out": str(tmp_path / "o"), "train": train_path})
+    assert run(["fit", "--config", cfg]) == 3
+    assert "finite" in capsys.readouterr().err
+
+
 def test_fit_feature_map_width_mismatch(tmp_path, capsys):
     train_path, _ = bell_files(tmp_path)
     cfg = write_config(tmp_path, "c.json", {

@@ -20,6 +20,14 @@ def test_dataset_validation():
     np.testing.assert_array_equal(ds.classes(), [0, 1])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_features(bad):
+    feats = np.zeros((3, 2))
+    feats[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dt.Dataset(feats, np.array([1, 0, 1]))
+
+
 # ------------------------------------------------------- random geometry
 
 def test_haar_rotation_is_special_orthogonal():

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covkern import featuremap as fm
 from covkern import kernel as kn
@@ -32,7 +35,7 @@ def random_state(n, seed):
     return psi / np.linalg.norm(psi)
 
 
-# ------------------------------------------------------- fast contraction
+# ------------------------------------------------------- phase-feature Gram product
 
 def test_product_rotation_overlaps_match_dense_oracle():
     rng = np.random.default_rng(2)
@@ -67,6 +70,37 @@ def test_overlap_kernel_rejects_mismatched_state():
         kn.product_rotation_overlaps(random_state(2, 1), np.zeros((1, 3)))
     with pytest.raises(ValueError):
         kn.product_rotation_overlaps(random_state(2, 1), np.zeros((1, 2)), axis="w")
+
+
+@st.composite
+def state_and_angles(draw):
+    n = draw(st.integers(1, 5))
+    parts = hnp.arrays(float, (2, 2 ** n), elements=st.floats(-1.0, 1.0))
+    re, im = draw(parts)
+    psi = re + 1j * im
+    norm = np.linalg.norm(psi)
+    psi = psi / norm if norm > 1e-3 else np.eye(2 ** n)[0].astype(complex)
+    m = draw(st.integers(1, 4))
+    angles = draw(hnp.arrays(float, (m, n), elements=st.floats(-4 * np.pi, 4 * np.pi)))
+    return psi, angles, draw(st.sampled_from("xyz"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(state_and_angles())
+def test_overlap_kernel_properties(case):
+    psi, angles, axis = case
+    n = angles.shape[1]
+    k = kn.overlap_kernel_from_state(psi, angles, axis=axis)
+    assert k.flags.owndata   # no view that keeps the complex amplitudes alive
+    np.testing.assert_allclose(k, k.T, atol=1e-12)
+    np.testing.assert_allclose(np.diag(k), 1.0, atol=1e-12)
+    assert k.min() >= 0.0 and k.max() <= 1.0 + 1e-12
+    for i, j in itertools.product(range(len(angles)), repeat=2):
+        delta = angles[j] - angles[i]
+        single = kn.product_rotation_overlaps(psi, delta[None, :], axis)[0]
+        dense = abs(psi.conj() @ dense_rotation(n, axis, delta) @ psi) ** 2
+        assert k[i, j] == pytest.approx(single, abs=1e-12)
+        assert k[i, j] == pytest.approx(dense, abs=1e-12)
 
 
 # ------------------------------------------------------- exact assemblies
@@ -106,6 +140,58 @@ def test_diagonal_pinning_flag():
     xs = rng.normal(size=(3, 3))
     pinned = kn.assemble_matrix(xs, spec, params, kn.KernelConfig(estimate_diagonal=False))
     np.testing.assert_array_equal(np.diag(pinned.values), 1.0)
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_blocked_exact_route_matches_unblocked_and_entry_circuits(axis, monkeypatch):
+    rng = np.random.default_rng(23)
+    n = 4
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=("z", "y", axis), angle_scale=1.3)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    rows, cols = rng.normal(size=(3, n)), rng.normal(size=(2, n))
+    config = kn.KernelConfig()
+    whole_square = kn.assemble_matrix(rows, spec, params, config).values
+    whole_rect = kn.assemble_cross(rows, cols, spec, params, config)
+
+    spans = set()
+    phase_rows = kn._phase_rows
+
+    def recording_phase_rows(angles, lo, hi):
+        spans.add((lo, hi))
+        return phase_rows(angles, lo, hi)
+
+    monkeypatch.setattr(kn, "_phase_rows", recording_phase_rows)
+    monkeypatch.setattr(kn, "_CHUNK_AMPS", 50)
+    cases = ((rows, whole_square, lambda: kn.assemble_matrix(rows, spec, params, config).values),
+             (cols, whole_rect, lambda: kn.assemble_cross(rows, cols, spec, params, config)))
+    for others, whole, blocked in cases:
+        spans.clear()
+        got = blocked()
+        blocks = sorted(spans)
+        widths = {hi - lo for lo, hi in blocks}
+        assert len(blocks) >= 3 and len(widths) > 1
+        assert blocks[0][0] == 0 and blocks[-1][1] == 2 ** n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-12)
+        for i, j in np.ndindex(*got.shape):
+            ref = kn.kernel_entry(spec, params, rows[i], others[j], config)
+            assert got[i, j] == pytest.approx(ref, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_assemblies_reject_non_finite_features(bad):
+    spec = fm.make_feature_map(fm.line_coupling(2), 2)
+    params = np.zeros(6)
+    good = np.zeros((3, 2))
+    xs = good.copy()
+    xs[2, 1] = bad
+    config = kn.KernelConfig()
+    with pytest.raises(ValueError, match="finite"):
+        kn.assemble_matrix(xs, spec, params, config)
+    with pytest.raises(ValueError, match="finite"):
+        kn.assemble_cross(good, xs, spec, params, config)
+    with pytest.raises(ValueError, match="finite"):
+        kn.assemble_profiles(xs, spec, params, config)
 
 
 def test_noisy_exact_entries_match_circuit_distribution():
