@@ -11,16 +11,33 @@ RNG stream per entry derived from (master_seed, tag, i, j), so assembly order
 and parallelism cannot change sampled results, and re-running at a different
 tolerance reuses identical counts.
 
-Two evaluation routes exist and are tested against each other: an explicit
-circuit simulation, and, for the noiseless exact tolerance-0 kernel, a
-phase-feature Gram product.  The embedding layers collapse to one rotation
-per qubit about a shared axis, and such rotations are diagonal in one basis:
-R(a) = V RZ(a) V^dagger.  With t_k = |<k|V^dagger psi>|^2 and signs z_kq = +-1
-(+1 when bit q of k is clear), each sample becomes one row
-F[k] = sqrt(t_k) exp(-i z_k . a / 2), and K = |conj(F_a) F_b^T|^2.  That costs
-n single-qubit passes on the fiducial plus O(m_a m_b 2**n) for the product,
-and the 2**n basis axis is streamed in blocks whose feature and sign rows
-hold at most ``_CHUNK_AMPS`` values together.
+Two evaluation routes exist, and both are tested against the explicit
+circuit simulation of ``kernel_entry`` (``simcore.run_circuit``).  Both start
+from the fiducial U = D (x)M_q, compiled once per call from one
+``build_fiducial``: M_q fuses qubit q's three rotations into one 2x2 matrix
+and D is the +-1 diagonal of all the CZ gates.  The embedding layers collapse
+to one rotation per qubit about a shared axis, and such rotations are
+diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let phi = (x)V^dagger psi be
+the fiducial state psi = U|0> in that basis.
+
+The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
+With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
+sample becomes one row F[k] = sqrt(t_k) exp(-i z_k . a / 2), and
+K = |conj(F_a) F_b^T|^2.  That costs O(m_a m_b 2**n) for the product, and the
+2**n basis axis is streamed in blocks whose feature and sign rows hold at
+most ``_CHUNK_AMPS`` values together.
+
+Every other case (readout noise, shots, tolerance > 0) takes the profile
+route: one compiled pair circuit per angle difference delta = b - a,
+
+    (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2),
+
+so a pair costs one phase multiply, two product layers
+(``simcore.apply_product``) and one diagonal multiply, batched over
+``_CHUNK_AMPS // 2**n`` pairs at a time.  Only the Hamming weight of an
+outcome matters, so readout noise is one (n+1) x (n+1) matrix
+(``simcore.weight_transfer``) applied to the pair's weight histogram, and
+shots are one multinomial draw over the n+1 weight bins.
 """
 
 from __future__ import annotations
@@ -30,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simcore as sc
-from .featuremap import FeatureMapSpec, build_fiducial, build_kernel_circuit, embedding_angles, line_coupling, make_feature_map
+from .featuremap import FeatureMapSpec, build_fiducial, build_kernel_circuit, line_coupling, make_feature_map
 
 _CHUNK_AMPS = 2 ** 21  # complex amplitudes per batch chunk
 
@@ -68,13 +85,45 @@ class KernelMatrixEstimate:
 
 
 # ---------------------------------------------------------------------------
-# exact route: phase-feature Gram product against a fixed fiducial state
+# compiled fiducial and the basis where the embedding is diagonal
 # ---------------------------------------------------------------------------
 
 # V^dagger per embedding axis, where R_axis(t) = V RZ(t) V^dagger
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _TO_Z_BASIS = {"x": _HADAMARD, "y": _HADAMARD @ np.diag([1, -1j]), "z": np.eye(2)}
 
+
+def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], np.ndarray]:
+    """The fiducial U = D (x)M_q: one fused 2x2 matrix per qubit and the +-1
+    diagonal D of all its CZ gates, read from a single ``build_fiducial``."""
+    n = spec.n_qubits
+    mats = [np.eye(2, dtype=complex) for _ in range(n)]
+    idx = np.arange(2 ** n)
+    parity = np.zeros(2 ** n, dtype=idx.dtype)
+    for g in build_fiducial(spec, params).gates:   # all rotations, then the CZ tree
+        if g.name == "cz":
+            a, b = g.qubits
+            parity ^= (idx >> a) & (idx >> b) & 1
+        else:
+            q = g.qubits[0]
+            mats[q] = sc._ROTATIONS[g.name](g.angle) @ mats[q]
+    return mats, 1.0 - 2.0 * parity
+
+
+def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
+    zero = np.zeros((1, diag.shape[0]), dtype=complex)
+    zero[0, 0] = 1.0
+    return diag * sc.apply_product(zero, len(mats), mats)[0]
+
+
+def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
+    """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
+    return sc.apply_product(psi[None], n, [_TO_Z_BASIS[axis]] * n)[0]
+
+
+# ---------------------------------------------------------------------------
+# exact route: phase-feature Gram product against a fixed fiducial state
+# ---------------------------------------------------------------------------
 
 def _phase_rows(angles: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """exp(-i z_k . a / 2) for basis indices lo..hi-1, one row per angle row a.
@@ -118,8 +167,7 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
         raise ValueError("state size does not match the number of angle columns")
     if axis not in _TO_Z_BASIS:
         raise ValueError(f"unknown rotation axis {axis!r}")
-    for q in range(n):
-        psi = sc._apply_rotation(psi, n, q, _TO_Z_BASIS[axis])
+    psi = _to_z_basis(psi, n, axis)
     t = (psi.conj() * psi).real
     held = n + angles_a.shape[0] + (0 if symmetric else angles_b.shape[0])
     width = max(1, _CHUNK_AMPS // held)
@@ -134,78 +182,69 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# general route: batched circuit evolution, noise, tolerance profiles
+# profile route: one compiled pair circuit, noise and shots on weight bins
 # ---------------------------------------------------------------------------
 
-def _fiducial_state(spec: FeatureMapSpec, params) -> np.ndarray:
-    return sc.run_circuit(build_fiducial(spec, params)).amplitudes
+def _pair_phases(deltas: np.ndarray) -> np.ndarray:
+    """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is clear.
+
+    Built by the Kronecker recursion over qubits, in place: the first 2**q
+    columns hold the phases of qubits below q, and bit q doubles them.
+    """
+    b, n = deltas.shape
+    f = np.exp(-0.5j * deltas)
+    out = np.empty((b, 2 ** n), dtype=complex)
+    out[:, 0] = 1.0
+    for q in range(n):
+        w = 1 << q
+        np.multiply(out[:, :w], f[:, q:q + 1].conj(), out=out[:, w:2 * w])
+        out[:, :w] *= f[:, q:q + 1]
+    return out
 
 
-def _apply_rotation_batched(states, n, q, axis, cos_half, sin_half):
-    """Rotation with per-row angles; cos_half/sin_half are (B,) or scalars."""
-    b = states.shape[0]
-    view = states.reshape(b, 2 ** (n - 1 - q), 2, 2 ** q)
-    a0 = view[:, :, 0, :]
-    a1 = view[:, :, 1, :]
-    c = np.reshape(cos_half, (-1, 1, 1))
-    s = np.reshape(sin_half, (-1, 1, 1))
-    if axis == "x":
-        n0 = c * a0 - 1j * s * a1
-        n1 = -1j * s * a0 + c * a1
-    elif axis == "y":
-        n0 = c * a0 - s * a1
-        n1 = s * a0 + c * a1
-    elif axis == "z":
-        phase0 = c - 1j * s
-        phase1 = c + 1j * s
-        n0 = phase0 * a0
-        n1 = phase1 * a1
-    else:
-        raise ValueError(f"unknown rotation axis {axis!r}")
-    return np.stack([n0, n1], axis=2).reshape(b, -1)
+def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
+                   config: KernelConfig, noise, tag: int) -> np.ndarray:
+    """Cumulative weight-mass profile (n+1 columns) of each pair
+    (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled with the RNG stream
+    (master_seed, tag, rows_a[r], rows_b[r]) when ``config.shots`` is set.
 
-
-def _apply_gates_batched(states: np.ndarray, n: int, gates) -> np.ndarray:
-    idx = np.arange(2 ** n)
-    for g in gates:
-        if g.name == "cz":
-            q1, q2 = g.qubits
-            mask = ((idx >> q1) & 1).astype(bool) & ((idx >> q2) & 1).astype(bool)
-            states[:, mask] *= -1
-        else:
-            half = g.angle / 2.0
-            states = _apply_rotation_batched(states, n, g.qubits[0], g.name[1],
-                                             np.cos(half), np.sin(half))
-    return states
-
-
-def _pair_profiles(psi, spec, fid_inverse_gates, deltas, noise, shots, seeds):
-    """Cumulative weight-mass profile (n+1 columns) per delta row."""
+    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi); see the
+    module docstring.  Noise and shots act on the n+1 weight bins.
+    """
     n = spec.n_qubits
+    mats, fid_diag = _compile_fiducial(spec, params)
+    phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
+    deltas = _delta_rows(spec, xs_a[rows_a], xs_b[rows_b])
+    shots = config.shots
+    if shots is not None:
+        seeds = [(config.master_seed, tag, i, j)
+                 for i, j in zip(rows_a.tolist(), rows_b.tolist())]
     b = deltas.shape[0]
     out = np.empty((b, n + 1))
-    weights = sc.hamming_weights(n)
+    to_embed = [_TO_Z_BASIS[spec.embed_axis].conj().T] * n
+    undo_fid = [m.conj().T for m in mats]
+    noisy = noise is not None and not noise.is_trivial()
+    transfer = sc.weight_transfer(n, noise) if noisy else None
     chunk = max(1, _CHUNK_AMPS // (2 ** n))
-    axis = spec.embed_axis
     for lo in range(0, b, chunk):
         hi = min(lo + chunk, b)
-        states = np.tile(psi, (hi - lo, 1))
-        half = deltas[lo:hi] / 2.0
-        for q in range(n):
-            states = _apply_rotation_batched(states, n, q, axis,
-                                             np.cos(half[:, q]), np.sin(half[:, q]))
-        states = _apply_gates_batched(states, n, fid_inverse_gates)
-        probs = (states.conj() * states).real
-        if noise is not None and not noise.is_trivial():
-            probs = sc.apply_readout_noise(probs, n, noise)
+        # nested, and deleted after use, so that no name keeps a chunk-sized
+        # array alive while the next one is built: at most two chunks at once
+        states = sc.apply_product(
+            fid_diag * sc.apply_product(_pair_phases(deltas[lo:hi]) * phi, n, to_embed),
+            n, undo_fid)
+        prof = sc.weight_mass_profile(states.real ** 2 + states.imag ** 2, n)
+        del states
+        if noisy:
+            prof = np.cumsum(np.diff(prof, axis=1, prepend=0.0) @ transfer.T, axis=1)
         if shots is None:
-            out[lo:hi] = sc.weight_mass_profile(probs, n)
+            out[lo:hi] = prof
         else:
-            for r in range(lo, hi):
-                rng = np.random.default_rng(seeds[r])
-                draws = rng.multinomial(shots, probs[r - lo] / probs[r - lo].sum())
-                per = np.bincount(weights, weights=draws, minlength=n + 1)
-                out[r] = np.cumsum(per) / shots
+            hist = np.diff(prof, axis=1, prepend=0.0)
+            hist /= hist.sum(axis=1, keepdims=True)
+            draws = [np.random.default_rng(seed).multinomial(shots, p)
+                     for seed, p in zip(seeds[lo:hi], hist)]
+            out[lo:hi] = np.cumsum(draws, axis=1) / shots
     return out
 
 
@@ -238,23 +277,14 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     """
     xs = _check_features(spec, xs)
     m = xs.shape[0]
-    n = spec.n_qubits
-    psi = _fiducial_state(spec, params)
-    fid_inv = build_fiducial(spec, params).inverse().gates
-
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows_a, rows_b = np.triu_indices(m, k=1)
     if config.estimate_diagonal:
-        pairs.extend((i, i) for i in range(m))
-    rows_a = np.array([p[0] for p in pairs], dtype=int)
-    rows_b = np.array([p[1] for p in pairs], dtype=int)
-    deltas = _delta_rows(spec, xs[rows_a], xs[rows_b]) if pairs else np.zeros((0, n))
-    seeds = [(config.master_seed, 0, i, j) for i, j in pairs]
-    prof = _pair_profiles(psi, spec, fid_inv, deltas, noise, config.shots, seeds)
-
-    out = np.ones((m, m, n + 1))
-    for (i, j), row in zip(pairs, prof):
-        out[i, j] = row
-        out[j, i] = row
+        rows_a = np.concatenate([rows_a, np.arange(m)])
+        rows_b = np.concatenate([rows_b, np.arange(m)])
+    prof = _pair_profiles(spec, params, xs, xs, rows_a, rows_b, config, noise, 0)
+    out = np.ones((m, m, spec.n_qubits + 1))
+    out[rows_a, rows_b] = prof
+    out[rows_b, rows_a] = prof
     return out
 
 
@@ -273,14 +303,14 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     Entries (i, j) and (j, i) come from the single evaluation with i < j.  The
     noiseless exact zero-tolerance case is the phase-feature Gram product
     K = |conj(F) F^T|^2, symmetrized, streaming F over the basis axis within
-    ``_CHUNK_AMPS`` amplitudes; everything else goes through batched circuit
-    simulation.
+    ``_CHUNK_AMPS`` amplitudes; everything else takes the profile route of
+    compiled pair circuits (see the module docstring).
     """
     xs = _check_features(spec, xs)
     m = xs.shape[0]
     noiseless = noise is None or noise.is_trivial()
     if noiseless and config.shots is None and config.tolerance == 0:
-        psi = _fiducial_state(spec, params)
+        psi = _fiducial_state(*_compile_fiducial(spec, params))
         angles = spec.angle_scale * xs[:, np.array(spec.assignment)]
         values = overlap_kernel_from_state(psi, angles, axis=spec.embed_axis)
         values = (values + values.T) / 2.0
@@ -301,21 +331,15 @@ def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: Kerne
     mr, mc = xs_rows.shape[0], xs_cols.shape[0]
     noiseless = noise is None or noise.is_trivial()
     if noiseless and config.shots is None and config.tolerance == 0:
-        psi = _fiducial_state(spec, params)
+        psi = _fiducial_state(*_compile_fiducial(spec, params))
         cols = np.array(spec.assignment)
         return overlap_kernel_from_state(psi, spec.angle_scale * xs_rows[:, cols],
                                          spec.angle_scale * xs_cols[:, cols],
                                          spec.embed_axis)
     if config.tolerance > spec.n_qubits:
         raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {spec.n_qubits}")
-    psi = _fiducial_state(spec, params)
-    fid_inv = build_fiducial(spec, params).inverse().gates
-    pairs = [(i, j) for i in range(mr) for j in range(mc)]
-    rows_a = np.array([p[0] for p in pairs], dtype=int)
-    rows_b = np.array([p[1] for p in pairs], dtype=int)
-    deltas = _delta_rows(spec, xs_rows[rows_a], xs_cols[rows_b])
-    seeds = [(config.master_seed, 1, i, j) for i, j in pairs]
-    prof = _pair_profiles(psi, spec, fid_inv, deltas, noise, config.shots, seeds)
+    rows_a, rows_b = (idx.ravel() for idx in np.indices((mr, mc)))
+    prof = _pair_profiles(spec, params, xs_rows, xs_cols, rows_a, rows_b, config, noise, 1)
     return prof[:, config.tolerance].reshape(mr, mc)
 
 
@@ -341,8 +365,11 @@ def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest PSD matrix in Frobenius norm, plus the original minimum eigenvalue.
 
     Clips negative eigenvalues to zero; PSD input comes back unchanged.
+    Raises ValueError for a NaN or infinite entry.
     """
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("matrix must be finite (found NaN or inf)")
     sym = (values + values.T) / 2.0
     w, v = np.linalg.eigh(sym)
     min_eig = float(w[0])
@@ -474,7 +501,10 @@ def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
     for rec in reader[1:]:
         ids.append(rec[0])
         rows.append([float(v) for v in rec[1:]])
-    return np.array(rows), ids
+    values = np.array(rows)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path}: matrix cells must be finite (found NaN or inf)")
+    return values, ids
 
 
 def save_calibration_csv(report: CalibrationReport, path) -> None:

@@ -11,15 +11,26 @@ Noise is modeled at readout only: an optional global depolarizing mix toward
 the uniform distribution followed by independent per-qubit bit flips with
 asymmetric rates p01 (read 1 given true 0) and p10 (read 0 given true 1).
 Amplitudes stay exact; noise acts on the outcome distribution.
+``apply_readout_noise`` is the per-outcome reference over all 2**n outcomes.
+The kernel routes keep only the Hamming weight of an outcome, and flips act
+on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
+so they push the (n+1)-bin weight histogram through the matrix
+``weight_transfer(n, noise)`` instead.
+
+``apply_product`` applies a tensor product of one-qubit matrices to a batch of
+states in groups of ``_GROUP`` qubits; ``_apply_rotation`` and ``run_circuit``
+stay the gate-by-gate reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MAX_QUBITS = 24
+_GROUP = 4  # qubits per Kronecker block in apply_product
 
 _ROTATIONS = {
     "rx": lambda t: np.array(
@@ -128,6 +139,27 @@ def _apply_rotation(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.nda
     return np.moveaxis(out, 0, n - 1 - q).reshape(-1)
 
 
+def apply_product(states: np.ndarray, n: int, mats) -> np.ndarray:
+    """Apply mats[n-1] (x) ... (x) mats[0] to every row of a (B, 2**n) batch.
+
+    ``mats[q]`` is the 2x2 matrix on qubit q.  Qubits are taken ``_GROUP`` at
+    a time: the group's factors are Kronecker-multiplied into one block of at
+    most 16 x 16, applied with one matmul over the group's axis, so a layer
+    costs ceil(n / 4) passes over the batch.  Returns a new array.
+    """
+    b = states.shape[0]
+    for lo in range(0, n, _GROUP):
+        hi = min(lo + _GROUP, n)
+        block = np.ones((1, 1))
+        for q in range(hi - 1, lo - 1, -1):   # qubit hi-1 is the group's high bit
+            block = np.kron(block, mats[q])
+        if lo == 0:
+            states = states.reshape(-1, 2 ** hi) @ block.T
+        else:
+            states = np.matmul(block, states.reshape(-1, 2 ** (hi - lo), 2 ** lo))
+    return states.reshape(b, 2 ** n)
+
+
 def _apply_cz(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
     out = amps.copy().reshape((2,) * n)
     idx = [slice(None)] * n
@@ -217,6 +249,31 @@ def outcome_distribution(state: StateVector, noise: NoiseModel | None = None) ->
     if noise is None or noise.is_trivial():
         return probs
     return apply_readout_noise(probs, state.n_qubits, noise)
+
+
+def _binomial_law(k: int, p: float) -> np.ndarray:
+    return np.array([math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(k + 1)])
+
+
+def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
+    """Column-stochastic (n+1) x (n+1) map from true to observed Hamming weight.
+
+    Bit flips move an outcome of weight w to weight Bin(n - w, p01) +
+    Bin(w, 1 - p10), whatever its bit pattern; the flip part F has that law
+    as column w.  The depolarizing mix comes first and its uniform part goes
+    through the flips too (uniform is not flip-invariant when p01 != p10), so
+    T = F ((1 - lam) I + lam u 1^T), with u the Binomial(n, 1/2) weight law.
+    For a distribution p, T times the weight histogram of p is the weight
+    histogram of ``apply_readout_noise(p)``.
+    """
+    _check_n(n)
+    flips = np.empty((n + 1, n + 1))
+    for w in range(n + 1):
+        flips[:, w] = np.convolve(_binomial_law(n - w, noise.p01),
+                                  _binomial_law(w, 1.0 - noise.p10))
+    lam = noise.depolarizing
+    mix = (1.0 - lam) * np.eye(n + 1) + lam * _binomial_law(n, 0.5)[:, None]
+    return flips @ mix
 
 
 @dataclass

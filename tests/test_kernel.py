@@ -194,23 +194,65 @@ def test_assemblies_reject_non_finite_features(bad):
         kn.assemble_profiles(xs, spec, params, config)
 
 
-def test_noisy_exact_entries_match_circuit_distribution():
+# (qubits, fiducial axes, noise, _CHUNK_AMPS or None to keep it): the first case
+# is the plain one; the others cover every embed axis with p01 != p10 plus
+# depolarizing, with chunks of 48 // 16 = 3 pairs, so 10 Gram pairs and 12
+# cross pairs take 4 chunks each
+_NOISY_CASES = [
+    (3, ("z", "y", "x"), sc.NoiseModel(p01=0.05, p10=0.01), None),
+    *((4, axes, sc.NoiseModel(p01=0.07, p10=0.13, depolarizing=0.05), 48)
+      for axes in (("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z"))),
+]
+
+
+def test_noisy_exact_entries_match_circuit_distribution(monkeypatch):
     # with noise the assembly must leave the fast path and honor the channel;
-    # each unordered pair is evaluated once in i < j order and mirrored
+    # each unordered pair is evaluated once in i < j order and mirrored, and
+    # every profile (Gram and cross, chunked or not) is the circuit oracle's
     rng = np.random.default_rng(12)
-    spec = fm.make_feature_map(fm.line_coupling(3), 3)
-    params = rng.uniform(-np.pi, np.pi, 9)
-    xs = rng.normal(size=(3, 3))
-    noise = sc.NoiseModel(p01=0.05, p10=0.01)
-    for d in (0, 1, 3):
-        est = kn.assemble_matrix(xs, spec, params, kn.KernelConfig(tolerance=d), noise)
-        for i in range(3):
-            for j in range(i, 3):
-                circ = fm.build_kernel_circuit(spec, params, xs[i], xs[j])
-                dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
-                ref = sc.hamming_mass(dist, 3, d)
-                assert est.values[i, j] == pytest.approx(ref, abs=1e-12)
-                assert est.values[j, i] == est.values[i, j]
+    for n, axes, noise, chunk_amps in _NOISY_CASES:
+        spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes)
+        params = rng.uniform(-np.pi, np.pi, 3 * n)
+        xs = rng.normal(size=(n, n))
+        rows = rng.normal(size=(3, n))
+
+        def oracle(x, y):
+            circ = fm.build_kernel_circuit(spec, params, x, y)
+            dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
+            return sc.weight_mass_profile(dist, n)
+
+        for d in (0, 1, n):
+            est = kn.assemble_matrix(xs, spec, params, kn.KernelConfig(tolerance=d), noise)
+            for i in range(n):
+                for j in range(i, n):
+                    assert est.values[i, j] == pytest.approx(oracle(xs[i], xs[j])[d], abs=1e-12)
+                    assert est.values[j, i] == est.values[i, j]
+
+        with monkeypatch.context() as patch:
+            chunks = []
+            pair_phases = kn._pair_phases
+
+            def counting_pair_phases(deltas):
+                chunks.append(deltas.shape[0])
+                return pair_phases(deltas)
+
+            patch.setattr(kn, "_pair_phases", counting_pair_phases)
+            if chunk_amps is not None:
+                patch.setattr(kn, "_CHUNK_AMPS", chunk_amps)
+            prof = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
+            cross = [kn.assemble_cross(rows, xs, spec, params, kn.KernelConfig(tolerance=d), noise)
+                     for d in range(n + 1)]
+        if chunk_amps is not None:
+            # the profile call, then each cross call, all split the same way
+            assert len(chunks) == (n + 2) * 4 and max(chunks) == 3
+        for i in range(n):
+            for j in range(i, n):
+                np.testing.assert_allclose(prof[i, j], oracle(xs[i], xs[j]), rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(prof[j, i], prof[i, j])
+        for i, j in np.ndindex(3, n):
+            ref = oracle(rows[i], xs[j])
+            for d in range(n + 1):
+                assert cross[d][i, j] == pytest.approx(ref[d], abs=1e-12)
 
 
 def test_tolerance_cannot_exceed_register():
@@ -330,6 +372,25 @@ def test_cross_assembly_streams_are_order_independent():
     assert sub.shape == (2, 4)
 
 
+def test_sampled_noisy_entries_follow_the_weight_bin_law():
+    # shots are one multinomial over the n+1 weight bins of the noisy exact
+    # histogram: every cumulative entry is a multiple of 1/shots and within
+    # 6 sd + 2/shots of the exact value (the benchmark's sampled-entry rule)
+    rng = np.random.default_rng(43)
+    n, m, shots = 6, 20, 4000
+    spec = fm.make_feature_map(fm.line_coupling(n), n)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs = rng.normal(size=(m, n))
+    noise = sc.NoiseModel(p01=0.03, p10=0.05, depolarizing=0.02)
+    exact = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
+    sampled = kn.assemble_profiles(xs, spec, params,
+                                   kn.KernelConfig(shots=shots, master_seed=5), noise)
+    counts = sampled * shots
+    np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-6)
+    bound = 6.0 * np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / shots) + 2.0 / shots
+    assert np.all(np.abs(sampled - exact) <= bound)
+
+
 def test_kernel_entry_sampled_seed_control():
     spec = fm.make_feature_map(fm.line_coupling(2), 2)
     params = np.zeros(6)
@@ -375,6 +436,16 @@ def test_psd_projection_is_idempotent():
     assert min_eig >= -1e-9
     np.testing.assert_allclose(once, twice, atol=1e-10)
     assert np.linalg.eigvalsh(once).min() >= -1e-9
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_projection_rejects_non_finite_matrix(bad):
+    values = np.eye(2)
+    values[0, 1] = values[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        kn.psd_project(values)
+    with pytest.raises(ValueError, match="finite"):
+        kn.repair_psd(kn.KernelMatrixEstimate(values, 0, None))
 
 
 def test_psd_distance_rejects_zero_matrix():
@@ -493,3 +564,12 @@ def test_matrix_csv_default_ids(tmp_path):
     loaded, ids = kn.load_matrix_csv(path)
     np.testing.assert_array_equal(loaded, values)
     assert len(ids) == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_matrix_csv_rejects_non_finite_cells(tmp_path, bad):
+    path = tmp_path / "k.csv"
+    kn.save_matrix_csv(np.eye(2), path)
+    path.write_text(path.read_text().replace("0.0", bad, 1))
+    with pytest.raises(ValueError, match="finite"):
+        kn.load_matrix_csv(path)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covkern import simcore as sc
 
@@ -201,6 +203,43 @@ def test_binomial_cdf_of_identity_circuit_under_flips():
             cdf = sum(math.comb(n, k) * p01 ** k * (1 - p01) ** (n - k)
                       for k in range(d + 1))
             assert sc.hamming_mass(noisy, n, d) == pytest.approx(cdf, abs=1e-12)
+
+
+_rates = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), p01=_rates, p10=_rates, depolarizing=_rates,
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=7, p01=0.07, p10=0.13, depolarizing=0.05, seed=1)   # uniform is not flip-invariant
+def test_weight_transfer_is_readout_noise_on_weight_histograms(n, p01, p10, depolarizing, seed):
+    noise = sc.NoiseModel(p01=p01, p10=p10, depolarizing=depolarizing)
+    t = sc.weight_transfer(n, noise)
+    assert t.shape == (n + 1, n + 1)
+    assert np.all(t >= 0.0)
+    np.testing.assert_allclose(t.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    p = np.random.default_rng(seed).dirichlet(np.full(2 ** n, 0.3))
+
+    def histogram(dist):
+        return np.diff(sc.weight_mass_profile(dist, n), prepend=0.0)
+
+    np.testing.assert_allclose(t @ histogram(p),
+                               histogram(sc.apply_readout_noise(p, n, noise)),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+def test_apply_product_matches_kron_oracle(n):
+    rng = np.random.default_rng(n)
+    mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
+    states = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
+    dense = np.eye(1, dtype=complex)
+    for q in reversed(range(n)):
+        dense = np.kron(dense, mats[q])
+    before = states.copy()
+    got = sc.apply_product(states, n, mats)
+    np.testing.assert_allclose(got, before @ dense.T, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(states, before)
 
 
 def test_hamming_weights_match_bit_counting():
