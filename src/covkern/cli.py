@@ -205,9 +205,18 @@ def load_params_csv(path) -> np.ndarray:
         raise ArtifactError(f"{path}: not a parameter file")
     vals = {}
     for ln in lines[1:]:
-        idx, val = ln.split(",")
-        vals[int(idx)] = float(val)
-    return np.array([vals[i] for i in range(len(vals))])
+        try:
+            idx, val = ln.split(",")
+            vals[int(idx)] = float(val)
+        except ValueError:
+            raise ArtifactError(f"{path}: malformed parameter line {ln!r}") from None
+    missing = sorted(set(range(len(vals))) - set(vals))
+    if missing:
+        raise ArtifactError(f"{path}: parameter index {missing[0]} is missing")
+    params = np.array([vals[i] for i in range(len(vals))])
+    if not np.isfinite(params).all():
+        raise ArtifactError(f"{path}: parameter values must be finite")
+    return params
 
 
 def save_params_csv(params: np.ndarray, path) -> None:
@@ -502,9 +511,13 @@ def cmd_predict(cfg: dict, out: str, seed: int) -> int:
     model_path = os.path.join(model_dir, "model.csv")
     if not os.path.exists(manifest_path) or not os.path.exists(model_path):
         raise ArtifactError(f"no fitted model found in {model_dir}")
-    with open(manifest_path) as fh:
-        fit_manifest = json.load(fh)
-    if fit_manifest.get("task") != "fit" or "fingerprint" not in fit_manifest:
+    try:
+        with open(manifest_path) as fh:
+            fit_manifest = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"{manifest_path}: unreadable manifest ({exc})") from None
+    if (not isinstance(fit_manifest, dict) or fit_manifest.get("task") != "fit"
+            or "fingerprint" not in fit_manifest):
         raise ArtifactError(f"{manifest_path} is not a quantum fit manifest")
 
     train_path = cfg.get("train") or fit_manifest.get("config", {}).get("train")
@@ -528,7 +541,10 @@ def cmd_predict(cfg: dict, out: str, seed: int) -> int:
             "feature-map/kernel configuration does not match the fitted model "
             f"(model {fit_manifest['fingerprint'][:12]}, config {fingerprint[:12]})")
 
-    model = svc.load_model_csv(model_path)
+    try:
+        model = svc.load_model_csv(model_path)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ArtifactError(f"{model_path}: unreadable model file ({exc})") from None
     if model.n_train != train.n_samples:
         raise ArtifactError("model was fitted on a different number of training samples")
     transform = standardizer_from_config(cfg, train)

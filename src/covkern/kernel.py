@@ -9,7 +9,10 @@ robustness against readout bit flips.
 Matrices are assembled from the upper triangle only and mirrored, with one
 RNG stream per entry derived from (master_seed, tag, i, j), so assembly order
 and parallelism cannot change sampled results, and re-running at a different
-tolerance reuses identical counts.
+tolerance reuses identical counts.  The streams are counter-based: one Philox
+key per call from ``SeedSequence((master_seed, tag))``, and entry (i, j)
+draws from counter (0, 0, i, j), so an entry's stream costs a counter write,
+not a generator set-up (Salmon et al., SC'11).
 
 Two evaluation routes exist, and both are tested against the explicit
 circuit simulation of ``kernel_entry`` (``simcore.run_circuit``).  Both start
@@ -205,11 +208,19 @@ def _pair_phases(deltas: np.ndarray) -> np.ndarray:
 def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
                    config: KernelConfig, noise, tag: int) -> np.ndarray:
     """Cumulative weight-mass profile (n+1 columns) of each pair
-    (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled with the RNG stream
-    (master_seed, tag, rows_a[r], rows_b[r]) when ``config.shots`` is set.
+    (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled when ``config.shots`` is set.
 
     The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi); see the
     module docstring.  Noise and shots act on the n+1 weight bins.
+
+    Shots come from one Philox generator per call, keyed by the two words of
+    ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``.  Entry
+    (i, j) = (rows_a[r], rows_b[r]) draws one multinomial over its weight
+    histogram after the counter is set to (0, 0, i, j) and the output buffer
+    emptied.  A draw only advances the two low counter words, so no entry can
+    reach another's counter: its counts depend on (master_seed, tag, i, j)
+    and its histogram alone, which is the law of
+    ``Generator(Philox(key=key, counter=[0, 0, i, j])).multinomial(shots, h)``.
     """
     n = spec.n_qubits
     mats, fid_diag = _compile_fiducial(spec, params)
@@ -217,8 +228,12 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     deltas = _delta_rows(spec, xs_a[rows_a], xs_b[rows_b])
     shots = config.shots
     if shots is not None:
-        seeds = [(config.master_seed, tag, i, j)
-                 for i, j in zip(rows_a.tolist(), rows_b.tolist())]
+        key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
+        bitgen = np.random.Philox(key=key)
+        gen = np.random.Generator(bitgen)
+        state = bitgen.state
+        state["buffer_pos"], state["has_uint32"] = 4, 0   # an empty output buffer
+        counter = state["state"]["counter"]
     b = deltas.shape[0]
     out = np.empty((b, n + 1))
     to_embed = [_TO_Z_BASIS[spec.embed_axis].conj().T] * n
@@ -242,9 +257,12 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
         else:
             hist = np.diff(prof, axis=1, prepend=0.0)
             hist /= hist.sum(axis=1, keepdims=True)
-            draws = [np.random.default_rng(seed).multinomial(shots, p)
-                     for seed, p in zip(seeds[lo:hi], hist)]
-            out[lo:hi] = np.cumsum(draws, axis=1) / shots
+            counts = np.empty((hi - lo, n + 1), dtype=np.int64)
+            for r, (i, j) in enumerate(zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist())):
+                counter[:] = 0, 0, i, j
+                bitgen.state = state
+                counts[r] = gen.multinomial(shots, hist[r])
+            out[lo:hi] = np.cumsum(counts, axis=1) / shots
     return out
 
 

@@ -252,6 +252,57 @@ def test_predict_without_model_dir(tmp_path, capsys):
     assert "model_dir" in err or "no fitted model" in err
 
 
+def fitted_model(tmp_path):
+    """A fit run on a small Bell set, plus a predict config pointing at it."""
+    train_path, test_path = bell_files(tmp_path, samples=4)
+    fit_out = tmp_path / "fit"
+    fit_cfg = write_config(tmp_path, "fit.json", {
+        "out": str(fit_out), "seed": 0, "train": train_path, "params": "zeros",
+    })
+    assert run(["fit", "--config", fit_cfg]) == 0
+    pred_cfg = write_config(tmp_path, "pred.json", {
+        "out": str(tmp_path / "pred"), "seed": 0, "model_dir": str(fit_out),
+        "train": train_path, "test": test_path, "params": "zeros",
+    })
+    return fit_out, pred_cfg
+
+
+def test_malformed_params_file_is_an_artifact_error(tmp_path, capsys):
+    train_path, _ = bell_files(tmp_path, samples=4)
+    params = tmp_path / "params.csv"
+    params.write_text("index,value\n0,0.1\n2,0.3\n")
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(tmp_path / "o"), "train": train_path, "params": str(params),
+    })
+    assert run(["fit", "--config", cfg]) == 4
+    assert "index 1 is missing" in capsys.readouterr().err
+    params.write_text("index,value\n" + "".join(f"{i},nan\n" for i in range(6)))
+    assert run(["fit", "--config", cfg]) == 4
+    assert "must be finite" in capsys.readouterr().err
+    params.write_text("index,value\n0,0.1,7\n")
+    with pytest.raises(cli.ArtifactError, match="malformed parameter line"):
+        cli.load_params_csv(params)
+
+
+def test_predict_with_corrupt_model_is_an_artifact_error(tmp_path, capsys):
+    fit_out, pred_cfg = fitted_model(tmp_path)
+    model = fit_out / "model.csv"
+    lines = model.read_text().splitlines()
+    meta = lines[1].split(",")
+    meta[1] = "four"
+    lines[1] = ",".join(meta)
+    model.write_text("\n".join(lines) + "\n")
+    assert run(["predict", "--config", pred_cfg]) == 4
+    assert "unreadable model file" in capsys.readouterr().err
+
+
+def test_predict_with_non_json_manifest_is_an_artifact_error(tmp_path, capsys):
+    fit_out, pred_cfg = fitted_model(tmp_path)
+    (fit_out / "manifest.json").write_text("{not json")
+    assert run(["predict", "--config", pred_cfg]) == 4
+    assert "unreadable manifest" in capsys.readouterr().err
+
+
 def test_fit_missing_dataset_is_a_data_error(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "out": str(tmp_path / "o"), "train": str(tmp_path / "absent.csv"),

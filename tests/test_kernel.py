@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -356,7 +357,10 @@ def test_same_counts_reused_across_tolerances():
         np.testing.assert_array_equal(mats[d], prof[:, :, d])
 
 
-def test_cross_assembly_streams_are_order_independent():
+def test_cross_assembly_streams_are_order_independent(monkeypatch):
+    # entry (i, j) draws from its own stream, so a leading block of rows or
+    # columns reproduces the same block of the full call, however the pairs
+    # are split into chunks
     rng = np.random.default_rng(42)
     spec = fm.make_feature_map(fm.line_coupling(2), 2)
     params = rng.uniform(-np.pi, np.pi, 6)
@@ -364,12 +368,56 @@ def test_cross_assembly_streams_are_order_independent():
     noise = sc.NoiseModel(p01=0.1)
     cfg = kn.KernelConfig(tolerance=0, shots=200, master_seed=11)
     full = kn.assemble_cross(rows, cols, spec, params, cfg, noise)
-    sub = kn.assemble_cross(rows[1:], cols, spec, params, cfg, noise)
-    # same (i, j) labels get the same draws only when positions agree; the
-    # guarantee is determinism of the full call, not submatrix stability
     np.testing.assert_array_equal(
         full, kn.assemble_cross(rows, cols, spec, params, cfg, noise))
-    assert sub.shape == (2, 4)
+    chunk_sizes = []
+    real_phases = kn._pair_phases
+
+    def recording_phases(deltas):
+        chunk_sizes.append(deltas.shape[0])
+        return real_phases(deltas)
+
+    for chunk_amps in (None, 12):   # 12 amplitudes = 3 pairs of 2 qubits per chunk
+        with monkeypatch.context() as patch:
+            if chunk_amps is not None:
+                patch.setattr(kn, "_CHUNK_AMPS", chunk_amps)
+                patch.setattr(kn, "_pair_phases", recording_phases)
+            np.testing.assert_array_equal(
+                kn.assemble_cross(rows, cols, spec, params, cfg, noise), full)
+            np.testing.assert_array_equal(
+                kn.assemble_cross(rows[:2], cols, spec, params, cfg, noise), full[:2])
+            np.testing.assert_array_equal(
+                kn.assemble_cross(rows, cols[:3], spec, params, cfg, noise), full[:, :3])
+    assert chunk_sizes == [3] * 4 + [3] * 2 + [2] + [3] * 3
+
+
+def test_sampled_entries_follow_their_philox_counter_streams():
+    # one Philox key per call from (master_seed, tag), tag 0 for Grams; entry
+    # (i, j) is one multinomial from counter (0, 0, i, j) over the normalised
+    # noisy exact weight histogram, so it can be redrawn alone
+    rng = np.random.default_rng(44)
+    n, m, shots, seed = 5, 12, 2000, 9
+    spec = fm.make_feature_map(fm.line_coupling(n), n)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs = rng.normal(size=(m, n))
+    noise = sc.NoiseModel(p01=0.04, p10=0.06, depolarizing=0.01)
+    exact = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
+    cfg = kn.KernelConfig(shots=shots, master_seed=seed)
+    sampled = kn.assemble_profiles(xs, spec, params, cfg, noise)
+    key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
+        h = np.diff(exact[i, j], prepend=0.0)
+        h /= h.sum()
+        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, i, j]))
+        expected = np.cumsum(gen.multinomial(shots, h)) / shots
+        np.testing.assert_array_equal(sampled[i, j], expected)
+        np.testing.assert_array_equal(sampled[j, i], expected)
+    # the diagonal entries are drawn after the upper triangle, or not at all:
+    # neither changes an off-diagonal draw
+    pinned = kn.assemble_profiles(xs, spec, params, replace(cfg, estimate_diagonal=False), noise)
+    off = ~np.eye(m, dtype=bool)
+    np.testing.assert_array_equal(pinned[off], sampled[off])
+    np.testing.assert_array_equal(pinned[~off], 1.0)
 
 
 def test_sampled_noisy_entries_follow_the_weight_bin_law():
