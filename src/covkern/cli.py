@@ -89,7 +89,14 @@ def resolve_seed(cfg: dict, flag_value) -> int:
     return seed
 
 
-def _section(cfg: dict, name: str, required: bool = True) -> dict:
+# declared keys of the sections that reject unknown ones
+_KERNEL_KEYS = frozenset({"tolerance", "shots", "estimate_diagonal", "master_seed"})
+_NOISE_KEYS = frozenset({"p01", "p10", "depolarizing"})
+
+
+def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
+    """The named config object, or {} when it is absent and not required;
+    with ``keys``, any other key in it is a ConfigError."""
     sec = cfg.get(name)
     if sec is None:
         if required:
@@ -97,6 +104,10 @@ def _section(cfg: dict, name: str, required: bool = True) -> dict:
         return {}
     if not isinstance(sec, dict):
         raise ConfigError(f"config section \"{name}\" must be an object")
+    unknown = sorted(set(sec) - keys) if keys is not None else []
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config section \"{name}\": {', '.join(unknown)}"
+                          f" (expected {', '.join(sorted(keys))})")
     return sec
 
 
@@ -112,7 +123,7 @@ def _load_dataset(path) -> dt.Dataset:
 
 
 def noise_from_config(cfg: dict) -> sc.NoiseModel | None:
-    sec = _section(cfg, "noise", required=False)
+    sec = _section(cfg, "noise", required=False, keys=_NOISE_KEYS)
     if not sec:
         return None
     try:
@@ -125,13 +136,17 @@ def noise_from_config(cfg: dict) -> sc.NoiseModel | None:
 
 
 def kernel_config_from_config(cfg: dict, seed: int) -> kn.KernelConfig:
-    sec = _section(cfg, "kernel", required=False)
+    sec = _section(cfg, "kernel", required=False, keys=_KERNEL_KEYS)
     shots = sec.get("shots")
+    estimate_diagonal = sec.get("estimate_diagonal", True)
+    if not isinstance(estimate_diagonal, bool):
+        raise ConfigError("\"estimate_diagonal\" in config section \"kernel\" must be "
+                          f"true or false, got {estimate_diagonal!r}")
     try:
         return kn.KernelConfig(
             tolerance=int(sec.get("tolerance", 0)),
             shots=None if shots is None else int(shots),
-            estimate_diagonal=bool(sec.get("estimate_diagonal", True)),
+            estimate_diagonal=estimate_diagonal,
             master_seed=int(sec.get("master_seed", seed)),
         )
     except (TypeError, ValueError) as exc:

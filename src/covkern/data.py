@@ -237,7 +237,7 @@ def save_csv(dataset: Dataset, path) -> None:
             fh.write("#importance," + ",".join(str(i) for i in dataset.importance) + "\n")
         fh.write(",".join(f"f{i}" for i in range(dataset.n_features)) + ",label\n")
         for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
 
 
 def load_csv(path) -> Dataset:

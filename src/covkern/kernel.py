@@ -36,11 +36,22 @@ route: one compiled pair circuit per angle difference delta = b - a,
     (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2),
 
 so a pair costs one phase multiply, two product layers
-(``simcore.apply_product``) and one diagonal multiply, batched over
-``_CHUNK_AMPS // 2**n`` pairs at a time.  Only the Hamming weight of an
-outcome matters, so readout noise is one (n+1) x (n+1) matrix
-(``simcore.weight_transfer``) applied to the pair's weight histogram, and
-shots are one multinomial draw over the n+1 weight bins.
+(``simcore.apply_product``, their Kronecker blocks built once per call) and
+one diagonal multiply.  Pairs go in tiles of ``max(1, _TILE_AMPS // 2**n)``,
+so each numpy pass works on a 512 KB array (2**15 amplitudes) that a core's
+L2 cache holds, and the route's memory peaks at about four tile-sized
+complex arrays (2 MB), whatever the number of pairs.  Only the Hamming weight of an outcome matters, so readout noise is
+one (n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each
+pair's weight histogram, and shots are one multinomial draw over the n+1
+weight bins.  A pair's numbers come out the same in whatever tile it falls
+(one-row products take the same BLAS routine as wider ones, and weight sums
+run in index order), so results do not depend on the tiling.
+
+The two size constants bound different things: ``_TILE_AMPS`` the profile
+route's pair tiles, whose elementwise passes are memory-bound, and
+``_CHUNK_AMPS`` (2**21 amplitudes, 32 MB complex) only the exact route's
+basis blocks, each of which feeds one BLAS product.  Smaller exact blocks
+may pay too, but that is a change to the exact route, measured on its own.
 """
 
 from __future__ import annotations
@@ -52,7 +63,8 @@ import numpy as np
 from . import simcore as sc
 from .featuremap import FeatureMapSpec, build_fiducial, build_kernel_circuit, line_coupling, make_feature_map
 
-_CHUNK_AMPS = 2 ** 21  # complex amplitudes per batch chunk
+_CHUNK_AMPS = 2 ** 21  # complex amplitudes per exact-route basis block
+_TILE_AMPS = 2 ** 15   # complex amplitudes per profile-route tile of pairs
 
 
 @dataclass(frozen=True)
@@ -116,12 +128,12 @@ def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], n
 def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
     zero = np.zeros((1, diag.shape[0]), dtype=complex)
     zero[0, 0] = 1.0
-    return diag * sc.apply_product(zero, len(mats), mats)[0]
+    return diag * sc.apply_product(zero, sc.product_blocks(len(mats), mats))[0]
 
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
     """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
-    return sc.apply_product(psi[None], n, [_TO_Z_BASIS[axis]] * n)[0]
+    return sc.apply_product(psi[None], sc.product_blocks(n, [_TO_Z_BASIS[axis]] * n))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +222,9 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     """Cumulative weight-mass profile (n+1 columns) of each pair
     (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled when ``config.shots`` is set.
 
-    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi); see the
-    module docstring.  Noise and shots act on the n+1 weight bins.
+    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), evaluated
+    one tile of pairs at a time; see the module docstring.  Noise and shots
+    act on the n+1 weight bins, per tile.
 
     Shots come from one Philox generator per call, keyed by the two words of
     ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``.  Entry
@@ -236,33 +249,33 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
         counter = state["state"]["counter"]
     b = deltas.shape[0]
     out = np.empty((b, n + 1))
-    to_embed = [_TO_Z_BASIS[spec.embed_axis].conj().T] * n
-    undo_fid = [m.conj().T for m in mats]
+    to_embed = sc.product_blocks(n, [_TO_Z_BASIS[spec.embed_axis].conj().T] * n)
+    undo_fid = sc.product_blocks(n, [m.conj().T for m in mats])
     noisy = noise is not None and not noise.is_trivial()
     transfer = sc.weight_transfer(n, noise) if noisy else None
-    chunk = max(1, _CHUNK_AMPS // (2 ** n))
-    for lo in range(0, b, chunk):
-        hi = min(lo + chunk, b)
-        # nested, and deleted after use, so that no name keeps a chunk-sized
-        # array alive while the next one is built: at most two chunks at once
+    # tiles of max(1, _TILE_AMPS // 2**n) pairs, the last one possibly short;
+    # nesting keeps no intermediate under a name, so about four tile-sized
+    # arrays (2 MB) are the route's whole working set
+    tile = max(1, _TILE_AMPS // 2 ** n)
+    for lo in range(0, b, tile):
+        hi = min(lo + tile, b)
         states = sc.apply_product(
-            fid_diag * sc.apply_product(_pair_phases(deltas[lo:hi]) * phi, n, to_embed),
-            n, undo_fid)
+            fid_diag * sc.apply_product(_pair_phases(deltas[lo:hi]) * phi, to_embed), undo_fid)
         prof = sc.weight_mass_profile(states.real ** 2 + states.imag ** 2, n)
-        del states
         if noisy:
-            prof = np.cumsum(np.diff(prof, axis=1, prepend=0.0) @ transfer.T, axis=1)
+            prof = np.cumsum(sc.matmul_rows(np.diff(prof, axis=1, prepend=0.0), transfer.T),
+                             axis=1)
         if shots is None:
             out[lo:hi] = prof
-        else:
-            hist = np.diff(prof, axis=1, prepend=0.0)
-            hist /= hist.sum(axis=1, keepdims=True)
-            counts = np.empty((hi - lo, n + 1), dtype=np.int64)
-            for r, (i, j) in enumerate(zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist())):
-                counter[:] = 0, 0, i, j
-                bitgen.state = state
-                counts[r] = gen.multinomial(shots, hist[r])
-            out[lo:hi] = np.cumsum(counts, axis=1) / shots
+            continue
+        hist = np.diff(prof, axis=1, prepend=0.0)
+        hist /= hist.sum(axis=1, keepdims=True)
+        counts = []
+        for i, j, h in zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist(), hist):
+            counter[2:] = i, j   # words 0 and 1 stay 0 in the saved state
+            bitgen.state = state
+            counts.append(gen.multinomial(shots, h))
+        out[lo:hi] = np.cumsum(np.stack(counts), axis=1) / shots
     return out
 
 
@@ -497,14 +510,14 @@ def save_matrix_csv(values: np.ndarray, path, ids=None) -> None:
     """Matrix with row/column ids; floats via repr so reloads are bit-exact."""
     import csv
 
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=float)
     m, k = values.shape
     ids_r = [str(i) for i in range(m)] if ids is None else [str(i) for i in ids]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow([""] + [str(j) for j in range(k)])
         for rid, row in zip(ids_r, values):
-            w.writerow([rid] + [repr(float(v)) for v in row])
+            w.writerow([rid, *map(repr, row.tolist())])
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:

@@ -18,8 +18,9 @@ so they push the (n+1)-bin weight histogram through the matrix
 ``weight_transfer(n, noise)`` instead.
 
 ``apply_product`` applies a tensor product of one-qubit matrices to a batch of
-states in groups of ``_GROUP`` qubits; ``_apply_rotation`` and ``run_circuit``
-stay the gate-by-gate reference.
+states in groups of ``_GROUP`` qubits, one Kronecker block per group from
+``product_blocks``; ``_apply_rotation`` and ``run_circuit`` stay the
+gate-by-gate reference.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MAX_QUBITS = 24
-_GROUP = 4  # qubits per Kronecker block in apply_product
+_GROUP = 4  # qubits per Kronecker block in product_blocks
 
 _ROTATIONS = {
     "rx": lambda t: np.array(
@@ -139,25 +140,50 @@ def _apply_rotation(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.nda
     return np.moveaxis(out, 0, n - 1 - q).reshape(-1)
 
 
-def apply_product(states: np.ndarray, n: int, mats) -> np.ndarray:
-    """Apply mats[n-1] (x) ... (x) mats[0] to every row of a (B, 2**n) batch.
+def product_blocks(n: int, mats) -> list[np.ndarray]:
+    """Kronecker blocks of mats[n-1] (x) ... (x) mats[0], ``_GROUP`` qubits each.
 
-    ``mats[q]`` is the 2x2 matrix on qubit q.  Qubits are taken ``_GROUP`` at
-    a time: the group's factors are Kronecker-multiplied into one block of at
-    most 16 x 16, applied with one matmul over the group's axis, so a layer
-    costs ceil(n / 4) passes over the batch.  Returns a new array.
+    ``mats[q]`` is the 2x2 matrix on qubit q.  Block g is
+    mats[hi-1] (x) ... (x) mats[lo] for the qubits lo..hi-1 of group g
+    (lo = g * _GROUP), at most 16 x 16.  A layer applied to many batches
+    builds its blocks once and hands them to ``apply_product`` each time.
     """
-    b = states.shape[0]
+    blocks = []
     for lo in range(0, n, _GROUP):
-        hi = min(lo + _GROUP, n)
         block = np.ones((1, 1))
-        for q in range(hi - 1, lo - 1, -1):   # qubit hi-1 is the group's high bit
+        for q in range(min(lo + _GROUP, n) - 1, lo - 1, -1):   # qubit hi-1 is the high bit
             block = np.kron(block, mats[q])
-        if lo == 0:
-            states = states.reshape(-1, 2 ** hi) @ block.T
+        blocks.append(block)
+    return blocks
+
+
+def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """rows @ mat, each output row the same however many rows share the call.
+
+    numpy hands a one-row product to BLAS's matrix-vector routine, which
+    rounds differently from the matrix-matrix one, so one row goes in as two.
+    """
+    if rows.shape[0] == 1:
+        return (np.concatenate([rows, rows]) @ mat)[:1]
+    return rows @ mat
+
+
+def apply_product(states: np.ndarray, blocks) -> np.ndarray:
+    """Apply the tensor product held in ``product_blocks`` to every row of a
+    (B, 2**n) batch.
+
+    Each group's block is applied with one matmul over that group's axis, so
+    a layer costs ceil(n / 4) passes over the batch.  Returns a new array.
+    """
+    b, size = states.shape
+    low = 1   # 2 ** (qubits below the current group)
+    for block in blocks:
+        if low == 1:
+            states = matmul_rows(states.reshape(-1, block.shape[0]), block.T)
         else:
-            states = np.matmul(block, states.reshape(-1, 2 ** (hi - lo), 2 ** lo))
-    return states.reshape(b, 2 ** n)
+            states = np.matmul(block, states.reshape(-1, block.shape[0], low))
+        low *= block.shape[0]
+    return states.reshape(b, size)
 
 
 def _apply_cz(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
@@ -325,19 +351,18 @@ def hamming_mass(dist: np.ndarray, n: int, max_weight: int) -> float:
 
 
 def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
-    """Cumulative mass at each Hamming weight 0..n; last entry is the total."""
+    """Cumulative mass at each Hamming weight 0..n; last entry is the total.
+
+    One ``bincount`` over (row, weight) bins for any leading shape: each bin
+    adds its outcomes in index order, so a row's profile does not depend on
+    how many rows are batched with it.
+    """
     if dist.shape[-1] != 2 ** n:
         raise ValueError("distribution length does not match qubit count")
-    w = hamming_weights(n)
-    if dist.ndim == 1:
-        per = np.bincount(w, weights=dist, minlength=n + 1)
-        return np.cumsum(per)
-    per = np.zeros(dist.shape[:-1] + (n + 1,))
-    for v in range(n + 1):
-        cols = np.nonzero(w == v)[0]
-        if cols.size:
-            per[..., v] = dist[..., cols].sum(axis=-1)
-    return np.cumsum(per, axis=-1)
+    rows = dist.reshape(-1, 2 ** n)
+    bins = (np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)).ravel()
+    per = np.bincount(bins, weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))
+    return np.cumsum(per.reshape(dist.shape[:-1] + (n + 1,)), axis=-1)
 
 
 def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

@@ -324,6 +324,33 @@ def test_fit_non_finite_feature_is_a_data_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sections, fragment", [
+    ({"kernel": {"tolerence": 1}}, "tolerence"),
+    ({"kernel": {"estimate_diagonal": "false"}}, "estimate_diagonal"),
+    ({"noise": {"p01": 0.05, "p_01": 0.2}}, "p_01"),
+])
+def test_fit_rejects_unknown_or_mistyped_kernel_and_noise_keys(tmp_path, capsys,
+                                                               sections, fragment):
+    # a typo used to be ignored: the fit ran at tolerance 0, estimated the
+    # diagonal ("false" is truthy) or dropped the misspelt rate, and exited 0
+    train_path, _ = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(tmp_path / "o"), "train": train_path, **sections,
+    })
+    assert run(["fit", "--config", cfg]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+def test_fit_accepts_every_declared_kernel_and_noise_key(tmp_path):
+    train_path, _ = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(tmp_path / "o"), "train": train_path,
+        "kernel": {"tolerance": 1, "shots": 50, "estimate_diagonal": False, "master_seed": 4},
+        "noise": {"p01": 0.05, "p10": 0.02, "depolarizing": 0.01},
+    })
+    assert run(["fit", "--config", cfg]) == 0
+
+
 def test_fit_feature_map_width_mismatch(tmp_path, capsys):
     train_path, _ = bell_files(tmp_path)
     cfg = write_config(tmp_path, "c.json", {

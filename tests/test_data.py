@@ -190,6 +190,21 @@ def test_csv_roundtrip_bit_exact(tmp_path):
     assert back.importance == (1, 2, 0)
 
 
+def test_csv_writer_bytes_match_the_per_element_repr_writer(tmp_path):
+    # -0.0, subnormals, 1.0 and 1e-300 among the features
+    feats = np.array([[-0.0, 5e-324, 1.0], [1e-300, -2.5e-310, 0.1], [1e300, np.pi, 0.0]])
+    ds = dt.Dataset(feats, np.array([2, 0, 1]), importance=(2, 0, 1))
+    old = tmp_path / "old.csv"
+    with open(old, "w") as fh:   # the writer as it was, cell by cell
+        fh.write("#importance,2,0,1\nf0,f1,f2,label\n")
+        for row, label in zip(ds.features, ds.labels):
+            fh.write(",".join(repr(float(v)) for v in row) + f",{label}\n")
+    new = tmp_path / "new.csv"
+    dt.save_csv(ds, new)
+    assert new.read_bytes() == old.read_bytes()
+    assert dt.load_csv(new).features.tobytes() == feats.tobytes()
+
+
 def test_csv_string_labels(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("f0,f1,label\n0.5,1.5,apple\n2.5,3.5,pear\n")

@@ -195,10 +195,10 @@ def test_assemblies_reject_non_finite_features(bad):
         kn.assemble_profiles(xs, spec, params, config)
 
 
-# (qubits, fiducial axes, noise, _CHUNK_AMPS or None to keep it): the first case
+# (qubits, fiducial axes, noise, _TILE_AMPS or None to keep it): the first case
 # is the plain one; the others cover every embed axis with p01 != p10 plus
-# depolarizing, with chunks of 48 // 16 = 3 pairs, so 10 Gram pairs and 12
-# cross pairs take 4 chunks each
+# depolarizing, with tiles of 48 // 16 = 3 pairs, so 10 Gram pairs and 12
+# cross pairs take 4 tiles each
 _NOISY_CASES = [
     (3, ("z", "y", "x"), sc.NoiseModel(p01=0.05, p10=0.01), None),
     *((4, axes, sc.NoiseModel(p01=0.07, p10=0.13, depolarizing=0.05), 48)
@@ -209,9 +209,9 @@ _NOISY_CASES = [
 def test_noisy_exact_entries_match_circuit_distribution(monkeypatch):
     # with noise the assembly must leave the fast path and honor the channel;
     # each unordered pair is evaluated once in i < j order and mirrored, and
-    # every profile (Gram and cross, chunked or not) is the circuit oracle's
+    # every profile (Gram and cross, tiled or not) is the circuit oracle's
     rng = np.random.default_rng(12)
-    for n, axes, noise, chunk_amps in _NOISY_CASES:
+    for n, axes, noise, tile_amps in _NOISY_CASES:
         spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes)
         params = rng.uniform(-np.pi, np.pi, 3 * n)
         xs = rng.normal(size=(n, n))
@@ -238,12 +238,12 @@ def test_noisy_exact_entries_match_circuit_distribution(monkeypatch):
                 return pair_phases(deltas)
 
             patch.setattr(kn, "_pair_phases", counting_pair_phases)
-            if chunk_amps is not None:
-                patch.setattr(kn, "_CHUNK_AMPS", chunk_amps)
+            if tile_amps is not None:
+                patch.setattr(kn, "_TILE_AMPS", tile_amps)
             prof = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
             cross = [kn.assemble_cross(rows, xs, spec, params, kn.KernelConfig(tolerance=d), noise)
                      for d in range(n + 1)]
-        if chunk_amps is not None:
+        if tile_amps is not None:
             # the profile call, then each cross call, all split the same way
             assert len(chunks) == (n + 2) * 4 and max(chunks) == 3
         for i in range(n):
@@ -285,6 +285,51 @@ def test_profiles_are_cumulative_and_end_at_total_mass():
     assert np.all(np.diff(prof, axis=2) >= -1e-15)
     np.testing.assert_allclose(prof[:, :, -1], 1.0, atol=1e-12)
     np.testing.assert_allclose(prof, np.transpose(prof, (1, 0, 2)), atol=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 6), noisy=st.booleans(), shots=st.sampled_from([None, 1, 37, 4000]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
+        n, noisy, shots, seed):
+    # 10 Gram pairs (diagonal included) and 8 cross pairs: in tiles of 3 pairs
+    # both calls end on a short tile
+    rng = np.random.default_rng(seed)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=("z", "y", "x"), angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs, rows = rng.normal(size=(4, n)), rng.normal(size=(2, n))
+    noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03) if noisy else None
+    cfg = kn.KernelConfig(shots=shots, master_seed=seed)
+    tiles = []
+    pair_phases = kn._pair_phases
+
+    def recording_pair_phases(deltas):
+        tiles.append(deltas.shape[0])
+        return pair_phases(deltas)
+
+    def both():
+        tiles.clear()
+        return (kn.assemble_profiles(xs, spec, params, cfg, noise),
+                [kn.assemble_cross(rows, xs, spec, params, replace(cfg, tolerance=d), noise)
+                 for d in range(n + 1)])
+
+    prof, cross = both()
+    assert np.all(np.diff(prof, axis=2) >= 0.0)
+    assert np.all(np.diff(np.stack(cross), axis=0) >= 0.0)
+    if shots is None:
+        np.testing.assert_allclose(prof[:, :, n], 1.0, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cross[n], 1.0, rtol=0, atol=1e-12)
+    else:
+        assert np.all(prof[:, :, n] == 1.0) and np.all(cross[n] == 1.0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        for pairs, expected in ((1, [1] * 10 + [1] * 8), (3, [3, 3, 3, 1] + [3, 3, 2])):
+            patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
+            tiled_prof, tiled_cross = both()
+            assert tiles[:len(expected)] == expected
+            np.testing.assert_array_equal(tiled_prof, prof)
+            for got, want in zip(tiled_cross, cross):
+                np.testing.assert_array_equal(got, want)
 
 
 def test_matrix_from_profiles_slices_one_tolerance():
@@ -360,7 +405,7 @@ def test_same_counts_reused_across_tolerances():
 def test_cross_assembly_streams_are_order_independent(monkeypatch):
     # entry (i, j) draws from its own stream, so a leading block of rows or
     # columns reproduces the same block of the full call, however the pairs
-    # are split into chunks
+    # are split into tiles
     rng = np.random.default_rng(42)
     spec = fm.make_feature_map(fm.line_coupling(2), 2)
     params = rng.uniform(-np.pi, np.pi, 6)
@@ -377,10 +422,10 @@ def test_cross_assembly_streams_are_order_independent(monkeypatch):
         chunk_sizes.append(deltas.shape[0])
         return real_phases(deltas)
 
-    for chunk_amps in (None, 12):   # 12 amplitudes = 3 pairs of 2 qubits per chunk
+    for tile_amps in (None, 12):   # 12 amplitudes = 3 pairs of 2 qubits per tile
         with monkeypatch.context() as patch:
-            if chunk_amps is not None:
-                patch.setattr(kn, "_CHUNK_AMPS", chunk_amps)
+            if tile_amps is not None:
+                patch.setattr(kn, "_TILE_AMPS", tile_amps)
                 patch.setattr(kn, "_pair_phases", recording_phases)
             np.testing.assert_array_equal(
                 kn.assemble_cross(rows, cols, spec, params, cfg, noise), full)
@@ -612,6 +657,44 @@ def test_matrix_csv_default_ids(tmp_path):
     loaded, ids = kn.load_matrix_csv(path)
     np.testing.assert_array_equal(loaded, values)
     assert len(ids) == 2
+
+
+# -0.0, the smallest subnormals, 1.0, 1e-300 and a few ordinary values
+CSV_EDGE_VALUES = np.array([[-0.0, 5e-324, 1.0, 1e-300],
+                            [0.1, -2.5e-310, np.pi, 1e300],
+                            [2.0 ** -1074 * 3, -1.0, 0.0, 1.0 / 3.0]])
+
+
+def test_matrix_csv_writer_bytes_match_the_per_element_repr_writer(tmp_path):
+    import csv
+
+    ids = ["r0", "r1", "r2"]
+    old = tmp_path / "old.csv"
+    with open(old, "w", newline="") as fh:   # the writer as it was, cell by cell
+        w = csv.writer(fh)
+        w.writerow([""] + [str(j) for j in range(CSV_EDGE_VALUES.shape[1])])
+        for rid, row in zip(ids, CSV_EDGE_VALUES):
+            w.writerow([rid] + [repr(float(v)) for v in row])
+    new = tmp_path / "new.csv"
+    kn.save_matrix_csv(CSV_EDGE_VALUES, new, ids=ids)
+    assert new.read_bytes() == old.read_bytes()
+    loaded, _ = kn.load_matrix_csv(new)
+    assert loaded.tobytes() == CSV_EDGE_VALUES.tobytes()   # -0.0 keeps its sign
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_matrix_csv_roundtrip_is_bit_exact_for_any_finite_matrix(values):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/k.csv"
+        kn.save_matrix_csv(values, path)
+        loaded, ids = kn.load_matrix_csv(path)
+    assert loaded.shape == values.shape
+    assert loaded.tobytes() == values.tobytes()
+    assert ids == [str(i) for i in range(values.shape[0])]
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -237,7 +237,9 @@ def test_apply_product_matches_kron_oracle(n):
     for q in reversed(range(n)):
         dense = np.kron(dense, mats[q])
     before = states.copy()
-    got = sc.apply_product(states, n, mats)
+    blocks = sc.product_blocks(n, mats)
+    assert [b.shape[0] for b in blocks] == [2 ** min(4, n - lo) for lo in range(0, n, 4)]
+    got = sc.apply_product(states, blocks)
     np.testing.assert_allclose(got, before @ dense.T, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(states, before)
 
