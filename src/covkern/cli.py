@@ -135,19 +135,30 @@ def noise_from_config(cfg: dict) -> sc.NoiseModel | None:
     return None if model.is_trivial() else model
 
 
+def _json_int(sec: dict, name: str, key: str, default):
+    """sec[key] when it is a JSON integer (not a boolean), ``default`` when
+    the key is absent, and a ConfigError for anything else."""
+    if key not in sec:
+        return default
+    value = sec[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"\"{key}\" in config section \"{name}\" must be an integer, "
+                          f"got {value!r}")
+    return value
+
+
 def kernel_config_from_config(cfg: dict, seed: int) -> kn.KernelConfig:
     sec = _section(cfg, "kernel", required=False, keys=_KERNEL_KEYS)
-    shots = sec.get("shots")
     estimate_diagonal = sec.get("estimate_diagonal", True)
     if not isinstance(estimate_diagonal, bool):
         raise ConfigError("\"estimate_diagonal\" in config section \"kernel\" must be "
                           f"true or false, got {estimate_diagonal!r}")
     try:
         return kn.KernelConfig(
-            tolerance=int(sec.get("tolerance", 0)),
-            shots=None if shots is None else int(shots),
+            tolerance=_json_int(sec, "kernel", "tolerance", 0),
+            shots=None if sec.get("shots") is None else _json_int(sec, "kernel", "shots", None),
             estimate_diagonal=estimate_diagonal,
-            master_seed=int(sec.get("master_seed", seed)),
+            master_seed=_json_int(sec, "kernel", "master_seed", seed),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad kernel section: {exc}")
@@ -471,6 +482,10 @@ def cmd_fit(cfg: dict, out: str, seed: int) -> int:
     if not quantum and not baseline_sec:
         raise ConfigError("nothing to fit: quantum disabled and no baseline section")
 
+    # checked on every fit, so a typo fails even where the baseline alone runs
+    config = kernel_config_from_config(cfg, seed)
+    noise = noise_from_config(cfg)
+
     artifacts = []
     scores: dict = {"train_samples": train.n_samples}
     extra: dict = {"train_sha256": file_sha256(train_path)}
@@ -478,8 +493,6 @@ def cmd_fit(cfg: dict, out: str, seed: int) -> int:
     if quantum:
         spec = feature_map_from_config(cfg, train)
         params = params_from_config(cfg, spec, seed)
-        config = kernel_config_from_config(cfg, seed)
-        noise = noise_from_config(cfg)
         transform = standardizer_from_config(cfg, train)
         estimate = kn.assemble_matrix(transform(train.features), spec, params, config,
                                       noise=noise)

@@ -36,11 +36,16 @@ route: one compiled pair circuit per angle difference delta = b - a,
     (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2),
 
 so a pair costs one phase multiply, two product layers
-(``simcore.apply_product``, their Kronecker blocks built once per call) and
+(``simcore.product_into``, their Kronecker blocks built once per call) and
 one diagonal multiply.  Pairs go in tiles of ``max(1, _TILE_AMPS // 2**n)``,
 so each numpy pass works on a 512 KB array (2**15 amplitudes) that a core's
-L2 cache holds, and the route's memory peaks at about four tile-sized
-complex arrays (2 MB), whatever the number of pairs.  Only the Hamming weight of an outcome matters, so readout noise is
+L2 cache holds.  The tile working set is allocated once per call and reused
+by every tile, so no tile-sized array is allocated (and page-faulted in)
+per tile: two complex buffers that the product layers ping-pong between,
+two float ones for |amplitude|^2 and one (row, weight) bin index, about
+1.75 MB whatever the number of pairs.  e(delta) is written into a buffer
+from two phase tables of at most 2**ceil(n/2) entries per pair.  Only the
+Hamming weight of an outcome matters, so readout noise is
 one (n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each
 pair's weight histogram, and shots are one multinomial draw over the n+1
 weight bins.  A pair's numbers come out the same in whatever tile it falls
@@ -200,21 +205,29 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
 # profile route: one compiled pair circuit, noise and shots on weight bins
 # ---------------------------------------------------------------------------
 
-def _pair_phases(deltas: np.ndarray) -> np.ndarray:
-    """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is clear.
+def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is
+    clear, as two phase tables with the pair axis last: ``high`` over qubits
+    n//2..n-1 and ``low`` over qubits 0..n//2-1, so that
+    e(delta)[r] = kron(high[:, r], low[:, r]).
 
-    Built by the Kronecker recursion over qubits, in place: the first 2**q
-    columns hold the phases of qubits below q, and bit q doubles them.
+    Each table is built by the Kronecker recursion over its qubits, in place:
+    the first 2**j rows hold the phases of the table's j lowest qubits, and
+    its next qubit doubles them.  A table has at most 2**ceil(n/2) rows.
     """
-    b, n = deltas.shape
-    f = np.exp(-0.5j * deltas)
-    out = np.empty((b, 2 ** n), dtype=complex)
-    out[:, 0] = 1.0
-    for q in range(n):
-        w = 1 << q
-        np.multiply(out[:, :w], f[:, q:q + 1].conj(), out=out[:, w:2 * w])
-        out[:, :w] *= f[:, q:q + 1]
-    return out
+    f = np.exp(-0.5j * deltas.T)
+    f_conj = f.conj()
+    n, b = f.shape
+    tables = []
+    for qubits in (range(n // 2, n), range(n // 2)):
+        table = np.empty((2 ** len(qubits), b), dtype=complex)
+        table[0] = 1.0
+        for j, q in enumerate(qubits):
+            w = 1 << j
+            np.multiply(table[:w], f_conj[q], out=table[w:2 * w])
+            table[:w] *= f[q]
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
@@ -223,8 +236,12 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled when ``config.shots`` is set.
 
     The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), evaluated
-    one tile of pairs at a time; see the module docstring.  Noise and shots
-    act on the n+1 weight bins, per tile.
+    one tile of pairs at a time; see the module docstring.  The working set
+    is allocated once per call and reused by every tile (the last, short
+    one takes leading rows): two complex tile buffers that the product
+    layers ping-pong between (``simcore.product_into``), two float ones for
+    |amplitude|^2, and one (row, weight) bin index for ``bincount``.  Noise
+    and shots act on the n+1 weight bins, per tile.
 
     Shots come from one Philox generator per call, keyed by the two words of
     ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``.  Entry
@@ -234,34 +251,48 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     reach another's counter: its counts depend on (master_seed, tag, i, j)
     and its histogram alone, which is the law of
     ``Generator(Philox(key=key, counter=[0, 0, i, j])).multinomial(shots, h)``.
+    The state written before each draw holds Python ints and lists, which
+    the bit generator's setter reads in under half the time arrays take.
     """
     n = spec.n_qubits
     mats, fid_diag = _compile_fiducial(spec, params)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
     deltas = _delta_rows(spec, xs_a[rows_a], xs_b[rows_b])
+    b = deltas.shape[0]
+    tile = max(1, _TILE_AMPS // 2 ** n)
     shots = config.shots
     if shots is not None:
         key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
         bitgen = np.random.Philox(key=key)
         gen = np.random.Generator(bitgen)
-        state = bitgen.state
-        state["buffer_pos"], state["has_uint32"] = 4, 0   # an empty output buffer
-        counter = state["state"]["counter"]
-    b = deltas.shape[0]
+        counter = [0, 0, 0, 0]   # words 0 and 1 stay 0
+        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key.tolist()},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        counts = np.empty((tile, n + 1), dtype=np.int64)
     out = np.empty((b, n + 1))
     to_embed = sc.product_blocks(n, [_TO_Z_BASIS[spec.embed_axis].conj().T] * n)
     undo_fid = sc.product_blocks(n, [m.conj().T for m in mats])
     noisy = noise is not None and not noise.is_trivial()
     transfer = sc.weight_transfer(n, noise) if noisy else None
-    # tiles of max(1, _TILE_AMPS // 2**n) pairs, the last one possibly short;
-    # nesting keeps no intermediate under a name, so about four tile-sized
-    # arrays (2 MB) are the route's whole working set
-    tile = max(1, _TILE_AMPS // 2 ** n)
+    amps = np.empty((2, tile, 2 ** n), dtype=complex)
+    probs = np.empty((2, tile, 2 ** n))
+    bins = sc.weight_bins(tile, n)
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
-        states = sc.apply_product(
-            fid_diag * sc.apply_product(_pair_phases(deltas[lo:hi]) * phi, to_embed), undo_fid)
-        prof = sc.weight_mass_profile(states.real ** 2 + states.imag ** 2, n)
+        t = hi - lo
+        high, low = _pair_phases(deltas[lo:hi])
+        cur, spare = amps[0, :t], amps[1, :t]
+        np.multiply(high.T[:, :, None], low.T[:, None, :],
+                    out=cur.reshape(t, high.shape[0], low.shape[0]))
+        cur *= phi
+        cur, spare = sc.product_into(cur, spare, to_embed)
+        cur *= fid_diag
+        cur, _ = sc.product_into(cur, spare, undo_fid)
+        sq, sq_imag = probs[0, :t], probs[1, :t]
+        np.square(cur.real, out=sq)
+        sq += np.square(cur.imag, out=sq_imag)
+        per = np.bincount(bins[:sq.size], weights=sq.ravel(), minlength=t * (n + 1))
+        prof = np.cumsum(per.reshape(t, n + 1), axis=1)
         if noisy:
             prof = np.cumsum(sc.matmul_rows(np.diff(prof, axis=1, prepend=0.0), transfer.T),
                              axis=1)
@@ -270,12 +301,11 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
             continue
         hist = np.diff(prof, axis=1, prepend=0.0)
         hist /= hist.sum(axis=1, keepdims=True)
-        counts = []
-        for i, j, h in zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist(), hist):
-            counter[2:] = i, j   # words 0 and 1 stay 0 in the saved state
+        for r, (i, j, h) in enumerate(zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist(), hist)):
+            counter[2], counter[3] = i, j
             bitgen.state = state
-            counts.append(gen.multinomial(shots, h))
-        out[lo:hi] = np.cumsum(np.stack(counts), axis=1) / shots
+            counts[r] = gen.multinomial(shots, h)
+        np.divide(np.cumsum(counts[:t], axis=1), shots, out=out[lo:hi])
     return out
 
 

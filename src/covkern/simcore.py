@@ -19,8 +19,9 @@ so they push the (n+1)-bin weight histogram through the matrix
 
 ``apply_product`` applies a tensor product of one-qubit matrices to a batch of
 states in groups of ``_GROUP`` qubits, one Kronecker block per group from
-``product_blocks``; ``_apply_rotation`` and ``run_circuit`` stay the
-gate-by-gate reference.
+``product_blocks``, and ``product_into`` does the same between two caller-held
+buffers; ``_apply_rotation`` and ``run_circuit`` stay the gate-by-gate
+reference.
 """
 
 from __future__ import annotations
@@ -170,20 +171,34 @@ def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 def apply_product(states: np.ndarray, blocks) -> np.ndarray:
     """Apply the tensor product held in ``product_blocks`` to every row of a
-    (B, 2**n) batch.
+    (B, 2**n) batch.  Returns a new array; see ``product_into``."""
+    cur = np.array(states, dtype=np.result_type(states, *blocks))
+    return product_into(cur, np.empty_like(cur), blocks)[0]
 
-    Each group's block is applied with one matmul over that group's axis, so
-    a layer costs ceil(n / 4) passes over the batch.  Returns a new array.
+
+def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``apply_product`` on two same-shaped, C-contiguous (B, 2**n) buffers,
+    both overwritten.
+
+    Each group's block is applied with one matmul over that group's axis,
+    written into the other buffer, so a layer costs ceil(n / 4) passes over
+    the batch and allocates nothing of its size.  Returns (result, the other
+    buffer).
     """
-    b, size = states.shape
     low = 1   # 2 ** (qubits below the current group)
     for block in blocks:
+        s = block.shape[0]
         if low == 1:
-            states = matmul_rows(states.reshape(-1, block.shape[0]), block.T)
+            rows = cur.reshape(-1, s)
+            if rows.shape[0] == 1:
+                spare.reshape(1, s)[:] = matmul_rows(rows, block.T)
+            else:
+                np.matmul(rows, block.T, out=spare.reshape(-1, s))
         else:
-            states = np.matmul(block, states.reshape(-1, block.shape[0], low))
-        low *= block.shape[0]
-    return states.reshape(b, size)
+            np.matmul(block, cur.reshape(-1, s, low), out=spare.reshape(-1, s, low))
+        low *= s
+        cur, spare = spare, cur
+    return cur, spare
 
 
 def _apply_cz(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
@@ -350,18 +365,24 @@ def hamming_mass(dist: np.ndarray, n: int, max_weight: int) -> float:
     return float(dist[..., mask].sum(axis=-1))
 
 
+def weight_bins(rows: int, n: int) -> np.ndarray:
+    """Flat (row, weight) bin index of a (rows, 2**n) batch: entry (r, k) goes
+    to bin r * (n+1) + weight(k).  A ``bincount`` over it adds each bin's
+    outcomes in index order, and its first r * 2**n entries serve r rows."""
+    return (np.arange(rows)[:, None] * (n + 1) + hamming_weights(n)).ravel()
+
+
 def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
     """Cumulative mass at each Hamming weight 0..n; last entry is the total.
 
-    One ``bincount`` over (row, weight) bins for any leading shape: each bin
-    adds its outcomes in index order, so a row's profile does not depend on
-    how many rows are batched with it.
+    One ``bincount`` over ``weight_bins`` for any leading shape, so a row's
+    profile does not depend on how many rows are batched with it.
     """
     if dist.shape[-1] != 2 ** n:
         raise ValueError("distribution length does not match qubit count")
     rows = dist.reshape(-1, 2 ** n)
-    bins = (np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)).ravel()
-    per = np.bincount(bins, weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))
+    per = np.bincount(weight_bins(rows.shape[0], n), weights=rows.ravel(),
+                      minlength=rows.shape[0] * (n + 1))
     return np.cumsum(per.reshape(dist.shape[:-1] + (n + 1,)), axis=-1)
 
 

@@ -7,6 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covkern import cli
 from covkern import data as dt
@@ -284,6 +287,20 @@ def test_malformed_params_file_is_an_artifact_error(tmp_path, capsys):
         cli.load_params_csv(params)
 
 
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(float, st.integers(0, 40),
+                  elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_params_csv_roundtrip_is_bit_exact(params):
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "params.csv")
+        cli.save_params_csv(params, path)
+        loaded = cli.load_params_csv(path)
+    assert loaded.dtype == np.float64 and loaded.shape == params.shape
+    assert loaded.tobytes() == params.tobytes()   # -0.0 and subnormals included
+
+
 def test_predict_with_corrupt_model_is_an_artifact_error(tmp_path, capsys):
     fit_out, pred_cfg = fitted_model(tmp_path)
     model = fit_out / "model.csv"
@@ -328,6 +345,18 @@ def test_fit_non_finite_feature_is_a_data_error(tmp_path, capsys):
     ({"kernel": {"tolerence": 1}}, "tolerence"),
     ({"kernel": {"estimate_diagonal": "false"}}, "estimate_diagonal"),
     ({"noise": {"p01": 0.05, "p_01": 0.2}}, "p_01"),
+    # integer keys take JSON integers only: int() used to turn 1.9 into 1,
+    # "1" into 1, 10.5 shots into 10 and true into 1
+    ({"kernel": {"tolerance": 1.9}}, "got 1.9"),
+    ({"kernel": {"tolerance": "1"}}, "got '1'"),
+    ({"kernel": {"tolerance": True}}, "got True"),
+    ({"kernel": {"shots": 10.5}}, "got 10.5"),
+    ({"kernel": {"shots": True}}, "got True"),
+    ({"kernel": {"master_seed": 3.0}}, "got 3.0"),
+    # checked on every fit, not only where the quantum kernel runs
+    ({"quantum": False, "baseline": {"kind": "rbf"}, "kernel": {"tolerence": 1}},
+     "tolerence"),
+    ({"quantum": False, "baseline": {"kind": "rbf"}, "noise": {"p_01": 0.2}}, "p_01"),
 ])
 def test_fit_rejects_unknown_or_mistyped_kernel_and_noise_keys(tmp_path, capsys,
                                                                sections, fragment):

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -330,6 +330,48 @@ def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
             np.testing.assert_array_equal(tiled_prof, prof)
             for got, want in zip(tiled_cross, cross):
                 np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 6),
+       axes=st.sampled_from([("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")]),
+       p01=st.floats(0.001, 0.2), p10=st.floats(0.001, 0.2), depolarizing=st.floats(0.001, 0.2),
+       tolerance=st.integers(0, 6), pairs=st.sampled_from([1, 3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=5, axes=("z", "y", "x"), p01=0.03, p10=0.11, depolarizing=0.05, tolerance=2,
+         pairs=3, seed=0)
+def test_profile_route_matrices_equal_kernel_entry(n, axes, p01, p10, depolarizing, tolerance,
+                                                   pairs, seed):
+    # the tile buffers are reused: in tiles of 3 pairs the 10 Gram pairs end
+    # on a 1-pair tile and the 8 cross pairs on a 2-pair tile, after full
+    # ones, and neither may see a row left over from an earlier tile
+    assume(p01 != p10)
+    tolerance %= n + 1
+    rng = np.random.default_rng(seed)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes, angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs, rows = rng.normal(size=(4, n)), rng.normal(size=(2, n))
+    noise = sc.NoiseModel(p01=p01, p10=p10, depolarizing=depolarizing)
+    cfg = kn.KernelConfig(tolerance=tolerance)
+    tiles = []
+    pair_phases = kn._pair_phases
+
+    def recording_pair_phases(deltas):
+        tiles.append(deltas.shape[0])
+        return pair_phases(deltas)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
+        gram = kn.assemble_matrix(xs, spec, params, cfg, noise).values
+        cross = kn.assemble_cross(rows, xs, spec, params, cfg, noise)
+    assert tiles == ([1] * 18 if pairs == 1 else [3, 3, 3, 1] + [3, 3, 2])
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        ref = kn.kernel_entry(spec, params, xs[i], xs[j], cfg, noise)
+        assert gram[i, j] == gram[j, i] == pytest.approx(ref, rel=0, abs=1e-12)
+    for i, j in np.ndindex(*cross.shape):
+        ref = kn.kernel_entry(spec, params, rows[i], xs[j], cfg, noise)
+        assert cross[i, j] == pytest.approx(ref, rel=0, abs=1e-12)
 
 
 def test_matrix_from_profiles_slices_one_tolerance():

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from covkern import svc
 
@@ -247,3 +250,41 @@ def test_model_csv_roundtrip_preserves_predictions(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("kind,i,j,value\nclass,0,,0\n")
         svc.load_model_csv(bad)
+
+
+@st.composite
+def stored_models(draw):
+    """Any model the records file can hold: distinct integer classes, every
+    class pair, finite biases and coefficients with some exact zeros, and a
+    finite probe kernel block."""
+    classes = np.array(sorted(draw(st.sets(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                           min_size=2, max_size=4))))
+    pair_classes = np.array([(a, b) for a in range(len(classes))
+                             for b in range(a + 1, len(classes))])
+    n_train = draw(st.integers(1, 8))
+    coef = st.one_of(st.just(0.0), st.floats(-1e6, 1e6))
+    coefs = draw(hnp.arrays(float, (len(pair_classes), n_train), elements=coef))
+    biases = draw(hnp.arrays(float, len(pair_classes),
+                             elements=st.floats(allow_nan=False, allow_infinity=False)))
+    c = draw(st.floats(1e-6, 1e6))
+    probe = draw(hnp.arrays(float, (draw(st.integers(1, 5)), n_train),
+                            elements=st.floats(-1e3, 1e3)))
+    return svc.MulticlassSVC(classes, pair_classes, coefs, biases, c), probe
+
+
+@settings(max_examples=60, deadline=None)
+@given(stored_models())
+def test_model_csv_roundtrip_is_exact_for_any_stored_model(case):
+    import tempfile
+
+    model, probe = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/model.csv"
+        svc.save_model_csv(model, path)
+        back = svc.load_model_csv(path)
+    np.testing.assert_array_equal(back.classes, model.classes)
+    np.testing.assert_array_equal(back.pair_classes, model.pair_classes)
+    np.testing.assert_array_equal(back.biases, model.biases)
+    np.testing.assert_array_equal(back.coefs, model.coefs)
+    assert back.c == model.c
+    np.testing.assert_array_equal(svc.predict(back, probe), svc.predict(model, probe))
