@@ -19,11 +19,13 @@ COVKERN_OUT, then the config file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,65 +52,161 @@ class ArtifactError(Exception):
 
 
 # ---------------------------------------------------------------------------
+# config schema
+# ---------------------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    """A JSON value kind: its name in the README's config table, the test a
+    value must pass, and the value the program uses for one that passes."""
+
+    name: str
+    test: Callable[[object], bool]
+    load: Callable[[object], object] = lambda v: v
+
+
+def _integer(minimum: int | None = None) -> _Kind:
+    # type(), not isinstance(): a JSON boolean is not a number
+    return _Kind("integer" if minimum is None else f"integer >= {minimum}",
+                 lambda v: type(v) is int and (minimum is None or v >= minimum))
+
+
+def _list(kind: _Kind, name: str, length: int | None = None) -> _Kind:
+    return _Kind(name, lambda v: (type(v) is list and (length is None or len(v) == length)
+                                  and all(map(kind.test, v))),
+                 lambda v: tuple(map(kind.load, v)))
+
+
+def _choice(*words: str) -> _Kind:
+    quoted = [json.dumps(w) for w in words]
+    return _Kind(f"{', '.join(quoted[:-1])} or {quoted[-1]}",
+                 lambda v: type(v) is str and v in words)
+
+
+_INTEGER, _SEED = _integer(), _integer(0)
+_NUMBER = _Kind("number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+                float)
+_NUMBERS = _list(_NUMBER, "list of numbers")
+_SHOTS = _Kind("integer or null", lambda v: v is None or _INTEGER.test(v))
+_SPLIT = _Kind("number or null", lambda v: v is None or _NUMBER.test(v),
+               lambda v: v if v is None else float(v))
+_BOOLEAN = _Kind("boolean", lambda v: type(v) is bool)
+_STRING = _Kind("string", lambda v: type(v) is str)
+_PAIR = _list(_INTEGER, "[integer, integer]", length=2)
+_COUPLING = _Kind(
+    '"line", "ring", a file path, {"edges": [[u, v], ...]} or {"heavy_hex": [rows, row_len]}',
+    lambda v: type(v) is str or (type(v) is dict and len(v) == 1 and (
+        _PAIR.test(v.get("heavy_hex")) or _list(_PAIR, "").test(v.get("edges")))))
+_PARAMS = _Kind(
+    '"zeros", "random", a path ending .csv or a list of numbers',
+    lambda v: (type(v) is str and (v in ("zeros", "random") or v.endswith(".csv"))
+               or _NUMBERS.test(v)),
+    lambda v: _NUMBERS.load(v) if type(v) is list else v)
+_REQUIRED = object()
+
+# section -> key -> (kind, default); None is the top level.  A default of None
+# leaves an absent key out: the code derives its value or does without it.  A
+# section with a "kind" key also takes the keys of its (section, kind) entry.
+_SCHEMA: dict = {
+    None: {"out": (_STRING, None), "seed": (_SEED, 0), "params": (_PARAMS, "zeros"),
+           **dict.fromkeys(("train", "test", "model_dir", "runs_dir"), (_STRING, None)),
+           "quantum": (_BOOLEAN, True),
+           "target_kind": (_choice("zero_one", "shifted"), "zero_one")},
+    "feature_map": {"n_qubits": (_INTEGER, None), "coupling": (_COUPLING, "line"),
+                    "use_importance": (_BOOLEAN, True), "standardize": (_BOOLEAN, False),
+                    "axes": (_list(_choice("x", "y", "z"), 'list of 3 of "x", "y", "z"', length=3),
+                             ("z", "y", "x")),
+                    "angle_scale": (_NUMBER, None)},
+    "kernel": {"tolerance": (_INTEGER, 0), "shots": (_SHOTS, None),
+               "estimate_diagonal": (_BOOLEAN, True), "master_seed": (_SEED, None)},
+    "noise": dict.fromkeys(("p01", "p10", "depolarizing"), (_NUMBER, 0.0)),
+    "svc": {"c": (_NUMBER, 1.0), "tol": (_NUMBER, 1e-3)},
+    "spsa": {"a": (_NUMBER, 0.1), "c": (_NUMBER, 0.1), "stability": (_NUMBER, 10.0),
+             "iterations": (_integer(0), 100), "seed": (_SEED, None)},
+    "calibration": {"n_values": (_list(_INTEGER, "list of integers"), (4, 8, 12)),
+                    "thresholds": (_NUMBERS, (0.9,)), "shots": (_SHOTS, None),
+                    "samples": (_integer(1), 15), "angle_scale": (_NUMBER, 2.0 * np.pi)},
+    "verify": {"trials": (_integer(2), 200_000),
+               "sphere_dims": (_list(_integer(1), "list of integers >= 1"), tuple(range(2, 11))),
+               "table_dims": (_list(_integer(1), "list of integers >= 1"), (1, 2, 3, 4))},
+    "dataset": {"kind": (_choice("subspaces", "covariant", "bell"), _REQUIRED),
+                "samples_per_class": (_INTEGER, _REQUIRED), "seed": (_SEED, None),
+                "split": (_SPLIT, None)},
+    ("dataset", "subspaces"): {"ambient_dim": (_INTEGER, _REQUIRED), "rotate": (_BOOLEAN, True),
+                               "class_dims": (_list(_INTEGER, "list of integers"), _REQUIRED)},
+    ("dataset", "covariant"): {"n_qubits": (_INTEGER, _REQUIRED), "step": (_NUMBER, _REQUIRED),
+                               "offsets": (_NUMBERS, _REQUIRED), "integer_range": (_PAIR, (-8, 8)),
+                               "axis": (_choice("x", "y", "z"), "x")},
+    ("dataset", "bell"): {},
+    "baseline": {"kind": (_choice("rbf", "generalized_rbf"), "rbf")},
+    ("baseline", "rbf"): {"gamma": (_NUMBER, 1.0)},
+    ("baseline", "generalized_rbf"): {"gamma1": (_NUMBER, 1.0), "sigma1": (_NUMBER, 1.0),
+                                      "gamma2": (_NUMBER, 0.0), "sigma2": (_NUMBER, 1.0)},
+}
+_SCHEMA[None] |= {name: (_Kind("object", lambda v: type(v) is dict), None)
+                  for name in _SCHEMA if isinstance(name, str)}
+
+
+def _value(sec: dict, where: str, key: str, kind: _Kind, default):
+    if key not in sec:
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} is missing field \"{key}\"")
+        return default
+    if not kind.test(sec[key]):
+        raise ConfigError(f"\"{key}\" in {where}: expected {kind.name}, got {sec[key]!r}")
+    return kind.load(sec[key])
+
+
+def _section(cfg: dict, name: str | None = None) -> dict:
+    """Config section ``name``, or the top level when None, with its defaults
+    filled in.  An undeclared key, a missing required key or a value of the
+    wrong JSON kind is a ConfigError."""
+    where = "the config" if name is None else f"config section \"{name}\""
+    sec = cfg if name is None else cfg.get(name, {})
+    if type(sec) is not dict:
+        raise ConfigError(f"{where}: expected object, got {sec!r}")
+    keys = _SCHEMA[name]
+    if "kind" in keys:
+        keys = keys | _SCHEMA[name, _value(sec, where, "kind", *keys["kind"])]
+    for key in sec:
+        if key not in keys:
+            raise ConfigError(f"unknown key \"{key}\" in {where} (expected "
+                              f"{', '.join(keys)}), got {sec[key]!r}")
+    values = {key: _value(sec, where, key, *spec) for key, spec in keys.items()}
+    return {key: v for key, v in values.items() if v is not None}
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
 
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
 
 
-def resolve_out(cfg: dict, flag_value) -> str:
-    out = flag_value or os.environ.get("COVKERN_OUT") or cfg.get("out")
+def resolve_out(top: dict, flag_value) -> str:
+    out = flag_value or os.environ.get("COVKERN_OUT") or top.get("out")
     if not out:
         raise ConfigError("no output directory: set \"out\" in the config, COVKERN_OUT, or --out")
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def resolve_seed(cfg: dict, flag_value) -> int:
+def resolve_seed(top: dict, flag_value) -> int:
     if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("COVKERN_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"COVKERN_SEED must be an integer, got {env!r}")
-    seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("\"seed\" must be an integer")
-    return seed
-
-
-# declared keys of the sections that reject unknown ones
-_KERNEL_KEYS = frozenset({"tolerance", "shots", "estimate_diagonal", "master_seed"})
-_NOISE_KEYS = frozenset({"p01", "p10", "depolarizing"})
-
-
-def _section(cfg: dict, name: str, required: bool = True, keys=None) -> dict:
-    """The named config object, or {} when it is absent and not required;
-    with ``keys``, any other key in it is a ConfigError."""
-    sec = cfg.get(name)
-    if sec is None:
-        if required:
-            raise ConfigError(f"config section \"{name}\" is required for this task")
-        return {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"config section \"{name}\" must be an object")
-    unknown = sorted(set(sec) - keys) if keys is not None else []
-    if unknown:
-        raise ConfigError(f"unknown key(s) in config section \"{name}\": {', '.join(unknown)}"
-                          f" (expected {', '.join(sorted(keys))})")
-    return sec
+        source, seed = "--seed", flag_value
+    elif "COVKERN_SEED" in os.environ:
+        source, seed = "COVKERN_SEED", os.environ["COVKERN_SEED"]
+    else:
+        return top["seed"]
+    if not str(seed).isdecimal():
+        raise ConfigError(f"{source}: expected {_SEED.name}, got {seed!r}")
+    return int(seed)
 
 
 def _load_dataset(path) -> dt.Dataset:
@@ -116,103 +214,66 @@ def _load_dataset(path) -> dt.Dataset:
         raise ConfigError("a dataset path is required")
     try:
         return dt.load_csv(path)
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {path}")
+    except (OSError, ValueError) as exc:
+        raise DataError(f"{path}: {exc}")
+
+
+def _config_call(name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, where a ValueError means that a value in config
+    section ``name`` is out of range."""
+    try:
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise DataError(str(exc))
+        raise ConfigError(f"bad {name} section: {exc}")
 
 
 def noise_from_config(cfg: dict) -> sc.NoiseModel | None:
-    sec = _section(cfg, "noise", required=False, keys=_NOISE_KEYS)
-    if not sec:
-        return None
-    try:
-        model = sc.NoiseModel(p01=float(sec.get("p01", 0.0)),
-                              p10=float(sec.get("p10", 0.0)),
-                              depolarizing=float(sec.get("depolarizing", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad noise section: {exc}")
+    model = _config_call("noise", sc.NoiseModel, **_section(cfg, "noise"))
     return None if model.is_trivial() else model
 
 
-def _json_int(sec: dict, name: str, key: str, default):
-    """sec[key] when it is a JSON integer (not a boolean), ``default`` when
-    the key is absent, and a ConfigError for anything else."""
-    if key not in sec:
-        return default
-    value = sec[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"\"{key}\" in config section \"{name}\" must be an integer, "
-                          f"got {value!r}")
-    return value
-
-
 def kernel_config_from_config(cfg: dict, seed: int) -> kn.KernelConfig:
-    sec = _section(cfg, "kernel", required=False, keys=_KERNEL_KEYS)
-    estimate_diagonal = sec.get("estimate_diagonal", True)
-    if not isinstance(estimate_diagonal, bool):
-        raise ConfigError("\"estimate_diagonal\" in config section \"kernel\" must be "
-                          f"true or false, got {estimate_diagonal!r}")
-    try:
-        return kn.KernelConfig(
-            tolerance=_json_int(sec, "kernel", "tolerance", 0),
-            shots=None if sec.get("shots") is None else _json_int(sec, "kernel", "shots", None),
-            estimate_diagonal=estimate_diagonal,
-            master_seed=_json_int(sec, "kernel", "master_seed", seed),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad kernel section: {exc}")
+    sec = {"master_seed": seed} | _section(cfg, "kernel")
+    return _config_call("kernel", kn.KernelConfig, **sec)
 
 
-def coupling_from_config(sec: dict, n_qubits: int) -> fm.CouplingMap:
-    spec = sec.get("coupling", "line")
-    try:
-        if spec == "line":
-            return fm.line_coupling(n_qubits)
-        if spec == "ring":
-            return fm.ring_coupling(n_qubits)
-        if isinstance(spec, str):
-            return fm.load_coupling(spec)
-        if isinstance(spec, dict) and "edges" in spec:
-            return fm.coupling_from_edges([tuple(e) for e in spec["edges"]])
-        if isinstance(spec, dict) and "heavy_hex" in spec:
-            rows, row_len = spec["heavy_hex"]
-            return fm.heavy_hex_coupling(int(rows), int(row_len))
-    except FileNotFoundError:
-        raise ConfigError(f"coupling file not found: {spec}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad coupling: {exc}")
-    raise ConfigError(f"unrecognized coupling spec: {spec!r}")
-
-
-def feature_map_from_config(cfg: dict, dataset: dt.Dataset) -> fm.FeatureMapSpec:
-    sec = _section(cfg, "feature_map", required=False)
-    n_qubits = int(sec.get("n_qubits", dataset.n_features))
+def _feature_map(sec: dict, dataset: dt.Dataset) -> fm.FeatureMapSpec:
+    """The feature map a read feature_map section gives for ``dataset``."""
+    n_qubits = sec.get("n_qubits", dataset.n_features)
     if n_qubits != dataset.n_features:
         raise ConfigError(
             f"feature_map.n_qubits is {n_qubits} but the dataset has {dataset.n_features} features")
-    coupling = coupling_from_config(sec, n_qubits)
-    importance = None
-    if sec.get("use_importance", True) and dataset.importance:
-        importance = dataset.importance
-    axes = tuple(sec.get("axes", ("z", "y", "x")))
-    default_scale = np.pi / 2.0 if sec.get("standardize", False) else 1.0
+    coupling = sec["coupling"]
+    importance = dataset.importance if sec["use_importance"] and dataset.importance else None
+    angle_scale = sec.get("angle_scale", np.pi / 2.0 if sec["standardize"] else 1.0)
     try:
+        if coupling == "line":
+            coupling = fm.line_coupling(n_qubits)
+        elif coupling == "ring":
+            coupling = fm.ring_coupling(n_qubits)
+        elif isinstance(coupling, str):
+            coupling = fm.load_coupling(coupling)
+        elif "edges" in coupling:
+            coupling = fm.coupling_from_edges(coupling["edges"])
+        else:
+            coupling = fm.heavy_hex_coupling(*coupling["heavy_hex"])
         return fm.make_feature_map(coupling, n_qubits, importance=importance,
-                                   axes=axes,
-                                   angle_scale=float(sec.get("angle_scale", default_scale)))
-    except ValueError as exc:
+                                   axes=sec["axes"], angle_scale=angle_scale)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"bad feature_map section: {exc}")
 
 
-def standardizer_from_config(cfg: dict, train: dt.Dataset):
+def feature_map_from_config(cfg: dict, dataset: dt.Dataset) -> fm.FeatureMapSpec:
+    return _feature_map(_section(cfg, "feature_map"), dataset)
+
+
+def standardizer(train: dt.Dataset, standardize: bool):
     """Zero-mean/unit-variance transform fitted on the training features.
 
     Returns a callable applied to every feature matrix in the run, or the
     identity when standardization is off (synthetic data keeps raw angles).
     """
-    sec = _section(cfg, "feature_map", required=False)
-    if not sec.get("standardize", False):
+    if not standardize:
         return lambda feats: feats
     mean = train.features.mean(axis=0)
     std = train.features.std(axis=0)
@@ -253,17 +314,15 @@ def save_params_csv(params: np.ndarray, path) -> None:
 
 
 def params_from_config(cfg: dict, spec: fm.FeatureMapSpec, seed: int) -> np.ndarray:
-    src = cfg.get("params", "zeros")
-    if isinstance(src, str) and src.endswith(".csv"):
-        params = load_params_csv(src)
+    src = _section(cfg)["params"]
+    if isinstance(src, tuple):
+        params = np.array(src)
     elif src == "zeros":
         params = np.zeros(spec.n_params)
     elif src == "random":
         params = np.random.default_rng((seed, 77)).uniform(0.0, 2.0 * np.pi, spec.n_params)
-    elif isinstance(src, list):
-        params = np.asarray(src, dtype=float)
     else:
-        raise ConfigError(f"unrecognized params source: {src!r}")
+        params = load_params_csv(src)
     if params.shape != (spec.n_params,):
         raise ConfigError(f"expected {spec.n_params} parameters, got {params.shape[0]}")
     return params
@@ -283,16 +342,9 @@ def pipeline_fingerprint(spec: fm.FeatureMapSpec, params: np.ndarray,
         "tree_edges": [list(e) for e in spec.plan.tree_edges],
         "layers": [[list(e) for e in layer] for layer in spec.plan.layers],
         "params": [repr(float(v)) for v in params],
-        "kernel": {
-            "tolerance": config.tolerance,
-            "shots": config.shots,
-            "estimate_diagonal": config.estimate_diagonal,
-            "master_seed": config.master_seed,
-        },
+        "kernel": dataclasses.asdict(config),
         "noise": None if noise is None else {
-            "p01": repr(noise.p01), "p10": repr(noise.p10),
-            "depolarizing": repr(noise.depolarizing),
-        },
+            key: repr(rate) for key, rate in dataclasses.asdict(noise).items()},
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -306,6 +358,19 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def _json_artifact(path, what: str) -> dict:
+    """The JSON object in an artifact file; an ArtifactError naming the file
+    when it is unreadable or holds something else."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ArtifactError(f"{path}: unreadable {what} ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ArtifactError(f"{path}: {what} is not a JSON object, got {payload!r}")
+    return payload
+
+
 def write_manifest(out: str, task: str, cfg: dict, seed: int, artifacts: list[str],
                    started: float, extra: dict | None = None) -> None:
     manifest = {
@@ -316,11 +381,7 @@ def write_manifest(out: str, task: str, cfg: dict, seed: int, artifacts: list[st
         "artifacts": sorted(artifacts),
         "wall_clock_s": round(time.perf_counter() - started, 3),
     }
-    if extra:
-        manifest.update(extra)
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out, "manifest.json"), manifest | (extra or {}))
 
 
 def _write_json(path, payload) -> None:
@@ -330,53 +391,27 @@ def _write_json(path, payload) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the config as given, its top level as read, and the
+# resolved output directory and seed
 # ---------------------------------------------------------------------------
 
-def cmd_datagen(cfg: dict, out: str, seed: int) -> int:
+def cmd_datagen(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
     sec = _section(cfg, "dataset")
-    kind = sec.get("kind")
-    try:
-        if kind == "subspaces":
-            spec = dt.SubspaceSpec(
-                ambient_dim=int(sec["ambient_dim"]),
-                class_dims=tuple(int(d) for d in sec["class_dims"]),
-                samples_per_class=int(sec["samples_per_class"]),
-                rotate=bool(sec.get("rotate", True)),
-                seed=int(sec.get("seed", seed)),
-            )
-            dataset = dt.gen_union_subspaces(spec)
-        elif kind == "covariant":
-            spec = dt.CovariantSpec(
-                n_qubits=int(sec["n_qubits"]),
-                step=float(sec["step"]),
-                offsets=tuple(float(v) for v in sec["offsets"]),
-                samples_per_class=int(sec["samples_per_class"]),
-                integer_range=tuple(sec.get("integer_range", (-8, 8))),
-                axis=sec.get("axis", "x"),
-                seed=int(sec.get("seed", seed)),
-            )
-            dataset = dt.gen_covariant(spec)
-        elif kind == "bell":
-            dataset = dt.bell_pair_dataset(int(sec["samples_per_class"]),
-                                           seed=int(sec.get("seed", seed)))
-        else:
-            raise ConfigError(f"dataset.kind must be subspaces, covariant, or bell, got {kind!r}")
-    except KeyError as exc:
-        raise ConfigError(f"dataset section is missing field {exc}")
-    except ValueError as exc:
-        raise ConfigError(f"bad dataset section: {exc}")
+    kind, fraction = sec.pop("kind"), sec.pop("split", None)
+    spec = {"seed": seed} | sec
+    if kind == "subspaces":
+        dataset = dt.gen_union_subspaces(_config_call("dataset", dt.SubspaceSpec, **spec))
+    elif kind == "covariant":
+        dataset = dt.gen_covariant(_config_call("dataset", dt.CovariantSpec, **spec))
+    else:
+        dataset = _config_call("dataset", dt.bell_pair_dataset, **spec)
 
-    artifacts = []
+    artifacts = ["dataset.csv"]
     dt.save_csv(dataset, os.path.join(out, "dataset.csv"))
-    artifacts.append("dataset.csv")
-    fraction = sec.get("split")
     if fraction is not None:
-        try:
-            train, test = dt.split_dataset(dataset, float(fraction), seed=int(sec.get("seed", seed)))
-        except ValueError as exc:
-            raise ConfigError(f"bad split: {exc}")
+        train, test = _config_call("dataset", dt.split_dataset, dataset, fraction,
+                                   seed=spec["seed"])
         dt.save_csv(train, os.path.join(out, "train.csv"))
         dt.save_csv(test, os.path.join(out, "test.csv"))
         artifacts += ["train.csv", "test.csv"]
@@ -385,24 +420,12 @@ def cmd_datagen(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def cmd_calibrate(cfg: dict, out: str, seed: int) -> int:
+def cmd_calibrate(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
     sec = _section(cfg, "calibration")
     noise = noise_from_config(cfg) or sc.NoiseModel()
-    try:
-        ns = [int(n) for n in sec.get("n_values", (4, 8, 12))]
-        thresholds = tuple(float(t) for t in sec.get("thresholds", (0.9,)))
-        shots = sec.get("shots")
-        report = kn.calibrate(
-            ns, noise,
-            shots=None if shots is None else int(shots),
-            thresholds=thresholds,
-            samples=int(sec.get("samples", 15)),
-            seed=seed,
-            angle_scale=float(sec.get("angle_scale", 2.0 * np.pi)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad calibration section: {exc}")
+    ns, thresholds = sec.pop("n_values"), sec["thresholds"]
+    report = _config_call("calibration", kn.calibrate, ns, noise, seed=seed, **sec)
     kn.save_calibration_csv(report, os.path.join(out, "calibration.csv"))
     with open(os.path.join(out, "recommended.csv"), "w") as fh:
         fh.write("n_qubits,threshold,recommended_tolerance\n")
@@ -419,33 +442,21 @@ def cmd_calibrate(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def cmd_align(cfg: dict, out: str, seed: int) -> int:
+def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
-    train = _load_dataset(cfg.get("train"))
-    spec = feature_map_from_config(cfg, train)
-    init = params_from_config(cfg, spec, seed)
+    fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
-    sec = _section(cfg, "spsa", required=False)
-    try:
-        spsa = al.SPSAConfig(
-            a=float(sec.get("a", 0.1)),
-            c=float(sec.get("c", 0.1)),
-            stability=float(sec.get("stability", 10.0)),
-            iterations=int(sec.get("iterations", 100)),
-            seed=int(sec.get("seed", seed)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad spsa section: {exc}")
-    transform = standardizer_from_config(cfg, train)
+    spsa = al.SPSAConfig(**{"seed": seed} | _section(cfg, "spsa"))
+    train = _load_dataset(top.get("train"))
+    spec = _feature_map(fmap, train)
+    init = params_from_config(cfg, spec, seed)
+    transform = standardizer(train, fmap["standardize"])
     trace = al.align_kernel(transform(train.features), train.labels, spec, init, spsa,
-                            config, noise=noise,
-                            target_kind=cfg.get("target_kind", "zero_one"))
+                            config, noise=noise, target_kind=top["target_kind"])
     al.save_trace_csv(trace, os.path.join(out, "trace.csv"))
     save_params_csv(trace.best_params, os.path.join(out, "params.csv"))
-    fingerprint = pipeline_fingerprint(
-        spec, trace.best_params, config, noise,
-        standardize=bool(_section(cfg, "feature_map", required=False).get("standardize", False)))
+    fingerprint = pipeline_fingerprint(spec, trace.best_params, config, noise, fmap["standardize"])
     write_manifest(out, "align", cfg, seed, ["trace.csv", "params.csv"], started,
                    extra={"fingerprint": fingerprint,
                           "best_loss": trace.best_loss,
@@ -455,52 +466,54 @@ def cmd_align(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def _baseline_kernels(sec: dict, feats_a: np.ndarray, feats_b: np.ndarray | None):
-    kind = sec.get("kind", "rbf")
+def _classifiers(cfg: dict) -> tuple[dict, dict | None]:
+    """A fit config's svc section, and its baseline section or None."""
+    return _section(cfg, "svc"), (_section(cfg, "baseline") if cfg.get("baseline") else None)
+
+
+def _baseline_kernel(sec: dict, feats_a: np.ndarray, feats_b: np.ndarray | None):
+    matrix = svc.rbf_matrix if sec["kind"] == "rbf" else svc.generalized_rbf_matrix
+    widths = {key: v for key, v in sec.items() if key != "kind"}
+    return _config_call("baseline", matrix, feats_a, feats_b, **widths)
+
+
+def _fit_baseline(sec: dict, svc_sec: dict, train: dt.Dataset):
+    """The baseline model fitted on ``train``, and its training kernel."""
+    kernel = _baseline_kernel(sec, train.features, None)
     try:
-        if kind == "rbf":
-            return svc.rbf_matrix(feats_a, feats_b, gamma=float(sec.get("gamma", 1.0)))
-        if kind == "generalized_rbf":
-            return svc.generalized_rbf_matrix(
-                feats_a, feats_b,
-                gamma1=float(sec.get("gamma1", 1.0)), sigma1=float(sec.get("sigma1", 1.0)),
-                gamma2=float(sec.get("gamma2", 0.0)), sigma2=float(sec.get("sigma2", 1.0)))
-    except ValueError as exc:
-        raise ConfigError(f"bad baseline section: {exc}")
-    raise ConfigError(f"baseline.kind must be rbf or generalized_rbf, got {kind!r}")
+        return svc.fit_multiclass(kernel, train.labels, **svc_sec), kernel
+    except (ValueError, RuntimeError) as exc:
+        raise DataError(f"baseline SVC fit failed: {exc}")
 
 
-def cmd_fit(cfg: dict, out: str, seed: int) -> int:
+def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
-    train_path = cfg.get("train")
-    train = _load_dataset(train_path)
-    svc_sec = _section(cfg, "svc", required=False)
-    c = float(svc_sec.get("c", 1.0))
-    tol = float(svc_sec.get("tol", 1e-3))
-    quantum = bool(cfg.get("quantum", True))
-    baseline_sec = _section(cfg, "baseline", required=False)
-    if not quantum and not baseline_sec:
-        raise ConfigError("nothing to fit: quantum disabled and no baseline section")
-
-    # checked on every fit, so a typo fails even where the baseline alone runs
+    # every section is read on every fit, so a typo fails even where the
+    # baseline alone runs
+    fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
+    svc_sec, baseline = _classifiers(cfg)
+    if not top["quantum"] and baseline is None:
+        raise ConfigError("nothing to fit: quantum disabled and no baseline section")
+    train_path = top.get("train")
+    train = _load_dataset(train_path)
 
     artifacts = []
     scores: dict = {"train_samples": train.n_samples}
     extra: dict = {"train_sha256": file_sha256(train_path)}
 
-    if quantum:
-        spec = feature_map_from_config(cfg, train)
+    if top["quantum"]:
+        spec = _feature_map(fmap, train)
         params = params_from_config(cfg, spec, seed)
-        transform = standardizer_from_config(cfg, train)
+        transform = standardizer(train, fmap["standardize"])
         estimate = kn.assemble_matrix(transform(train.features), spec, params, config,
                                       noise=noise)
         repaired = kn.repair_psd(estimate)
         kn.save_matrix_csv(repaired.values, os.path.join(out, "kernel_train.csv"))
         artifacts.append("kernel_train.csv")
         try:
-            model = svc.fit_multiclass(repaired.values, train.labels, c=c, tol=tol)
+            model = svc.fit_multiclass(repaired.values, train.labels, **svc_sec)
         except (ValueError, RuntimeError) as exc:
             raise DataError(f"quantum SVC fit failed: {exc}")
         svc.save_model_csv(model, os.path.join(out, "model.csv"))
@@ -508,16 +521,11 @@ def cmd_fit(cfg: dict, out: str, seed: int) -> int:
         train_pred = svc.predict(model, repaired.values)
         scores["quantum_train_accuracy"] = svc.accuracy(train.labels, train_pred)
         scores["kernel_psd_projected"] = bool(repaired.psd_projected)
-        extra["fingerprint"] = pipeline_fingerprint(
-            spec, params, config, noise,
-            standardize=bool(_section(cfg, "feature_map", required=False).get("standardize", False)))
+        extra["fingerprint"] = pipeline_fingerprint(spec, params, config, noise,
+                                                    fmap["standardize"])
 
-    if baseline_sec:
-        base_train = _baseline_kernels(baseline_sec, train.features, None)
-        try:
-            base_model = svc.fit_multiclass(base_train, train.labels, c=c, tol=tol)
-        except (ValueError, RuntimeError) as exc:
-            raise DataError(f"baseline SVC fit failed: {exc}")
+    if baseline is not None:
+        base_model, base_train = _fit_baseline(baseline, svc_sec, train)
         base_pred = svc.predict(base_model, base_train)
         scores["baseline_train_accuracy"] = svc.accuracy(train.labels, base_pred)
 
@@ -530,40 +538,42 @@ def cmd_fit(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def cmd_predict(cfg: dict, out: str, seed: int) -> int:
+def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
-    model_dir = cfg.get("model_dir")
+    fmap = _section(cfg, "feature_map")
+    config = kernel_config_from_config(cfg, seed)
+    noise = noise_from_config(cfg)
+    model_dir = top.get("model_dir")
     if not model_dir:
         raise ConfigError("predict needs \"model_dir\" pointing at a fit run")
     manifest_path = os.path.join(model_dir, "manifest.json")
     model_path = os.path.join(model_dir, "model.csv")
     if not os.path.exists(manifest_path) or not os.path.exists(model_path):
         raise ArtifactError(f"no fitted model found in {model_dir}")
-    try:
-        with open(manifest_path) as fh:
-            fit_manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise ArtifactError(f"{manifest_path}: unreadable manifest ({exc})") from None
-    if (not isinstance(fit_manifest, dict) or fit_manifest.get("task") != "fit"
-            or "fingerprint" not in fit_manifest):
+    fit_manifest = _json_artifact(manifest_path, "manifest")
+    if fit_manifest.get("task") != "fit" or not isinstance(fit_manifest.get("fingerprint"), str):
         raise ArtifactError(f"{manifest_path} is not a quantum fit manifest")
+    # the fit's config is an artifact here: a bad one is not the user's error
+    try:
+        fit_cfg = fit_manifest.get("config")
+        fit_train = _section(fit_cfg).get("train")
+        svc_sec, baseline = _classifiers(fit_cfg)
+    except ConfigError as exc:
+        raise ArtifactError(f"{manifest_path}: {exc}") from None
 
-    train_path = cfg.get("train") or fit_manifest.get("config", {}).get("train")
+    train_path = top.get("train") or fit_train
     train = _load_dataset(train_path)
     if file_sha256(train_path) != fit_manifest.get("train_sha256"):
         raise ArtifactError("training dataset differs from the one the model was fitted on")
-    test = _load_dataset(cfg.get("test"))
+    test = _load_dataset(top.get("test"))
     if test.n_samples == 0:
         raise DataError("test dataset is empty")
     if test.n_features != train.n_features:
         raise DataError("test dataset width does not match the training data")
 
-    spec = feature_map_from_config(cfg, train)
+    spec = _feature_map(fmap, train)
     params = params_from_config(cfg, spec, seed)
-    config = kernel_config_from_config(cfg, seed)
-    noise = noise_from_config(cfg)
-    standardize = bool(_section(cfg, "feature_map", required=False).get("standardize", False))
-    fingerprint = pipeline_fingerprint(spec, params, config, noise, standardize=standardize)
+    fingerprint = pipeline_fingerprint(spec, params, config, noise, fmap["standardize"])
     if fingerprint != fit_manifest["fingerprint"]:
         raise ArtifactError(
             "feature-map/kernel configuration does not match the fitted model "
@@ -575,7 +585,7 @@ def cmd_predict(cfg: dict, out: str, seed: int) -> int:
         raise ArtifactError(f"{model_path}: unreadable model file ({exc})") from None
     if model.n_train != train.n_samples:
         raise ArtifactError("model was fitted on a different number of training samples")
-    transform = standardizer_from_config(cfg, train)
+    transform = standardizer(train, fmap["standardize"])
     cross = kn.assemble_cross(transform(test.features), transform(train.features),
                               spec, params, config, noise=noise)
     kn.save_matrix_csv(cross, os.path.join(out, "kernel_cross.csv"))
@@ -590,14 +600,9 @@ def cmd_predict(cfg: dict, out: str, seed: int) -> int:
     }
     artifacts = ["kernel_cross.csv", "predictions.csv", "scores.json"]
 
-    baseline_sec = _section(fit_manifest.get("config", {}), "baseline", required=False)
-    if baseline_sec:
-        svc_sec = _section(fit_manifest.get("config", {}), "svc", required=False)
-        c = float(svc_sec.get("c", 1.0))
-        tol = float(svc_sec.get("tol", 1e-3))
-        base_train = _baseline_kernels(baseline_sec, train.features, None)
-        base_model = svc.fit_multiclass(base_train, train.labels, c=c, tol=tol)
-        base_cross = _baseline_kernels(baseline_sec, test.features, train.features)
+    if baseline is not None:
+        base_model, _ = _fit_baseline(baseline, svc_sec, train)
+        base_cross = _baseline_kernel(baseline, test.features, train.features)
         base_pred = svc.predict(base_model, base_cross)
         scores["baseline_test_accuracy"] = svc.accuracy(test.labels, base_pred)
 
@@ -610,16 +615,14 @@ def cmd_predict(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out: str, seed: int) -> int:
+def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
-    sec = _section(cfg, "verify", required=False)
-    trials = int(sec.get("trials", 200_000))
-    sphere_dims = [int(d) for d in sec.get("sphere_dims", range(2, 11))]
-    table_dims = [int(d) for d in sec.get("table_dims", range(1, 5))]
+    sec = _section(cfg, "verify")
+    trials = sec["trials"]
     rows: list[tuple[str, float, float, str, bool]] = []
 
     # sphere second moment against 1/d, 3 standard errors
-    for d in sphere_dims:
+    for d in sec["sphere_dims"]:
         mean, se = th.sphere_inner_moment(d, trials, seed=(seed + d))
         margin = 3.0 - abs(mean - 1.0 / d) / se
         rows.append((f"sphere_moment_d{d}", mean, margin, f"|mean-1/{d}| <= 3se", margin >= 0))
@@ -637,7 +640,7 @@ def cmd_verify(cfg: dict, out: str, seed: int) -> int:
         rows.append((f"closed_form_n{n}", dev, 1e-10 - dev, "max dev <= 1e-10", dev <= 1e-10))
 
     # five-case expectation ordering with 3-sigma margins
-    table = th.subspace_kernel_expectations(table_dims, trials, seed=seed)
+    table = th.subspace_kernel_expectations(sec["table_dims"], trials, seed=seed)
     th.save_expectation_csv(table, os.path.join(out, "expectations.csv"))
     for dx, margin in sorted(th.expectation_ordering_margins(table).items()):
         rows.append((f"subspace_ordering_dim{dx}", margin, margin - 3.0,
@@ -670,9 +673,9 @@ def cmd_verify(cfg: dict, out: str, seed: int) -> int:
     return 0
 
 
-def cmd_report(cfg: dict, out: str, seed: int) -> int:
+def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> int:
     started = time.perf_counter()
-    runs_dir = cfg.get("runs_dir")
+    runs_dir = top.get("runs_dir")
     if not runs_dir:
         raise ConfigError("report needs \"runs_dir\" to scan for manifests")
     if not os.path.isdir(runs_dir):
@@ -681,24 +684,18 @@ def cmd_report(cfg: dict, out: str, seed: int) -> int:
     for dirpath, _dirnames, filenames in sorted(os.walk(runs_dir)):
         if "manifest.json" not in filenames:
             continue
-        with open(os.path.join(dirpath, "manifest.json")) as fh:
-            manifest = json.load(fh)
-        row = {
+        manifest = _json_artifact(os.path.join(dirpath, "manifest.json"), "manifest")
+        scores_path = os.path.join(dirpath, "scores.json")
+        scores = _json_artifact(scores_path, "scores") if os.path.exists(scores_path) else {}
+        entries.append({
             "run": os.path.relpath(dirpath, runs_dir),
             "task": manifest.get("task", "?"),
             "version": manifest.get("version", "?"),
             "seed": manifest.get("seed", ""),
             "wall_clock_s": manifest.get("wall_clock_s", ""),
             "artifacts": ";".join(manifest.get("artifacts", [])),
-        }
-        scores_path = os.path.join(dirpath, "scores.json")
-        if os.path.exists(scores_path):
-            with open(scores_path) as fh:
-                scores = json.load(fh)
-            row["scores"] = ";".join(f"{k}={v}" for k, v in sorted(scores.items()))
-        else:
-            row["scores"] = ""
-        entries.append(row)
+            "scores": ";".join(f"{k}={v}" for k, v in sorted(scores.items())),
+        })
     if not entries:
         raise DataError(f"no manifests found under {runs_dir}")
     with open(os.path.join(out, "report.csv"), "w") as fh:
@@ -738,9 +735,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        out = resolve_out(cfg, args.out)
-        seed = resolve_seed(cfg, args.seed)
-        return _COMMANDS[args.task](cfg, out, seed)
+        top = _section(cfg)
+        return _COMMANDS[args.task](cfg, top, resolve_out(top, args.out),
+                                    resolve_seed(top, args.seed))
     except (ConfigError, DataError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

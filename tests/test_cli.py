@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -69,6 +70,17 @@ def test_seed_precedence(tmp_path, monkeypatch):
     assert read_json(out / "manifest.json")["seed"] == 11
     monkeypatch.setenv("COVKERN_SEED", "not-a-number")
     assert run(["datagen", "--config", cfg]) == 2
+    # seeds are non-negative integers wherever they enter; a JSON boolean is
+    # not one, though isinstance(True, int) holds
+    monkeypatch.setenv("COVKERN_SEED", "-1")
+    assert run(["datagen", "--config", cfg]) == 2
+    monkeypatch.delenv("COVKERN_SEED")
+    assert run(["datagen", "--config", cfg, "--seed", "-1"]) == 2
+    for bad in ({"seed": True}, {"seed": -1},
+                {"dataset": {"kind": "bell", "samples_per_class": 3, "seed": -2}}):
+        bad_cfg = write_config(tmp_path, "bad.json", {
+            "out": str(out), "dataset": {"kind": "bell", "samples_per_class": 3}, **bad})
+        assert run(["datagen", "--config", bad_cfg]) == 2
 
 
 def test_out_env_override(tmp_path, monkeypatch):
@@ -320,6 +332,40 @@ def test_predict_with_non_json_manifest_is_an_artifact_error(tmp_path, capsys):
     assert "unreadable manifest" in capsys.readouterr().err
 
 
+def test_predict_with_non_object_fit_config_is_an_artifact_error(tmp_path, capsys):
+    fit_out, pred_cfg = fitted_model(tmp_path)
+    manifest = read_json(fit_out / "manifest.json")
+    (fit_out / "manifest.json").write_text(json.dumps(manifest | {"config": [1, 2]}))
+    assert run(["predict", "--config", pred_cfg]) == 4
+    assert "manifest.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, digest", [
+    # the README's fit.json
+    ({"feature_map": {"coupling": "line", "angle_scale": 6.283185307179586},
+      "kernel": {"shots": None, "tolerance": 0}, "svc": {"c": 1.0}},
+     "53c06f62dcee0828106d2196ffa7be7e8d7a7e0e7abd65302532a5129becd509"),
+    ({"seed": 5, "feature_map": {"standardize": True}, "params": "random",
+      "kernel": {"shots": 500, "tolerance": 1},
+      "noise": {"p01": 0.05, "p10": 0.02, "depolarizing": 0.01}},
+     "eb572072a8b0faf8d8b069193372e12a3d9b39d2593506fd92f2c4569741f4ed"),
+])
+def test_fit_fingerprint_is_pinned(tmp_path, overrides, digest):
+    # predict refuses a model whose fingerprint differs from its own config's,
+    # so a changed digest would orphan every fit run made before the change
+    data = tmp_path / "data"
+    gen = write_config(tmp_path, "gen.json", {
+        "out": str(data), "seed": 0,
+        "dataset": {"kind": "subspaces", "ambient_dim": 10, "class_dims": [2, 2, 2],
+                    "samples_per_class": 4, "split": 0.5}})
+    assert run(["datagen", "--config", gen]) == 0
+    fit = write_config(tmp_path, "fit.json", {
+        "out": str(tmp_path / "fit"), "seed": 0, "train": str(data / "train.csv"),
+        "params": "zeros", **overrides})
+    assert run(["fit", "--config", fit]) == 0
+    assert read_json(tmp_path / "fit" / "manifest.json")["fingerprint"] == digest
+
+
 def test_fit_missing_dataset_is_a_data_error(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "out": str(tmp_path / "o"), "train": str(tmp_path / "absent.csv"),
@@ -357,6 +403,11 @@ def test_fit_non_finite_feature_is_a_data_error(tmp_path, capsys):
     ({"quantum": False, "baseline": {"kind": "rbf"}, "kernel": {"tolerence": 1}},
      "tolerence"),
     ({"quantum": False, "baseline": {"kind": "rbf"}, "noise": {"p_01": 0.2}}, "p_01"),
+    ({"kernel": {"master_seed": -1, "shots": 10}}, "got -1"),
+    ({"seed": -1, "params": "random"}, "got -1"),
+    # rates take JSON numbers only: float() used to turn true into 1.0
+    ({"noise": {"p01": True}}, "got True"),
+    ({"noise": {"p01": "0.2"}}, "got '0.2'"),
 ])
 def test_fit_rejects_unknown_or_mistyped_kernel_and_noise_keys(tmp_path, capsys,
                                                                sections, fragment):
@@ -378,6 +429,74 @@ def test_fit_accepts_every_declared_kernel_and_noise_key(tmp_path):
         "noise": {"p01": 0.05, "p10": 0.02, "depolarizing": 0.01},
     })
     assert run(["fit", "--config", cfg]) == 0
+
+
+INF, NAN = float("inf"), float("nan")   # written as JSON Infinity and NaN
+
+
+@pytest.mark.parametrize("task, entries, fragment", [
+    # top level
+    ("fit", {"quantum": "false"}, "quantum"),
+    ("fit", {"trian": "x.csv"}, "trian"),
+    ("fit", {"train": 5}, "train"),
+    ("fit", {"params": [0.0, "a"]}, "params"),
+    ("fit", {"spsa": 5}, "spsa"),
+    ("datagen", {"out": 5}, "\"out\""),
+    ("align", {"target_kind": "bogus"}, "target_kind"),
+    ("predict", {"model_dir": 5}, "model_dir"),
+    ("report", {"runs_dir": ["runs"]}, "runs_dir"),
+    # feature_map
+    ("fit", {"feature_map": {"axes": 5}}, "axes"),
+    ("fit", {"feature_map": {"axes": ["z", "y"]}}, "axes"),
+    ("fit", {"feature_map": {"standardize": "false"}}, "standardize"),
+    ("fit", {"feature_map": {"angle_scale": INF}}, "angle_scale"),
+    ("fit", {"feature_map": {"coupling": {"edges": [[0, 1]], "ring": True}}}, "coupling"),
+    # svc
+    ("fit", {"svc": {"c": "abc"}}, "got 'abc'"),
+    ("fit", {"svc": {"C": 10}}, "\"C\""),
+    ("fit", {"svc": {"c": 1e400}}, "got inf"),
+    ("fit", {"svc": {"tol": None}}, "tol"),
+    ("fit", {"svc": {"tol": NAN}}, "got nan"),
+    # spsa
+    ("align", {"spsa": {"a": None}}, "got None"),
+    ("align", {"spsa": {"c": True}}, "got True"),
+    ("align", {"spsa": {"iterations": 2.7}}, "got 2.7"),
+    ("align", {"spsa": {"seed": -3}}, "got -3"),
+    # calibration
+    ("calibrate", {"calibration": {"n_values": 5}}, "n_values"),
+    ("calibrate", {"calibration": {"thresholds": ["0.9"]}}, "thresholds"),
+    ("calibrate", {"calibration": {"n_value": [2]}}, "n_value"),
+    # verify
+    ("verify", {"verify": {"trials": "x"}}, "trials"),
+    ("verify", {"verify": {"sphere_dims": 3}}, "sphere_dims"),
+    # dataset: a key set per kind
+    ("datagen", {"dataset": {"kind": "subspaces", "ambient_dim": 6, "class_dims": 5,
+                             "samples_per_class": 4}}, "class_dims"),
+    ("datagen", {"dataset": {"kind": "bell", "samples_per_class": 3, "seed": True}},
+     "got True"),
+    ("datagen", {"dataset": {"kind": "bell", "samples_per_class": 3, "split": "0.5"}},
+     "split"),
+    ("datagen", {"dataset": {"kind": "bell", "samples_per_class": 3, "rotate": False}},
+     "rotate"),
+    ("datagen", {"dataset": {"kind": "subspaces", "ambient_dim": 6, "class_dims": [2, 2],
+                             "samples_per_class": 4, "rotate": "no"}}, "rotate"),
+    # baseline: a key set per kind
+    ("fit", {"quantum": False, "baseline": {"kind": "rbf", "gamma": "1"}}, "gamma"),
+    ("fit", {"baseline": {"kind": "rbf", "sigma1": 1.0}}, "sigma1"),
+])
+def test_bad_config_values_are_config_errors(tmp_path, capsys, task, entries, fragment):
+    # each of these used to run anyway (exit 0) or end as an internal error
+    train_path, test_path = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(tmp_path / "o"), "train": train_path, "test": test_path,
+        "model_dir": str(tmp_path), "runs_dir": str(tmp_path),
+        "dataset": {"kind": "bell", "samples_per_class": 3},
+        "calibration": {"n_values": [2]}, "spsa": {"iterations": 1},
+        "verify": {"trials": 1000, "sphere_dims": [2], "table_dims": [1]},
+        **entries})
+    assert run([task, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "internal error" not in err
 
 
 def test_fit_feature_map_width_mismatch(tmp_path, capsys):
@@ -437,6 +556,51 @@ def test_report_collects_manifests(tmp_path):
         "out": str(tmp_path / "rep2"), "runs_dir": str(tmp_path / "void"),
     })
     assert run(["report", "--config", empty_cfg]) == 3
+
+
+@pytest.mark.parametrize("name, content", [
+    ("manifest.json", "{not json"),
+    ("manifest.json", "[1, 2]"),
+    ("scores.json", "{not json"),
+    ("scores.json", "[1, 2]"),
+])
+def test_report_with_bad_json_is_an_artifact_error(tmp_path, capsys, name, content):
+    run_dir = tmp_path / "runs" / "a"
+    run_dir.mkdir(parents=True)
+    (run_dir / "manifest.json").write_text(json.dumps({"task": "fit"}))
+    (run_dir / name).write_text(content)
+    cfg = write_config(tmp_path, "r.json", {"out": str(tmp_path / "rep"),
+                                            "runs_dir": str(tmp_path / "runs")})
+    assert run(["report", "--config", cfg]) == 4
+    assert name in capsys.readouterr().err
+
+
+# ------------------------------------------------------- README
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def test_readme_configs_and_key_table_match_the_schema():
+    with open(README) as fh:
+        text = fh.read()
+    blocks = re.findall(r"cat > \w+\.json <<'EOF'\n(.*?)\nEOF", text, re.S)
+    assert len(blocks) == 3
+    for block in blocks:
+        cfg = json.loads(block)
+        cli._section(cfg)
+        for name in cfg:
+            if isinstance(cfg[name], dict):
+                cli._section(cfg, name)
+    for section, keys in cli._SCHEMA.items():
+        label = ("top level" if section is None else
+                 section if isinstance(section, str) else f"{section[0]} ({section[1]})")
+        for key, (kind, default) in keys.items():
+            row = f"| {label} | `{key}` | {kind.name} |"
+            if default is cli._REQUIRED:
+                row += " required |"
+            elif default is not None:
+                row += f" `{json.dumps(default)}` |"
+            assert row in text, row
 
 
 # ------------------------------------------------------- installed script
