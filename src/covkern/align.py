@@ -95,10 +95,9 @@ class AlignmentTrace:
 
 
 def alignment_loss(xs, labels, spec, params, config: KernelConfig, noise=None,
-                   target_kind: str = "zero_one",
                    target: np.ndarray | None = None) -> float:
     """1 - alignment(target, PSD-repaired kernel); degenerate kernels score 1."""
-    kt = target_matrix(labels, target_kind) if target is None else target
+    kt = target_matrix(labels) if target is None else target
     estimate = assemble_matrix(xs, spec, params, config, noise)
     repaired = repair_psd(estimate)
     try:
@@ -108,8 +107,7 @@ def alignment_loss(xs, labels, spec, params, config: KernelConfig, noise=None,
 
 
 def align_kernel(xs, labels, spec, init_params, spsa: SPSAConfig,
-                 config: KernelConfig, noise=None,
-                 target_kind: str = "zero_one") -> AlignmentTrace:
+                 config: KernelConfig, noise=None) -> AlignmentTrace:
     """Minimize the alignment loss over fiducial parameters with SPSA.
 
     Deterministic given (init_params, spsa.seed, config.master_seed).  The
@@ -117,7 +115,7 @@ def align_kernel(xs, labels, spec, init_params, spsa: SPSAConfig,
     the reported best loss is attained by the reported best parameters.
     """
     params = np.array(init_params, dtype=float)
-    kt = target_matrix(labels, target_kind)
+    kt = target_matrix(labels)
     rng = np.random.default_rng(spsa.seed)
 
     def loss(p):

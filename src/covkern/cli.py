@@ -86,6 +86,7 @@ _INTEGER, _SEED = _integer(), _integer(0)
 _NUMBER = _Kind("number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
                 float)
 _NUMBERS = _list(_NUMBER, "list of numbers")
+_POSITIVE = _Kind("number > 0", lambda v: _NUMBER.test(v) and v > 0, float)
 _SHOTS = _Kind("integer or null", lambda v: v is None or _INTEGER.test(v))
 _SPLIT = _Kind("number or null", lambda v: v is None or _NUMBER.test(v),
                lambda v: v if v is None else float(v))
@@ -109,8 +110,7 @@ _REQUIRED = object()
 _SCHEMA: dict = {
     None: {"out": (_STRING, None), "seed": (_SEED, 0), "params": (_PARAMS, "zeros"),
            **dict.fromkeys(("train", "test", "model_dir", "runs_dir"), (_STRING, None)),
-           "quantum": (_BOOLEAN, True),
-           "target_kind": (_choice("zero_one", "shifted"), "zero_one")},
+           "quantum": (_BOOLEAN, True)},
     "feature_map": {"n_qubits": (_INTEGER, None), "coupling": (_COUPLING, "line"),
                     "use_importance": (_BOOLEAN, True), "standardize": (_BOOLEAN, False),
                     "axes": (_list(_choice("x", "y", "z"), 'list of 3 of "x", "y", "z"', length=3),
@@ -119,7 +119,7 @@ _SCHEMA: dict = {
     "kernel": {"tolerance": (_INTEGER, 0), "shots": (_SHOTS, None),
                "estimate_diagonal": (_BOOLEAN, True), "master_seed": (_SEED, None)},
     "noise": dict.fromkeys(("p01", "p10", "depolarizing"), (_NUMBER, 0.0)),
-    "svc": {"c": (_NUMBER, 1.0), "tol": (_NUMBER, 1e-3)},
+    "svc": {"c": (_POSITIVE, 1.0), "tol": (_POSITIVE, 1e-3)},
     "spsa": {"a": (_NUMBER, 0.1), "c": (_NUMBER, 0.1), "stability": (_NUMBER, 10.0),
              "iterations": (_integer(0), 100), "seed": (_SEED, None)},
     "calibration": {"n_values": (_list(_INTEGER, "list of integers"), (4, 8, 12)),
@@ -392,11 +392,14 @@ def _write_json(path, payload) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands: each takes the config as given, its top level as read, and the
-# resolved output directory and seed
+# resolved output directory and seed, and returns its exit code, the artifacts
+# it wrote and any extra manifest fields
 # ---------------------------------------------------------------------------
 
-def cmd_datagen(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+_Result = tuple[int, list[str], dict | None]
+
+
+def cmd_datagen(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     sec = _section(cfg, "dataset")
     kind, fraction = sec.pop("kind"), sec.pop("split", None)
     spec = {"seed": seed} | sec
@@ -415,13 +418,11 @@ def cmd_datagen(cfg: dict, top: dict, out: str, seed: int) -> int:
         dt.save_csv(train, os.path.join(out, "train.csv"))
         dt.save_csv(test, os.path.join(out, "test.csv"))
         artifacts += ["train.csv", "test.csv"]
-    write_manifest(out, "datagen", cfg, seed, artifacts, started)
     print(f"datagen: wrote {', '.join(artifacts)} to {out}")
-    return 0
+    return 0, artifacts, None
 
 
-def cmd_calibrate(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+def cmd_calibrate(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     sec = _section(cfg, "calibration")
     noise = noise_from_config(cfg) or sc.NoiseModel()
     ns, thresholds = sec.pop("n_values"), sec["thresholds"]
@@ -433,17 +434,14 @@ def cmd_calibrate(cfg: dict, top: dict, out: str, seed: int) -> int:
             for t in thresholds:
                 pick = report.recommended_tolerance(n, t)
                 fh.write(f"{n},{t!r},{'unreachable' if pick is None else pick}\n")
-    write_manifest(out, "calibrate", cfg, seed, ["calibration.csv", "recommended.csv"],
-                   started)
     for n in ns:
         picks = ", ".join(
             f"threshold {t}: d={report.recommended_tolerance(n, t)}" for t in thresholds)
         print(f"calibrate: n={n} -> {picks}")
-    return 0
+    return 0, ["calibration.csv", "recommended.csv"], None
 
 
-def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
@@ -453,17 +451,15 @@ def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> int:
     init = params_from_config(cfg, spec, seed)
     transform = standardizer(train, fmap["standardize"])
     trace = al.align_kernel(transform(train.features), train.labels, spec, init, spsa,
-                            config, noise=noise, target_kind=top["target_kind"])
+                            config, noise=noise)
     al.save_trace_csv(trace, os.path.join(out, "trace.csv"))
     save_params_csv(trace.best_params, os.path.join(out, "params.csv"))
     fingerprint = pipeline_fingerprint(spec, trace.best_params, config, noise, fmap["standardize"])
-    write_manifest(out, "align", cfg, seed, ["trace.csv", "params.csv"], started,
-                   extra={"fingerprint": fingerprint,
-                          "best_loss": trace.best_loss,
-                          "best_iteration": trace.best_index})
     print(f"align: best loss {trace.best_loss:.6f} at iteration {trace.best_index} "
           f"({spsa.iterations} iterations)")
-    return 0
+    return 0, ["trace.csv", "params.csv"], {"fingerprint": fingerprint,
+                                            "best_loss": trace.best_loss,
+                                            "best_iteration": trace.best_index}
 
 
 def _classifiers(cfg: dict) -> tuple[dict, dict | None]:
@@ -486,10 +482,7 @@ def _fit_baseline(sec: dict, svc_sec: dict, train: dt.Dataset):
         raise DataError(f"baseline SVC fit failed: {exc}")
 
 
-def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
-    # every section is read on every fit, so a typo fails even where the
-    # baseline alone runs
+def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
@@ -531,15 +524,13 @@ def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> int:
 
     _write_json(os.path.join(out, "scores.json"), scores)
     artifacts.append("scores.json")
-    write_manifest(out, "fit", cfg, seed, artifacts, started, extra=extra)
     for key in sorted(scores):
         if key.endswith("accuracy"):
             print(f"fit: {key} = {scores[key]:.4f}")
-    return 0
+    return 0, artifacts, extra
 
 
-def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
@@ -598,7 +589,6 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> int:
         "test_samples": test.n_samples,
         "quantum_test_accuracy": svc.accuracy(test.labels, pred),
     }
-    artifacts = ["kernel_cross.csv", "predictions.csv", "scores.json"]
 
     if baseline is not None:
         base_model, _ = _fit_baseline(baseline, svc_sec, train)
@@ -607,16 +597,13 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> int:
         scores["baseline_test_accuracy"] = svc.accuracy(test.labels, base_pred)
 
     _write_json(os.path.join(out, "scores.json"), scores)
-    write_manifest(out, "predict", cfg, seed, artifacts, started,
-                   extra={"fingerprint": fingerprint})
     for key in sorted(scores):
         if key.endswith("accuracy"):
             print(f"predict: {key} = {scores[key]:.4f}")
-    return 0
+    return 0, ["kernel_cross.csv", "predictions.csv", "scores.json"], {"fingerprint": fingerprint}
 
 
-def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     sec = _section(cfg, "verify")
     trials = sec["trials"]
     rows: list[tuple[str, float, float, str, bool]] = []
@@ -661,20 +648,17 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> int:
         fh.write("check,value,margin,condition,pass\n")
         for name, value, margin, cond, passed in rows:
             fh.write(f"{name},{value!r},{margin!r},{cond},{passed}\n")
-    write_manifest(out, "verify", cfg, seed, ["verify_report.csv", "expectations.csv"],
-                   started)
     failed = [r for r in rows if not r[4]]
     for name, value, margin, cond, passed in rows:
         print(f"verify: {'PASS' if passed else 'FAIL'} {name} (value {value:.3g}, {cond})")
     if failed:
         print(f"verify: {len(failed)} of {len(rows)} checks failed")
-        return 1
-    print(f"verify: all {len(rows)} checks passed")
-    return 0
+    else:
+        print(f"verify: all {len(rows)} checks passed")
+    return (1 if failed else 0), ["verify_report.csv", "expectations.csv"], None
 
 
-def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> int:
-    started = time.perf_counter()
+def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     runs_dir = top.get("runs_dir")
     if not runs_dir:
         raise ConfigError("report needs \"runs_dir\" to scan for manifests")
@@ -684,7 +668,12 @@ def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> int:
     for dirpath, _dirnames, filenames in sorted(os.walk(runs_dir)):
         if "manifest.json" not in filenames:
             continue
-        manifest = _json_artifact(os.path.join(dirpath, "manifest.json"), "manifest")
+        manifest_path = os.path.join(dirpath, "manifest.json")
+        manifest = _json_artifact(manifest_path, "manifest")
+        artifacts = manifest.get("artifacts", [])
+        if not _list(_STRING, "").test(artifacts):
+            raise ArtifactError(f"{manifest_path}: \"artifacts\" is not a list of file "
+                                f"names, got {artifacts!r}")
         scores_path = os.path.join(dirpath, "scores.json")
         scores = _json_artifact(scores_path, "scores") if os.path.exists(scores_path) else {}
         entries.append({
@@ -693,7 +682,7 @@ def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> int:
             "version": manifest.get("version", "?"),
             "seed": manifest.get("seed", ""),
             "wall_clock_s": manifest.get("wall_clock_s", ""),
-            "artifacts": ";".join(manifest.get("artifacts", [])),
+            "artifacts": ";".join(artifacts),
             "scores": ";".join(f"{k}={v}" for k, v in sorted(scores.items())),
         })
     if not entries:
@@ -703,9 +692,8 @@ def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> int:
         fh.write(",".join(cols) + "\n")
         for row in entries:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    write_manifest(out, "report", cfg, seed, ["report.csv"], started)
     print(f"report: summarized {len(entries)} runs into {os.path.join(out, 'report.csv')}")
-    return 0
+    return 0, ["report.csv"], None
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +724,14 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         top = _section(cfg)
-        return _COMMANDS[args.task](cfg, top, resolve_out(top, args.out),
-                                    resolve_seed(top, args.seed))
+        for name in cfg:   # every section present, whether the task reads it or not
+            if name in _SCHEMA:
+                _section(cfg, name)
+        out, seed = resolve_out(top, args.out), resolve_seed(top, args.seed)
+        started = time.perf_counter()
+        code, artifacts, extra = _COMMANDS[args.task](cfg, top, out, seed)
+        write_manifest(out, args.task, cfg, seed, artifacts, started, extra)
+        return code
     except (ConfigError, DataError, ArtifactError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -167,11 +167,6 @@ def _bfs(adj, root, allowed=None):
     return order, parent, level
 
 
-def _tree_height(adj, root, allowed):
-    _, _, level = _bfs(adj, root, allowed)
-    return max(level.values())
-
-
 def _best_root(adj, vertices):
     """Root giving the shallowest BFS tree; ties go to the lowest index."""
     allowed = set(vertices)

@@ -230,10 +230,10 @@ def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return tables[0], tables[1]
 
 
-def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
+def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, rows_b,
                    config: KernelConfig, noise, tag: int) -> np.ndarray:
-    """Cumulative weight-mass profile (n+1 columns) of each pair
-    (xs_a[rows_a[r]], xs_b[rows_b[r]]), sampled when ``config.shots`` is set.
+    """Cumulative weight-mass profile (n+1 columns) of each pair of angle rows
+    (angles_a[rows_a[r]], angles_b[rows_b[r]]), sampled when ``config.shots`` is set.
 
     The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), evaluated
     one tile of pairs at a time; see the module docstring.  The working set
@@ -257,7 +257,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     n = spec.n_qubits
     mats, fid_diag = _compile_fiducial(spec, params)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
-    deltas = _delta_rows(spec, xs_a[rows_a], xs_b[rows_b])
+    deltas = angles_b[rows_b] - angles_a[rows_a]
     b = deltas.shape[0]
     tile = max(1, _TILE_AMPS // 2 ** n)
     shots = config.shots
@@ -309,14 +309,8 @@ def _pair_profiles(spec: FeatureMapSpec, params, xs_a, xs_b, rows_a, rows_b,
     return out
 
 
-def _delta_rows(spec: FeatureMapSpec, xs_a: np.ndarray, xs_b: np.ndarray) -> np.ndarray:
-    cols = np.array(spec.assignment)
-    a = spec.angle_scale * xs_a[:, cols]
-    b = spec.angle_scale * xs_b[:, cols]
-    return b - a
-
-
-def _check_features(spec: FeatureMapSpec, xs: np.ndarray) -> np.ndarray:
+def _angles(spec: FeatureMapSpec, xs) -> np.ndarray:
+    """The embedding angles of checked feature rows, one column per qubit."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2:
         raise ValueError("feature array must be two-dimensional (samples x features)")
@@ -325,7 +319,21 @@ def _check_features(spec: FeatureMapSpec, xs: np.ndarray) -> np.ndarray:
     if xs.shape[1] <= max(spec.assignment):
         raise ValueError(
             f"{xs.shape[1]} feature columns cannot serve assignment {spec.assignment}")
-    return xs
+    return spec.angle_scale * xs[:, np.array(spec.assignment)]
+
+
+def _exact_route(spec: FeatureMapSpec, config: KernelConfig, noise) -> bool:
+    """Whether the noiseless exact tolerance-0 Gram product serves ``config``;
+    a tolerance above the register width is a ValueError."""
+    if config.tolerance > spec.n_qubits:
+        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {spec.n_qubits}")
+    noiseless = noise is None or noise.is_trivial()
+    return noiseless and config.shots is None and config.tolerance == 0
+
+
+def _exact_kernel(spec: FeatureMapSpec, params, angles_a, angles_b=None) -> np.ndarray:
+    psi = _fiducial_state(*_compile_fiducial(spec, params))
+    return overlap_kernel_from_state(psi, angles_a, angles_b, spec.embed_axis)
 
 
 def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
@@ -336,13 +344,13 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     tolerance d.  Sampled entries use one multinomial draw per (i, j), so all
     tolerances of an entry come from the same counts.
     """
-    xs = _check_features(spec, xs)
-    m = xs.shape[0]
+    angles = _angles(spec, xs)
+    m = angles.shape[0]
     rows_a, rows_b = np.triu_indices(m, k=1)
     if config.estimate_diagonal:
         rows_a = np.concatenate([rows_a, np.arange(m)])
         rows_b = np.concatenate([rows_b, np.arange(m)])
-    prof = _pair_profiles(spec, params, xs, xs, rows_a, rows_b, config, noise, 0)
+    prof = _pair_profiles(spec, params, angles, angles, rows_a, rows_b, config, noise, 0)
     out = np.ones((m, m, spec.n_qubits + 1))
     out[rows_a, rows_b] = prof
     out[rows_b, rows_a] = prof
@@ -367,40 +375,25 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     ``_CHUNK_AMPS`` amplitudes; everything else takes the profile route of
     compiled pair circuits (see the module docstring).
     """
-    xs = _check_features(spec, xs)
-    m = xs.shape[0]
-    noiseless = noise is None or noise.is_trivial()
-    if noiseless and config.shots is None and config.tolerance == 0:
-        psi = _fiducial_state(*_compile_fiducial(spec, params))
-        angles = spec.angle_scale * xs[:, np.array(spec.assignment)]
-        values = overlap_kernel_from_state(psi, angles, axis=spec.embed_axis)
-        values = (values + values.T) / 2.0
-        if not config.estimate_diagonal:
-            np.fill_diagonal(values, 1.0)
-        return KernelMatrixEstimate(values, 0, None)
-    if config.tolerance > spec.n_qubits:
-        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {spec.n_qubits}")
-    profiles = assemble_profiles(xs, spec, params, config, noise)
-    return matrix_from_profiles(profiles, config)
+    angles = _angles(spec, xs)
+    if not _exact_route(spec, config, noise):
+        return matrix_from_profiles(assemble_profiles(xs, spec, params, config, noise), config)
+    values = _exact_kernel(spec, params, angles)
+    values = (values + values.T) / 2.0
+    if not config.estimate_diagonal:
+        np.fill_diagonal(values, 1.0)
+    return KernelMatrixEstimate(values, 0, None)
 
 
 def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: KernelConfig,
                    noise: sc.NoiseModel | None = None) -> np.ndarray:
     """Rectangular kernel block K[i, j] = k(rows_i, cols_j) (e.g. test x train)."""
-    xs_rows = _check_features(spec, xs_rows)
-    xs_cols = _check_features(spec, xs_cols)
-    mr, mc = xs_rows.shape[0], xs_cols.shape[0]
-    noiseless = noise is None or noise.is_trivial()
-    if noiseless and config.shots is None and config.tolerance == 0:
-        psi = _fiducial_state(*_compile_fiducial(spec, params))
-        cols = np.array(spec.assignment)
-        return overlap_kernel_from_state(psi, spec.angle_scale * xs_rows[:, cols],
-                                         spec.angle_scale * xs_cols[:, cols],
-                                         spec.embed_axis)
-    if config.tolerance > spec.n_qubits:
-        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {spec.n_qubits}")
+    angles_r, angles_c = _angles(spec, xs_rows), _angles(spec, xs_cols)
+    if _exact_route(spec, config, noise):
+        return _exact_kernel(spec, params, angles_r, angles_c)
+    mr, mc = angles_r.shape[0], angles_c.shape[0]
     rows_a, rows_b = (idx.ravel() for idx in np.indices((mr, mc)))
-    prof = _pair_profiles(spec, params, xs_rows, xs_cols, rows_a, rows_b, config, noise, 1)
+    prof = _pair_profiles(spec, params, angles_r, angles_c, rows_a, rows_b, config, noise, 1)
     return prof[:, config.tolerance].reshape(mr, mc)
 
 

@@ -226,19 +226,14 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run a circuit from |0...0> (or a caller-supplied initial state)."""
-    state = zero_state(circuit.n_qubits) if initial is None else StateVector(
-        circuit.n_qubits, initial.amplitudes.copy())
+    """Run a circuit from |0...0> (or a copy of a caller-supplied initial state)."""
     if initial is not None and initial.n_qubits != circuit.n_qubits:
         raise ValueError("initial state size does not match circuit register")
-    amps = state.amplitudes
-    n = circuit.n_qubits
+    state = zero_state(circuit.n_qubits) if initial is None else StateVector(
+        circuit.n_qubits, initial.amplitudes.copy())
     for gate in circuit.gates:
-        if gate.name == "cz":
-            amps = _apply_cz(amps, n, *gate.qubits)
-        else:
-            amps = _apply_rotation(amps, n, gate.qubits[0], _ROTATIONS[gate.name](gate.angle))
-    return StateVector(n, amps)
+        state = apply_gate(state, gate)
+    return state
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,13 @@ class BinarySVC:
         return np.flatnonzero(np.abs(self.coef) > 1e-12)
 
 
+def _working_sets(y: np.ndarray, alpha: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the up set (alpha_i * y_i can grow) and the low set (it can shrink)."""
+    up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+    return up, low
+
+
 def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
                tol: float = 1e-3, max_iter: int | None = None) -> BinarySVC:
     """SMO on the dual problem for labels in {-1, +1}.
@@ -60,8 +67,7 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
     gap = np.inf
     while it < max_iter:
         neg_yg = -y * grad
-        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+        up, low = _working_sets(y, alpha, c)
         if not up.any() or not low.any():
             gap = 0.0
             break
@@ -89,8 +95,7 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         bias = float(np.mean(y[free] - fitted[free]))
     else:
         neg_yg = -y * grad
-        up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-        low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+        up, low = _working_sets(y, alpha, c)
         hi = neg_yg[up].max() if up.any() else 0.0
         lo = neg_yg[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
@@ -174,25 +179,14 @@ def predict(model: MulticlassSVC, kernel_cross: np.ndarray) -> np.ndarray:
     """
     decisions = pairwise_decisions(model, kernel_cross)
     t = decisions.shape[0]
-    n_classes = model.classes.shape[0]
-    votes = np.zeros((t, n_classes), dtype=int)
-    magnitude = np.zeros((t, n_classes))
-    for p, (a, b) in enumerate(model.pair_classes):
-        d = decisions[:, p]
-        wins_a = d > 0
-        votes[wins_a, a] += 1
-        votes[~wins_a, b] += 1
-        magnitude[wins_a, a] += np.abs(d[wins_a])
-        magnitude[~wins_a, b] += np.abs(d[~wins_a])
-    out = np.empty(t, dtype=model.classes.dtype)
-    for r in range(t):
-        best_votes = votes[r].max()
-        tied = np.flatnonzero(votes[r] == best_votes)
-        if tied.shape[0] > 1:
-            best_mag = magnitude[r, tied].max()
-            tied = tied[magnitude[r, tied] == best_mag]
-        out[r] = model.classes[tied[0]]
-    return out
+    # (row, class voted for) per decision; add.at sums each cell in pair order
+    cells = (np.arange(t)[:, None], np.where(decisions > 0, *model.pair_classes.T))
+    votes = np.zeros((t, model.classes.shape[0]), dtype=int)
+    magnitude = np.zeros(votes.shape)
+    np.add.at(votes, cells, 1)
+    np.add.at(magnitude, cells, np.abs(decisions))
+    magnitude[votes < votes.max(axis=1, keepdims=True)] = -np.inf
+    return model.classes[np.argmax(magnitude, axis=1)]   # first of the largest
 
 
 def accuracy(y_true, y_pred) -> float:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, sphere_points
 from .kernel import overlap_kernel_from_state
 from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
 
@@ -31,6 +31,26 @@ from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
 # ---------------------------------------------------------------------------
 # sphere moments
 # ---------------------------------------------------------------------------
+
+def _sphere_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
+    coeff = rng.standard_normal((count, dim))
+    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
+    return coeff
+
+
+def _mc_mean(draw, trials: int, chunk: int) -> tuple[float, float]:
+    """Monte-Carlo mean and standard error of ``trials`` values, drawn at most
+    ``chunk`` at a time by ``draw(count)``."""
+    total = 0.0
+    total_sq = 0.0
+    for done in range(0, trials, chunk):
+        vals = draw(min(chunk, trials - done))
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+    mean = total / trials
+    var = max(total_sq / trials - mean * mean, 0.0)
+    return float(mean), float(np.sqrt(var / trials))
+
 
 def sphere_inner_moment(dim: int, trials: int, seed: int = 0) -> tuple[float, float]:
     """MC estimate of E[<x, u>^2] for x uniform on the unit sphere, u fixed.
@@ -44,20 +64,7 @@ def sphere_inner_moment(dim: int, trials: int, seed: int = 0) -> tuple[float, fl
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < trials:
-        chunk = min(trials - done, 1_000_000)
-        x = rng.standard_normal((chunk, dim))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        vals = (x @ u) ** 2
-        total += vals.sum()
-        total_sq += (vals * vals).sum()
-        done += chunk
-    mean = total / trials
-    var = max(total_sq / trials - mean * mean, 0.0)
-    return float(mean), float(np.sqrt(var / trials))
+    return _mc_mean(lambda count: (_sphere_batch(dim, count, rng) @ u) ** 2, trials, 1_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +130,9 @@ def classical_subspace_moments(basis_u: np.ndarray, basis_v: np.ndarray,
     u = _check_orthonormal(basis_u, "basis_u")
     v = _check_orthonormal(basis_v, "basis_v")
     rng = np.random.default_rng(seed)
-
-    def sphere(basis, count):
-        coeff = rng.standard_normal((count, basis.shape[1]))
-        coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-        return coeff @ basis.T
-
-    xs = sphere(u, trials)
-    xs2 = sphere(u, trials)
-    ys = sphere(v, trials)
+    xs = sphere_points(u, trials, rng)
+    xs2 = sphere_points(u, trials, rng)
+    ys = sphere_points(v, trials, rng)
     within = np.sum(xs * xs2, axis=1) ** 2
     cross = np.sum(xs * ys, axis=1) ** 2
     return {
@@ -172,12 +173,6 @@ def _haar_rotation_batch(dim: int, count: int, rng: np.random.Generator) -> np.n
     return q
 
 
-def _sphere_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    coeff = rng.standard_normal((count, dim))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    return coeff
-
-
 SUBSPACE_CASES = ("same", "orthogonal_equal", "independent_equal",
                   "orthogonal_double", "independent_double")
 
@@ -207,24 +202,9 @@ def subspace_kernel_expectations(dims, trials: int, seed: int = 0,
     """
     rows: list[ExpectationRow] = []
     half = 0.5 * angle_scale
-    chunk_max = 100_000
 
     def prod_kernel(diff):
         return np.prod(np.cos(half * diff) ** 2, axis=1)
-
-    def accumulate(draw):
-        total = 0.0
-        total_sq = 0.0
-        done = 0
-        while done < trials:
-            b = min(trials - done, chunk_max)
-            vals = draw(b)
-            total += vals.sum()
-            total_sq += (vals * vals).sum()
-            done += b
-        mean = total / trials
-        var = max(total_sq / trials - mean * mean, 0.0)
-        return float(mean), float(np.sqrt(var / trials))
 
     for dx in dims:
         if dx < 1:
@@ -256,7 +236,7 @@ def subspace_kernel_expectations(dims, trials: int, seed: int = 0,
             ("orthogonal_double", 2 * dx, lambda b, dx=dx: orth(b, dx, 2 * dx)),
             ("independent_double", 2 * dx, lambda b, dx=dx: indep(b, dx, 2 * dx)),
         ):
-            mean, stderr = accumulate(draw)
+            mean, stderr = _mc_mean(draw, trials, 100_000)
             rows.append(ExpectationRow(case, dx, dy, mean, stderr))
     return rows
 

@@ -483,6 +483,10 @@ INF, NAN = float("inf"), float("nan")   # written as JSON Infinity and NaN
     # baseline: a key set per kind
     ("fit", {"quantum": False, "baseline": {"kind": "rbf", "gamma": "1"}}, "gamma"),
     ("fit", {"baseline": {"kind": "rbf", "sigma1": 1.0}}, "sigma1"),
+    # svc: c and tol are positive (c <= 0 exited 3, tol 0 ran every SMO iteration)
+    ("fit", {"svc": {"c": -1}}, "\"c\""),
+    ("fit", {"svc": {"c": 0}}, "\"c\""),
+    ("fit", {"svc": {"tol": 0}}, "\"tol\""),
 ])
 def test_bad_config_values_are_config_errors(tmp_path, capsys, task, entries, fragment):
     # each of these used to run anyway (exit 0) or end as an internal error
@@ -497,6 +501,27 @@ def test_bad_config_values_are_config_errors(tmp_path, capsys, task, entries, fr
     assert run([task, "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert fragment in err and "internal error" not in err
+
+
+def test_sections_the_task_does_not_read_are_still_checked(tmp_path, capsys):
+    # such a section only had to be an object, so each typo here ran (exit 0)
+    train_path, test_path = bell_files(tmp_path)
+    fit_cfg = write_config(tmp_path, "fit.json", {"out": str(tmp_path / "fit"),
+                                                  "train": train_path})
+    assert run(["fit", "--config", fit_cfg]) == 0
+    cases = [
+        ("datagen", {"out": str(tmp_path / "data"),
+                     "dataset": {"kind": "bell", "samples_per_class": 3}},
+         {"svc": {"C": 1}}, "\"C\""),
+        ("predict", {"out": str(tmp_path / "pred"), "model_dir": str(tmp_path / "fit"),
+                     "test": test_path},
+         {"spsa": {"iteratoins": 3}}, "iteratoins"),
+    ]
+    for task, payload, stray, fragment in cases:
+        assert run([task, "--config", write_config(tmp_path, "ok.json", payload)]) == 0
+        capsys.readouterr()
+        assert run([task, "--config", write_config(tmp_path, "bad.json", payload | stray)]) == 2
+        assert fragment in capsys.readouterr().err
 
 
 def test_fit_feature_map_width_mismatch(tmp_path, capsys):
@@ -563,6 +588,8 @@ def test_report_collects_manifests(tmp_path):
     ("manifest.json", "[1, 2]"),
     ("scores.json", "{not json"),
     ("scores.json", "[1, 2]"),
+    ("manifest.json", json.dumps({"task": "fit", "artifacts": 5})),
+    ("manifest.json", json.dumps({"task": "fit", "artifacts": ["a.csv", 5]})),
 ])
 def test_report_with_bad_json_is_an_artifact_error(tmp_path, capsys, name, content):
     run_dir = tmp_path / "runs" / "a"

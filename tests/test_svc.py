@@ -74,6 +74,39 @@ def test_smo_satisfies_kkt_conditions():
     assert model.kkt_gap <= tol
 
 
+@st.composite
+def binary_problems(draw):
+    """A random PSD Gram or RBF matrix, labels with both classes, c and tol."""
+    m = draw(st.integers(2, 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        feats = rng.normal(size=(m, draw(st.integers(1, m))))
+        kernel = feats @ feats.T
+    else:
+        kernel = svc.rbf_matrix(rng.normal(size=(m, 3)), None, draw(st.floats(0.05, 5.0)))
+    y = rng.choice([-1.0, 1.0], size=m)
+    y[:2] = 1.0, -1.0
+    return kernel, y, draw(st.floats(0.05, 10.0)), draw(st.sampled_from([1e-3, 1e-6]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(binary_problems())
+def test_smo_meets_kkt_to_its_tolerance(case):
+    kernel, y, c, tol = case
+    model = svc.fit_binary(kernel, y, c=c, tol=tol)
+    alpha = model.coef * y
+    assert np.all(alpha >= 0.0) and np.all(alpha <= c)
+    assert abs(np.sum(model.coef)) <= 1e-9
+    # -y * gradient of the dual, recomputed from the coefficients
+    neg_yg = y - kernel @ model.coef
+    up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
+    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
+    if up.any() and low.any():
+        gap = neg_yg[up].max() - neg_yg[low].min()
+        assert gap <= tol + 1e-9
+        assert max(gap, 0.0) == pytest.approx(model.kkt_gap, abs=1e-9)
+
+
 def test_binary_separable_train_accuracy():
     _, y, kernel = separable_problem(11)
     model = svc.fit_binary(kernel, y, c=100.0, tol=1e-6)
@@ -150,6 +183,46 @@ def test_predict_tie_breaks():
     # full tie in votes and magnitudes falls back to the lowest class index
     pred = svc.predict(model_with_biases([1.0, -1.0, 1.0]), cross)
     assert pred[0] == 0
+
+
+def plain_vote(model, decisions):
+    """One row at a time: most votes, then largest summed |decision|, then
+    the lowest class index."""
+    k = model.classes.shape[0]
+    out = []
+    for row in decisions:
+        votes, mag = [0] * k, [0.0] * k
+        for (a, b), d in zip(model.pair_classes, row):
+            winner = a if d > 0 else b
+            votes[winner] += 1
+            mag[winner] += abs(d)
+        tied = [cls for cls in range(k) if votes[cls] == max(votes)]
+        best = max(mag[cls] for cls in tied)
+        out.append(model.classes[next(cls for cls in tied if mag[cls] == best)])
+    return np.array(out)
+
+
+def test_predict_breaks_ties_per_row_like_a_plain_vote():
+    # identity coefficients make each cross-kernel row the row's decisions
+    classes = np.array([3, 5, 7, 9])
+    pairs = np.array([(a, b) for a in range(4) for b in range(a + 1, 4)])
+    model = svc.MulticlassSVC(classes, pairs, np.eye(len(pairs)), np.zeros(len(pairs)), 1.0)
+    fixed = np.array([
+        [1, 1, 1, 1, 1, 1],         # class 3 wins outright
+        [-1, 1, -1, -3, 1, 1],      # 5 and 7 tie on votes, 7 has more magnitude
+        [-1, -1, -1, 1, -1, 1],     # 5, 7, 9 tie on votes and on magnitude: 5
+        [1, 2, -1, 1, -2, 1],       # 3 and 9 tie on votes and magnitude (3 each): 3
+        [0, 0, 0, 0, 0, 0],         # zero votes for the second class of each pair
+    ], dtype=float)
+    random = np.random.default_rng(3).integers(-2, 3, size=(300, len(pairs))).astype(float)
+    decisions = np.vstack([fixed, random])
+    want = plain_vote(model, decisions)
+    np.testing.assert_array_equal(want[:5], [3, 7, 5, 3, 9])
+    np.testing.assert_array_equal(svc.predict(model, decisions), want)
+    # the random rows include vote ties, and vote ties also tied on magnitude
+    winners = np.where(decisions > 0, pairs[:, 0], pairs[:, 1])
+    votes = np.stack([(winners == cls).sum(axis=1) for cls in range(4)], axis=1)
+    assert np.sum((votes == votes.max(axis=1, keepdims=True)).sum(axis=1) > 1) > 20
 
 
 def test_pairwise_decisions_shape_check():
