@@ -71,12 +71,16 @@ def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def sphere_points(basis: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform points on the unit sphere of span(basis columns), as ambient rows."""
-    dim = basis.shape[1]
+def unit_rows(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """``count`` points uniform on the unit sphere of R^dim, one per row."""
     coeff = rng.standard_normal((count, dim))
     coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    return coeff @ basis.T
+    return coeff
+
+
+def sphere_points(basis: np.ndarray, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform points on the unit sphere of span(basis columns), as ambient rows."""
+    return unit_rows(count, basis.shape[1], rng) @ basis.T
 
 
 @dataclass(frozen=True)

@@ -155,18 +155,6 @@ def _phase_rows(angles: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return np.exp(-0.5j * (angles @ (1.0 - 2.0 * bits).T))
 
 
-def product_rotation_overlaps(psi: np.ndarray, deltas: np.ndarray, axis: str = "x") -> np.ndarray:
-    """|<psi| prod_q R_axis(delta_q) |psi>|^2 for a batch of angle rows.
-
-    ``deltas`` has one row per evaluation and one column per qubit.  This is
-    the collapsed form of embed(x)^-1 then embed(y): per qubit the two
-    rotations share an axis, so only the angle difference matters, and the
-    value is the kernel between the zero-angle row and ``delta``.
-    """
-    deltas = np.atleast_2d(np.asarray(deltas, dtype=float))
-    return overlap_kernel_from_state(psi, np.zeros((1, deltas.shape[1])), deltas, axis)[0]
-
-
 def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
                               angles_b: np.ndarray | None = None,
                               axis: str = "x") -> np.ndarray:
@@ -241,7 +229,8 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, row
     one takes leading rows): two complex tile buffers that the product
     layers ping-pong between (``simcore.product_into``), two float ones for
     |amplitude|^2, and one (row, weight) bin index for ``bincount``.  Noise
-    and shots act on the n+1 weight bins, per tile.
+    and shots act on each pair's weight histogram, per tile, and the profile
+    is that histogram's one cumulative sum.
 
     Shots come from one Philox generator per call, keyed by the two words of
     ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``.  Entry
@@ -291,15 +280,13 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, row
         sq, sq_imag = probs[0, :t], probs[1, :t]
         np.square(cur.real, out=sq)
         sq += np.square(cur.imag, out=sq_imag)
-        per = np.bincount(bins[:sq.size], weights=sq.ravel(), minlength=t * (n + 1))
-        prof = np.cumsum(per.reshape(t, n + 1), axis=1)
+        hist = np.bincount(bins[:sq.size], weights=sq.ravel(),
+                           minlength=t * (n + 1)).reshape(t, n + 1)
         if noisy:
-            prof = np.cumsum(sc.matmul_rows(np.diff(prof, axis=1, prepend=0.0), transfer.T),
-                             axis=1)
+            hist = sc.matmul_rows(hist, transfer.T)
         if shots is None:
-            out[lo:hi] = prof
+            np.cumsum(hist, axis=1, out=out[lo:hi])
             continue
-        hist = np.diff(prof, axis=1, prepend=0.0)
         hist /= hist.sum(axis=1, keepdims=True)
         for r, (i, j, h) in enumerate(zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist(), hist)):
             counter[2], counter[3] = i, j
@@ -436,7 +423,7 @@ def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def repair_psd(estimate: KernelMatrixEstimate) -> KernelMatrixEstimate:
     projected, min_eig = psd_project(estimate.values)
-    return replace(estimate, values=projected, psd_projected=True,
+    return replace(estimate, values=projected, psd_projected=min_eig < 0.0,
                    min_eigenvalue_before=min_eig)
 
 

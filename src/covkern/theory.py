@@ -10,6 +10,8 @@ Contents:
 * The product-cosine closed form for the fidelity kernel with a product R_X
   embedding on the all-zeros state, and the five-case expectation table that
   compares same-subspace kernel mass against four cross-subspace layouts.
+  The independent layouts draw y uniformly on the sphere of the joint span:
+  that is the law of a uniform point of a Haar-random subspace of the span.
 * Group-structure checks: a container for subgroup generators, coset
   representatives and a fiducial state, and a checker for invariance,
   membership, and cross-coset orthogonality.  A two-qubit maximally-entangled
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, sphere_points
+from .data import Dataset, sphere_points, unit_rows
 from .kernel import overlap_kernel_from_state
 from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
 
@@ -31,12 +33,6 @@ from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
 # ---------------------------------------------------------------------------
 # sphere moments
 # ---------------------------------------------------------------------------
-
-def _sphere_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    coeff = rng.standard_normal((count, dim))
-    coeff /= np.linalg.norm(coeff, axis=1, keepdims=True)
-    return coeff
-
 
 def _mc_mean(draw, trials: int, chunk: int) -> tuple[float, float]:
     """Monte-Carlo mean and standard error of ``trials`` values, drawn at most
@@ -64,7 +60,7 @@ def sphere_inner_moment(dim: int, trials: int, seed: int = 0) -> tuple[float, fl
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
-    return _mc_mean(lambda count: (_sphere_batch(dim, count, rng) @ u) ** 2, trials, 1_000_000)
+    return _mc_mean(lambda count: (unit_rows(count, dim, rng) @ u) ** 2, trials, 1_000_000)
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +160,16 @@ def cosine_product_kernel(xs: np.ndarray, ys: np.ndarray | None = None,
     return np.prod(np.cos(half * diff) ** 2, axis=2)
 
 
-def _haar_rotation_batch(dim: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    z = rng.standard_normal((count, dim, dim))
-    q, r = np.linalg.qr(z)
-    q = q * np.sign(np.einsum("bii->bi", r))[:, None, :]
-    flip = np.linalg.det(q) < 0
-    q[flip, :, 0] *= -1.0
-    return q
-
-
-SUBSPACE_CASES = ("same", "orthogonal_equal", "independent_equal",
-                  "orthogonal_double", "independent_double")
+# One row per layout, in units of dim_x: dim_y, y's first coordinate, and the
+# number of coordinates y is uniform over.  x is uniform on the first dim_x.
+_LAYOUTS = (
+    ("same", 1, 0, 1),
+    ("orthogonal_equal", 1, 1, 1),
+    ("independent_equal", 1, 0, 2),
+    ("orthogonal_double", 2, 1, 2),
+    ("independent_double", 2, 0, 3),
+)
+SUBSPACE_CASES = tuple(case for case, *_ in _LAYOUTS)
 
 
 @dataclass(frozen=True)
@@ -192,52 +187,30 @@ def subspace_kernel_expectations(dims, trials: int, seed: int = 0,
 
     For each dim d in ``dims`` the point x is sphere-uniform on a d-dim
     coordinate subspace; y comes from the same subspace, an orthogonal one of
-    equal or double dimension, or a rotated copy of those (rotation resampled
-    per trial inside the joint span, so independent cases average over
-    generic positions).  Coordinates outside the joint span contribute unit
-    factors, so the ambient dimension beyond dim_x + dim_y is irrelevant.
+    equal or double dimension, or an independent one.  A uniform point of a
+    Haar-random subspace of the joint span is uniform on that span's sphere
+    (the law is rotation invariant), so independent y is drawn there directly.
+    Coordinates outside the joint span contribute unit factors, so the
+    ambient dimension beyond dim_x + dim_y is irrelevant.
 
     The default scale 2.0 reproduces per-coordinate factors cos^2(x_i - y_i);
     pass 2*pi for the statevector-matched convention.
     """
     rows: list[ExpectationRow] = []
     half = 0.5 * angle_scale
-
-    def prod_kernel(diff):
-        return np.prod(np.cos(half * diff) ** 2, axis=1)
-
     for dx in dims:
         if dx < 1:
             raise ValueError("subspace dims must be positive")
         rng = np.random.default_rng((seed, dx))
+        for case, dy, first, span in _LAYOUTS:
+            def draw(count, lo=first * dx, hi=(first + span) * dx):
+                diff = np.zeros((count, hi))
+                diff[:, :dx] = unit_rows(count, dx, rng)
+                diff[:, lo:] -= unit_rows(count, hi - lo, rng)
+                return np.prod(np.cos(half * diff) ** 2, axis=1)
 
-        def same(b, dx=dx):
-            return prod_kernel(_sphere_batch(dx, b, rng) - _sphere_batch(dx, b, rng))
-
-        def orth(b, dx=dx, dy=dx):
-            x = _sphere_batch(dx, b, rng)
-            y = _sphere_batch(dy, b, rng)
-            diff = np.concatenate([x, -y], axis=1)
-            return prod_kernel(diff)
-
-        def indep(b, dx=dx, dy=dx):
-            t = dx + dy
-            x = np.zeros((b, t))
-            x[:, :dx] = _sphere_batch(dx, b, rng)
-            rot = _haar_rotation_batch(t, b, rng)
-            ycoef = _sphere_batch(dy, b, rng)
-            y = np.einsum("bij,bj->bi", rot[:, :, dx:], ycoef)
-            return prod_kernel(x - y)
-
-        for case, dy, draw in (
-            ("same", dx, same),
-            ("orthogonal_equal", dx, lambda b, dx=dx: orth(b, dx, dx)),
-            ("independent_equal", dx, lambda b, dx=dx: indep(b, dx, dx)),
-            ("orthogonal_double", 2 * dx, lambda b, dx=dx: orth(b, dx, 2 * dx)),
-            ("independent_double", 2 * dx, lambda b, dx=dx: indep(b, dx, 2 * dx)),
-        ):
             mean, stderr = _mc_mean(draw, trials, 100_000)
-            rows.append(ExpectationRow(case, dx, dy, mean, stderr))
+            rows.append(ExpectationRow(case, dx, dy * dx, mean, stderr))
     return rows
 
 

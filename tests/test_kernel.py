@@ -44,7 +44,7 @@ def test_product_rotation_overlaps_match_dense_oracle():
         for n in (1, 2, 4):
             psi = random_state(n, seed=(3, n))
             deltas = rng.uniform(-2 * np.pi, 2 * np.pi, size=(6, n))
-            got = kn.product_rotation_overlaps(psi, deltas, axis)
+            got = kn.overlap_kernel_from_state(psi, np.zeros((1, n)), deltas, axis)[0]
             for row, d in zip(got, deltas):
                 amp = psi.conj() @ dense_rotation(n, axis, d) @ psi
                 assert row == pytest.approx(abs(amp) ** 2, abs=1e-12)
@@ -62,15 +62,16 @@ def test_overlap_kernel_shapes_and_symmetry():
     rect = kn.overlap_kernel_from_state(psi, a, b)
     assert rect.shape == (5, 2)
     for i, j in itertools.product(range(5), range(2)):
-        single = kn.product_rotation_overlaps(psi, (b[j] - a[i])[None, :])
+        single = kn.overlap_kernel_from_state(psi, np.zeros((1, 3)), (b[j] - a[i])[None, :])[0]
         assert rect[i, j] == pytest.approx(single[0], abs=1e-12)
 
 
 def test_overlap_kernel_rejects_mismatched_state():
     with pytest.raises(ValueError):
-        kn.product_rotation_overlaps(random_state(2, 1), np.zeros((1, 3)))
+        kn.overlap_kernel_from_state(random_state(2, 1), np.zeros((1, 3)), np.zeros((1, 3)))
     with pytest.raises(ValueError):
-        kn.product_rotation_overlaps(random_state(2, 1), np.zeros((1, 2)), axis="w")
+        kn.overlap_kernel_from_state(random_state(2, 1), np.zeros((1, 2)), np.zeros((1, 2)),
+                                     axis="w")
 
 
 @st.composite
@@ -98,7 +99,7 @@ def test_overlap_kernel_properties(case):
     assert k.min() >= 0.0 and k.max() <= 1.0 + 1e-12
     for i, j in itertools.product(range(len(angles)), repeat=2):
         delta = angles[j] - angles[i]
-        single = kn.product_rotation_overlaps(psi, delta[None, :], axis)[0]
+        single = kn.overlap_kernel_from_state(psi, np.zeros((1, n)), delta[None, :], axis)[0, 0]
         dense = abs(psi.conj() @ dense_rotation(n, axis, delta) @ psi) ** 2
         assert k[i, j] == pytest.approx(single, abs=1e-12)
         assert k[i, j] == pytest.approx(dense, abs=1e-12)
@@ -594,6 +595,11 @@ def test_repair_records_projection_metadata():
     assert repaired.psd_projected
     assert repaired.min_eigenvalue_before == pytest.approx(-1.0, abs=1e-12)
     assert np.linalg.eigvalsh(repaired.values).min() >= -1e-9
+    # a PSD matrix comes back unchanged and is not reported as projected
+    kept = kn.repair_psd(kn.KernelMatrixEstimate(np.eye(3), 0, None))
+    assert not kept.psd_projected
+    assert kept.min_eigenvalue_before == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_array_equal(kept.values, np.eye(3))
 
 
 def codeword_features():

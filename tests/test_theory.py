@@ -134,6 +134,36 @@ def test_expectation_table_structure_and_dim_one_values():
         th.subspace_kernel_expectations((0,), trials=100)
 
 
+def haar_layout_reference(dx, dy, trials, rng):
+    """Mean and stderr of an independent layout built the long way: y is a
+    uniform point of the span of the last dy columns of a per-trial Haar
+    rotation of the (dx + dy)-dim joint span."""
+    t = dx + dy
+    x = np.zeros((trials, t))
+    x[:, :dx] = rng.standard_normal((trials, dx))
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    q, r = np.linalg.qr(rng.standard_normal((trials, t, t)))
+    rot = q * np.sign(np.einsum("bii->bi", r))[:, None, :]
+    ycoef = rng.standard_normal((trials, dy))
+    ycoef /= np.linalg.norm(ycoef, axis=1, keepdims=True)
+    y = np.einsum("bij,bj->bi", rot[:, :, dx:], ycoef)
+    vals = np.prod(np.cos(x - y) ** 2, axis=1)
+    return vals.mean(), vals.std(ddof=1) / np.sqrt(trials)
+
+
+def test_independent_layouts_follow_the_haar_construction():
+    trials = 20_000
+    for dx in (1, 2, 3):
+        by_case = {r.case: r for r in th.subspace_kernel_expectations((dx,), trials, seed=29)}
+        rng = np.random.default_rng((29, dx, 1))
+        for case, dy in (("independent_equal", dx), ("independent_double", 2 * dx)):
+            row = by_case[case]
+            assert row.dim_y == dy
+            ref_mean, ref_se = haar_layout_reference(dx, dy, trials, rng)
+            sigma = np.hypot(row.stderr, ref_se)
+            assert abs(row.mean - ref_mean) <= 4.0 * sigma, (dx, case)
+
+
 def test_expectation_table_is_seed_deterministic():
     a = th.subspace_kernel_expectations((2,), trials=5_000, seed=3)
     b = th.subspace_kernel_expectations((2,), trials=5_000, seed=3)
