@@ -405,8 +405,8 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
 def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
     """Nearest PSD matrix in Frobenius norm, plus the original minimum eigenvalue.
 
-    Clips negative eigenvalues to zero; PSD input comes back unchanged.
-    Raises ValueError for a NaN or infinite entry.
+    Clips negative eigenvalues to zero; PSD input comes back unchanged, as the
+    same array, not a copy.  Raises ValueError for a NaN or infinite entry.
     """
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
@@ -415,7 +415,7 @@ def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
     w, v = np.linalg.eigh(sym)
     min_eig = float(w[0])
     if min_eig >= 0.0:
-        return np.array(values), min_eig
+        return values, min_eig
     clipped = np.clip(w, 0.0, None)
     proj = (v * clipped) @ v.T
     return (proj + proj.T) / 2.0, min_eig
@@ -516,18 +516,28 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
 # CSV import/export
 # ---------------------------------------------------------------------------
 
-def save_matrix_csv(values: np.ndarray, path, ids=None) -> None:
-    """Matrix with row/column ids; floats via repr so reloads are bit-exact."""
-    import csv
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer``'s default dialect writes one cell of a row of several."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
+
+def save_matrix_csv(values: np.ndarray, path, ids=None) -> None:
+    """Matrix with row/column ids; floats via repr so reloads are bit-exact.
+
+    The bytes are those ``csv.writer`` writes for the same rows, built in one
+    pass: a float's repr never needs quoting, and ids are quoted as csv would.
+    """
     values = np.asarray(values, dtype=float)
     m, k = values.shape
-    ids_r = [str(i) for i in range(m)] if ids is None else [str(i) for i in ids]
+    if k == 0:
+        raise ValueError("matrix must have at least one column")
+    ids_r = [str(i) for i in range(m)] if ids is None else [_csv_cell(str(i)) for i in ids]
+    lines = ["," + ",".join(map(str, range(k)))]
+    lines += [",".join([rid, *map(repr, row)]) for rid, row in zip(ids_r, values.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([""] + [str(j) for j in range(k)])
-        for rid, row in zip(ids_r, values):
-            w.writerow([rid, *map(repr, row.tolist())])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:

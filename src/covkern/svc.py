@@ -1,9 +1,10 @@
 """Support-vector classification over precomputed kernel matrices.
 
-The binary solver is sequential minimal optimization with maximal-violating-
-pair working sets: the usual box-constrained dual with an equality constraint,
-updated two coordinates at a time, stopping when the KKT violation gap drops
-below tolerance.  Multiclass is one-vs-one with majority voting; ties fall
+The binary solver is sequential minimal optimization with LIBSVM's
+second-order working sets (WSS2; Fan, Chen & Lin, JMLR 6, 2005): the usual
+box-constrained dual with an equality constraint, updated two coordinates at
+a time, stopping as before when the maximal KKT violation gap drops below
+tolerance.  Multiclass is one-vs-one with majority voting; ties fall
 back to summed absolute decision values, then to the lowest class index.
 
 Classical baseline kernels (RBF and a two-width generalized RBF) and a small
@@ -34,18 +35,20 @@ class BinarySVC:
 
 def _working_sets(y: np.ndarray, alpha: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """Masks of the up set (alpha_i * y_i can grow) and the low set (it can shrink)."""
-    up = ((y > 0) & (alpha < c - 1e-12)) | ((y < 0) & (alpha > 1e-12))
-    low = ((y > 0) & (alpha > 1e-12)) | ((y < 0) & (alpha < c - 1e-12))
-    return up, low
+    pos, below_c, above_0 = y > 0, alpha < c - 1e-12, alpha > 1e-12
+    return np.where(pos, below_c, above_0), np.where(pos, above_0, below_c)
 
 
 def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
                tol: float = 1e-3, max_iter: int | None = None) -> BinarySVC:
     """SMO on the dual problem for labels in {-1, +1}.
 
-    ``kernel`` must be the symmetric PSD train matrix.  Terminates when the
-    maximal KKT violating pair satisfies the gap tolerance, so every training
-    point meets its optimality condition to within ``tol``.
+    ``kernel`` must be the symmetric PSD train matrix.  Working sets are WSS2
+    (Fan, Chen & Lin, 2005): i is the maximal violator, and j the low-set t
+    maximising b_t^2 / a_t, with b_t its violation against i and a_t =
+    K_ii + K_tt - 2 K_it.  The stopping rule is unchanged: the maximal
+    violating gap within ``tol``, so every training point meets its
+    optimality condition to within ``tol``.
     """
     kernel = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -58,32 +61,41 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         raise ValueError("need both classes present to fit")
     if c <= 0:
         raise ValueError("c must be positive")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = 200 * m + 10_000
 
     alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of 1/2 a'Qa - sum(a)
+    # -y * gradient of 1/2 a'Qa - sum(a), which is y - kernel @ coef
+    neg_yg = y.copy()
+    diag = kernel.diagonal().copy()
     it = 0
     gap = np.inf
     while it < max_iter:
-        neg_yg = -y * grad
         up, low = _working_sets(y, alpha, c)
         if not up.any() or not low.any():
             gap = 0.0
             break
-        i = int(np.flatnonzero(up)[np.argmax(neg_yg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(neg_yg[low])])
-        gap = neg_yg[i] - neg_yg[j]
+        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+        # b_t: how far t violates KKT against i; its max is the maximal violating gap
+        b = neg_yg[i] - np.where(low, neg_yg, np.inf)
+        gap = b.max()
         if gap <= tol:
             break
-        quad = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
-        step = gap / max(quad, 1e-12)
+        # j maximises b_t^2 / a_t, the dual gain of an unclipped step on (i, t)
+        k_i = kernel[i]
+        quad = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
+        gain = np.maximum(b, 0.0)   # gap > tol > 0, so some t has b_t > 0
+        j = int(np.argmax(gain * gain / quad))
+        step = b[j] / quad[j]
         cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
         cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
         step = min(step, cap_i, cap_j)
-        alpha[i] += y[i] * step
-        alpha[j] -= y[j] * step
-        grad += step * y * (kernel[:, i] - kernel[:, j])
+        # clamped: when a cap binds, alpha + (c - alpha) can round past c
+        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
+        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
+        neg_yg -= step * (k_i - kernel[j])   # rows: kernel is symmetric
         it += 1
     if gap > tol:
         raise RuntimeError(f"SMO did not converge in {max_iter} iterations (gap {gap})")
@@ -94,7 +106,6 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
     if free.any():
         bias = float(np.mean(y[free] - fitted[free]))
     else:
-        neg_yg = -y * grad
         up, low = _working_sets(y, alpha, c)
         hi = neg_yg[up].max() if up.any() else 0.0
         lo = neg_yg[low].min() if low.any() else 0.0
@@ -120,7 +131,8 @@ class MulticlassSVC:
 
     ``coefs`` holds one full-length dual coefficient row per class pair (zeros
     off the pair's samples), so decision values for every pair come from one
-    matrix product with a cross-kernel block.
+    matrix product with a cross-kernel block.  ``iterations`` and ``kkt_gaps``
+    record each pair's SMO run; a model read back from a file has neither.
     """
 
     classes: np.ndarray
@@ -128,6 +140,8 @@ class MulticlassSVC:
     coefs: np.ndarray         # (n_pairs, n_train)
     biases: np.ndarray
     c: float
+    iterations: list[int] | None = None
+    kkt_gaps: list[float] | None = None
 
     @property
     def n_train(self) -> int:
@@ -148,6 +162,8 @@ def fit_multiclass(kernel: np.ndarray, labels, c: float = 1.0,
     pair_classes = []
     coefs = []
     biases = []
+    iterations = []
+    kkt_gaps = []
     for a in range(classes.shape[0]):
         for b in range(a + 1, classes.shape[0]):
             idx = np.flatnonzero((labels == classes[a]) | (labels == classes[b]))
@@ -158,8 +174,10 @@ def fit_multiclass(kernel: np.ndarray, labels, c: float = 1.0,
             pair_classes.append((a, b))
             coefs.append(full)
             biases.append(sub.bias)
+            iterations.append(sub.iterations)
+            kkt_gaps.append(sub.kkt_gap)
     return MulticlassSVC(classes, np.array(pair_classes), np.array(coefs),
-                         np.array(biases), float(c))
+                         np.array(biases), float(c), iterations, kkt_gaps)
 
 
 def pairwise_decisions(model: MulticlassSVC, kernel_cross: np.ndarray) -> np.ndarray:

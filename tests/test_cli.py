@@ -229,6 +229,24 @@ def test_fit_then_predict_roundtrip(tmp_path):
         read_json(fit_out / "manifest.json")["fingerprint"]
 
 
+def test_fit_manifest_records_smo_stats_per_class_pair(tmp_path):
+    ds = dt.gen_union_subspaces(dt.SubspaceSpec(ambient_dim=4, class_dims=[1, 1, 1],
+                                                samples_per_class=6, seed=2))
+    train_path = tmp_path / "train.csv"
+    dt.save_csv(ds, train_path)
+    fit_out = tmp_path / "fit"
+    cfg = write_config(tmp_path, "fit.json", {
+        "out": str(fit_out), "seed": 0, "train": str(train_path), "params": "zeros",
+        "kernel": {"shots": 500, "tolerance": 1}, "noise": {"p01": 0.05},
+        "svc": {"c": 1.0, "tol": 1e-4},
+    })
+    assert run(["fit", "--config", cfg]) == 0
+    stats = read_json(fit_out / "manifest.json")["stats"]
+    assert len(stats["smo_iterations"]) == len(stats["smo_kkt_gaps"]) == 3
+    assert all(isinstance(n, int) and n > 0 for n in stats["smo_iterations"])
+    assert all(0.0 <= gap <= 1e-4 for gap in stats["smo_kkt_gaps"])
+
+
 def test_predict_rejects_mismatched_pipeline(tmp_path, capsys):
     train_path, test_path = bell_files(tmp_path, samples=4)
     fit_out = tmp_path / "fit"

@@ -602,6 +602,12 @@ def test_repair_records_projection_metadata():
     np.testing.assert_array_equal(kept.values, np.eye(3))
 
 
+def test_repair_of_a_psd_matrix_keeps_its_array():
+    est = kn.KernelMatrixEstimate(np.eye(3), 0, None)
+    assert kn.repair_psd(est).values is est.values
+    assert kn.psd_project(est.values)[0] is est.values
+
+
 def codeword_features():
     # three classes on disjoint 4-coordinate blocks; samples are pi times the
     # 4-bit words of weight 1 or 2, so every mismatch is an exact bit flip
@@ -728,6 +734,37 @@ def test_matrix_csv_writer_bytes_match_the_per_element_repr_writer(tmp_path):
     assert new.read_bytes() == old.read_bytes()
     loaded, _ = kn.load_matrix_csv(new)
     assert loaded.tobytes() == CSV_EDGE_VALUES.tobytes()   # -0.0 keeps its sign
+
+
+@pytest.mark.parametrize("values, ids", [
+    ([[1.0, 0.25, 1.0 / 3.0, -0.0, 5e-324]], ["a,b"]),
+    ([[1.0, 0.25], [-0.0, 5e-324]], ['say "hi"', "line\nbreak"]),
+    ([[1.0 / 3.0]], ["only"]),
+    ([[-0.0]], None),
+    ([[5e-324, 1.0], [0.25, 1.0 / 3.0]], [7, ""]),
+])
+def test_matrix_csv_bytes_match_csv_writer(tmp_path, values, ids):
+    import csv
+
+    values = np.array(values)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([""] + [str(j) for j in range(values.shape[1])])
+        row_ids = range(values.shape[0]) if ids is None else ids
+        for rid, row in zip(row_ids, values.tolist()):
+            w.writerow([str(rid), *map(repr, row)])
+    path = tmp_path / "k.csv"
+    kn.save_matrix_csv(values, path, ids=ids)
+    assert path.read_bytes() == ref.read_bytes()
+    loaded, back_ids = kn.load_matrix_csv(path)
+    assert loaded.tobytes() == values.tobytes()
+    assert back_ids == [str(i) for i in row_ids]
+
+
+def test_matrix_csv_rejects_a_matrix_without_columns(tmp_path):
+    with pytest.raises(ValueError, match="column"):
+        kn.save_matrix_csv(np.zeros((2, 0)), tmp_path / "k.csv")
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from covkern import data as dt
+from covkern import featuremap as fm
+from covkern import kernel as kn
+from covkern import simcore as sc
 from covkern import svc
 
 
@@ -107,6 +111,19 @@ def test_smo_meets_kkt_to_its_tolerance(case):
         assert max(gap, 0.0) == pytest.approx(model.kkt_gap, abs=1e-9)
 
 
+@pytest.mark.parametrize("seed", [170, 607, 1303, 2463])
+def test_smo_keeps_alpha_inside_the_box_exactly(seed):
+    # problems on which alpha + (c - alpha) rounded past c before updates were clamped
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(6, 20))
+    kernel = svc.rbf_matrix(rng.normal(size=(m, 3)), None, float(rng.uniform(0.05, 2.0)))
+    y = rng.choice([-1.0, 1.0], size=m)
+    y[:2] = 1.0, -1.0
+    c = float(rng.uniform(0.5, 10.0))
+    alpha = svc.fit_binary(kernel, y, c=c).coef * y
+    assert alpha.min() >= 0.0 and alpha.max() <= c
+
+
 def test_binary_separable_train_accuracy():
     _, y, kernel = separable_problem(11)
     model = svc.fit_binary(kernel, y, c=100.0, tol=1e-6)
@@ -125,6 +142,8 @@ def test_binary_input_validation():
         svc.fit_binary(kernel, np.array([1.0, 1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         svc.fit_binary(kernel, np.array([1.0, -1.0, 1.0, -1.0]), c=0.0)
+    with pytest.raises(ValueError, match="tol"):
+        svc.fit_binary(kernel, np.array([1.0, -1.0, 1.0, -1.0]), tol=0.0)
 
 
 def test_dual_objective_formula():
@@ -157,6 +176,37 @@ def test_multiclass_fits_separated_clusters():
     for p, (a, b) in enumerate(model.pair_classes):
         outside = ~np.isin(labels, [model.classes[a], model.classes[b]])
         assert np.all(model.coefs[p][outside] == 0.0)
+
+
+def test_multiclass_records_each_pairs_smo_run(tmp_path):
+    xs, labels = three_class_problem(seed=4, per_class=9)
+    kernel = svc.rbf_matrix(xs, None, 0.5)
+    model = svc.fit_multiclass(kernel, labels, c=2.0, tol=1e-4)
+    assert len(model.iterations) == len(model.kkt_gaps) == len(model.pair_classes)
+    for p, (a, b) in enumerate(model.pair_classes):
+        idx = np.flatnonzero(np.isin(labels, [model.classes[a], model.classes[b]]))
+        y = np.where(labels[idx] == model.classes[a], 1.0, -1.0)
+        sub = svc.fit_binary(kernel[np.ix_(idx, idx)], y, c=2.0, tol=1e-4)
+        assert model.iterations[p] == sub.iterations
+        assert model.kkt_gaps[p] == sub.kkt_gap
+    svc.save_model_csv(model, tmp_path / "model.csv")
+    back = svc.load_model_csv(tmp_path / "model.csv")
+    assert back.iterations is None and back.kkt_gaps is None
+
+
+def test_second_order_working_sets_cut_iterations_on_a_noisy_bft_gram():
+    """The README pipeline's regime: readout noise, shots, tolerance 1, PSD repair."""
+    ds = dt.gen_union_subspaces(dt.SubspaceSpec(ambient_dim=8, class_dims=[2, 2, 2],
+                                                samples_per_class=25, seed=0))
+    spec = fm.make_feature_map(fm.line_coupling(8), 8, angle_scale=2.0 * np.pi)
+    config = kn.KernelConfig(tolerance=1, shots=4000, master_seed=0)
+    repaired = kn.repair_psd(kn.assemble_matrix(ds.features, spec, np.zeros(spec.n_params),
+                                                config, noise=sc.NoiseModel(p01=0.03)))
+    assert repaired.psd_projected
+    model = svc.fit_multiclass(repaired.values, ds.labels)
+    # maximal-violating-pair working sets took 839 iterations over the three pairs
+    assert sum(model.iterations) <= 0.6 * 839
+    assert max(model.kkt_gaps) <= 1e-3
 
 
 def test_multiclass_validation():
