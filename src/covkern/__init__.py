@@ -99,9 +99,11 @@ from .data import (
     gen_union_subspaces,
     haar_rotation,
     load_csv,
+    read_table,
     save_csv,
     split_dataset,
     subspace_bases,
+    write_table,
 )
 from .theory import (
     CovarianceReport,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import parse_records, read_table, write_table
 from .kernel import KernelConfig, assemble_matrix, repair_psd
 from .svc import rbf_matrix
 
@@ -137,30 +138,18 @@ def align_kernel(xs, labels, spec, init_params, spsa: SPSAConfig,
 
 
 def save_trace_csv(trace: AlignmentTrace, path) -> None:
-    import csv
-
     n_params = trace.params_history.shape[1]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iteration", "loss"] + [f"p{i}" for i in range(n_params)])
-        for k, (loss, row) in enumerate(zip(trace.losses, trace.params_history)):
-            w.writerow([k, repr(float(loss))] + [repr(float(v)) for v in row])
+    write_table(path, ["iteration", "loss", *(f"p{i}" for i in range(n_params))],
+                ([str(k), repr(loss), *map(repr, row)] for k, (loss, row) in
+                 enumerate(zip(trace.losses.tolist(), trace.params_history.tolist()))))
 
 
 def load_trace_csv(path) -> AlignmentTrace:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValueError("trace file has no data rows")
-    losses = []
-    history = []
-    for rec in rows[1:]:
-        losses.append(float(rec[1]))
-        history.append([float(v) for v in rec[2:]])
-    losses_arr = np.array(losses)
-    return AlignmentTrace(losses_arr, np.array(history), int(np.argmin(losses_arr)))
+    records = read_table(path)[1:]
+    if not records:
+        raise ValueError(f"{path}: trace file has no data rows")
+    table = np.array(parse_records(path, records, lambda cells: list(map(float, cells))))
+    return AlignmentTrace(table[:, 1], table[:, 2:], int(np.argmin(table[:, 1])))
 
 
 # ---------------------------------------------------------------------------

@@ -284,19 +284,15 @@ def standardizer(train: dt.Dataset, standardize: bool):
 
 def load_params_csv(path) -> np.ndarray:
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        records = dt.read_table(path)
+        if not records or records[0][1] != ["index", "value"]:
+            raise ArtifactError(f"{path}: not a parameter file")
+        vals = dict(dt.parse_records(path, records[1:],
+                                     lambda cells: (int(cells[0]), float(cells[1]))))
     except FileNotFoundError:
-        raise ArtifactError(f"parameter file not found: {path}")
-    if not lines or lines[0] != "index,value":
-        raise ArtifactError(f"{path}: not a parameter file")
-    vals = {}
-    for ln in lines[1:]:
-        try:
-            idx, val = ln.split(",")
-            vals[int(idx)] = float(val)
-        except ValueError:
-            raise ArtifactError(f"{path}: malformed parameter line {ln!r}") from None
+        raise ArtifactError(f"parameter file not found: {path}") from None
+    except ValueError as exc:
+        raise ArtifactError(f"malformed parameter line: {exc}") from None
     missing = sorted(set(range(len(vals))) - set(vals))
     if missing:
         raise ArtifactError(f"{path}: parameter index {missing[0]} is missing")
@@ -307,10 +303,8 @@ def load_params_csv(path) -> np.ndarray:
 
 
 def save_params_csv(params: np.ndarray, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("index,value\n")
-        for i, v in enumerate(params):
-            fh.write(f"{i},{float(v)!r}\n")
+    dt.write_table(path, ["index", "value"],
+                   ([str(i), repr(float(v))] for i, v in enumerate(params)))
 
 
 def params_from_config(cfg: dict, spec: fm.FeatureMapSpec, seed: int) -> np.ndarray:
@@ -428,16 +422,13 @@ def cmd_calibrate(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     ns, thresholds = sec.pop("n_values"), sec["thresholds"]
     report = _config_call("calibration", kn.calibrate, ns, noise, seed=seed, **sec)
     kn.save_calibration_csv(report, os.path.join(out, "calibration.csv"))
-    with open(os.path.join(out, "recommended.csv"), "w") as fh:
-        fh.write("n_qubits,threshold,recommended_tolerance\n")
-        for n in ns:
-            for t in thresholds:
-                pick = report.recommended_tolerance(n, t)
-                fh.write(f"{n},{t!r},{'unreachable' if pick is None else pick}\n")
+    rows = []
     for n in ns:
-        picks = ", ".join(
-            f"threshold {t}: d={report.recommended_tolerance(n, t)}" for t in thresholds)
-        print(f"calibrate: n={n} -> {picks}")
+        picks = [(t, report.recommended_tolerance(n, t)) for t in thresholds]
+        rows += ([str(n), repr(t), "unreachable" if d is None else str(d)] for t, d in picks)
+        print(f"calibrate: n={n} -> " + ", ".join(f"threshold {t}: d={d}" for t, d in picks))
+    dt.write_table(os.path.join(out, "recommended.csv"),
+                   ["n_qubits", "threshold", "recommended_tolerance"], rows)
     return 0, ["calibration.csv", "recommended.csv"], None
 
 
@@ -582,10 +573,8 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> _Result:
                               spec, params, config, noise=noise)
     kn.save_matrix_csv(cross, os.path.join(out, "kernel_cross.csv"))
     pred = svc.predict(model, cross)
-    with open(os.path.join(out, "predictions.csv"), "w") as fh:
-        fh.write("index,predicted,actual\n")
-        for i, (p, a) in enumerate(zip(pred, test.labels)):
-            fh.write(f"{i},{p},{a}\n")
+    dt.write_table(os.path.join(out, "predictions.csv"), ["index", "predicted", "actual"],
+                   ([str(i), str(p), str(a)] for i, (p, a) in enumerate(zip(pred, test.labels))))
     scores = {
         "test_samples": test.n_samples,
         "quantum_test_accuracy": svc.accuracy(test.labels, pred),
@@ -645,10 +634,10 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     dev, ok = th.verify_delta_kernel(bell, structure.fiducial)
     rows.append(("class_indicator_kernel", dev, 1e-9 - dev, "max dev <= 1e-9", ok))
 
-    with open(os.path.join(out, "verify_report.csv"), "w") as fh:
-        fh.write("check,value,margin,condition,pass\n")
-        for name, value, margin, cond, passed in rows:
-            fh.write(f"{name},{value!r},{margin!r},{cond},{passed}\n")
+    dt.write_table(os.path.join(out, "verify_report.csv"),
+                   ["check", "value", "margin", "condition", "pass"],
+                   ([name, repr(value), repr(margin), cond, str(passed)]
+                    for name, value, margin, cond, passed in rows))
     failed = [r for r in rows if not r[4]]
     for name, value, margin, cond, passed in rows:
         print(f"verify: {'PASS' if passed else 'FAIL'} {name} (value {value:.3g}, {cond})")
@@ -688,11 +677,9 @@ def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> _Result:
         })
     if not entries:
         raise DataError(f"no manifests found under {runs_dir}")
-    with open(os.path.join(out, "report.csv"), "w") as fh:
-        cols = ["run", "task", "version", "seed", "wall_clock_s", "artifacts", "scores"]
-        fh.write(",".join(cols) + "\n")
-        for row in entries:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
+    cols = list(entries[0])
+    dt.write_table(os.path.join(out, "report.csv"), cols,
+                   ([str(row[c]) for c in cols] for row in entries))
     print(f"report: summarized {len(entries)} runs into {os.path.join(out, 'report.csv')}")
     return 0, ["report.csv"], None
 

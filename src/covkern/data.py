@@ -11,13 +11,15 @@ Two families:
   rotation embeddings so class membership shows up as a kernel level set.
 
 Also a small Bell-pair construction on two qubits where the two classes sit
-at angle pairs (t, -t) and (u, pi - u), plus stratified splitting and CSV
-round-trip helpers.
+at angle pairs (t, -t) and (u, pi - u), plus stratified splitting, dataset
+files, and the CSV table writer and reader every covkern artifact goes through.
 """
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -234,46 +236,81 @@ def split_dataset(dataset: Dataset, train_fraction: float = 0.5,
     )
 
 
+def _csv_line(cells) -> str:
+    line = ",".join(cells)
+    # one comma per cell boundary and no quote, CR or LF: no cell needs quoting
+    if line.count(",") != len(cells) - 1 or '"' in line or "\r" in line or "\n" in line:
+        line = ",".join('"' + c.replace('"', '""') + '"' if any(ch in c for ch in ',"\r\n')
+                        else c for c in cells)
+    return line
+
+
+def write_table(path, header, rows) -> None:
+    """Write ``header`` and ``rows``, sequences of str cells, as comma-separated
+    LF-terminated lines; a cell is quoted only when it holds ``,``, ``"``, CR or
+    LF.  Floats go in as their repr, so reloads are bit-exact."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join([_csv_line(header), *map(_csv_line, rows)]) + "\n")
+
+
+def read_table(path) -> list[tuple[int, list[str]]]:
+    """``(line number, cells)`` for each non-blank record of a CSV file, CRLF or
+    LF.  A record with another cell count than the first, or malformed CSV, is
+    a ValueError naming ``path`` and the line."""
+    records = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for cells in filter(None, reader):
+                if records and len(cells) != len(records[0][1]):
+                    raise ValueError(f"expected {len(records[0][1])} fields, got {len(cells)}")
+                records.append((reader.line_num, cells))
+        except (csv.Error, ValueError) as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    return records
+
+
+def parse_records(path, records, parse) -> list:
+    """``parse(cells)`` of each ``(line number, cells)`` record; a ValueError or
+    IndexError it raises becomes a ValueError naming ``path`` and the line."""
+    out = []
+    for ln_no, cells in records:
+        try:
+            out.append(parse(cells))
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: line {ln_no}: {exc}") from None
+    return out
+
+
+def parse_labels(cells) -> np.ndarray:
+    """Class labels read from CSV cells: ints when every cell is one, else str."""
+    try:
+        return np.array([int(v) for v in cells])
+    except ValueError:
+        return np.array(cells)
+
+
 def save_csv(dataset: Dataset, path) -> None:
-    """Header f0..f{n-1},label; floats written with repr so reloads are bit-exact."""
-    with open(path, "w") as fh:
-        if dataset.importance:
-            fh.write("#importance," + ",".join(str(i) for i in dataset.importance) + "\n")
-        fh.write(",".join(f"f{i}" for i in range(dataset.n_features)) + ",label\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            fh.write(",".join(map(repr, row.tolist())) + f",{label}\n")
+    """Header f0..f{n-1},label, below an ``#importance`` line if there is one."""
+    header = [*(f"f{i}" for i in range(dataset.n_features)), "label"]
+    rows = ([*map(repr, row), str(label)]
+            for row, label in zip(dataset.features.tolist(), dataset.labels.tolist()))
+    if dataset.importance:
+        header, rows = ["#importance", *map(str, dataset.importance)], chain([header], rows)
+    write_table(path, header, rows)
 
 
 def load_csv(path) -> Dataset:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    records = read_table(path)
     importance: tuple[int, ...] = ()
-    at = 0
-    if lines and lines[0].startswith("#importance,"):
-        importance = tuple(int(v) for v in lines[0].split(",")[1:])
-        at = 1
-    if at >= len(lines) or not lines[at]:
+    if records and records[0][1][0] == "#importance":
+        importance = parse_records(path, records[:1], lambda cells: tuple(map(int, cells[1:])))[0]
+        records = records[1:]
+    if not records:
         raise ValueError(f"{path}: missing header line")
-    header = lines[at].split(",")
+    ln_no, header = records[0]
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
-        raise ValueError(f"{path}: line {at + 1}: bad header {lines[at]!r}")
-    n_features = len(header) - 1
-    rows = []
-    labels = []
-    for ln_no, line in enumerate(lines[at + 1:], start=at + 2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != n_features + 1:
-            raise ValueError(f"{path}: line {ln_no}: expected {n_features + 1} fields")
-        try:
-            rows.append([float(v) for v in parts[:-1]])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {ln_no}: {exc}") from None
-        labels.append(parts[-1])
-    try:
-        label_arr = np.array([int(v) for v in labels])
-    except ValueError:
-        label_arr = np.array(labels)
-    return Dataset(np.array(rows, dtype=float).reshape(len(rows), n_features),
-                   label_arr, importance)
+        raise ValueError(f"{path}: line {ln_no}: bad header {','.join(header)!r}")
+    rows = parse_records(path, records[1:], lambda cells: list(map(float, cells[:-1])))
+    return Dataset(np.array(rows, dtype=float).reshape(len(rows), len(header) - 1),
+                   parse_labels([cells[-1] for _, cells in records[1:]]), importance)

@@ -66,6 +66,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simcore as sc
+from .data import parse_records, read_table, write_table
 from .featuremap import FeatureMapSpec, build_fiducial, build_kernel_circuit, line_coupling, make_feature_map
 
 _CHUNK_AMPS = 2 ** 21  # complex amplitudes per exact-route basis block
@@ -516,53 +517,28 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
 # CSV import/export
 # ---------------------------------------------------------------------------
 
-def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer``'s default dialect writes one cell of a row of several."""
-    if any(ch in text for ch in ',"\r\n'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def save_matrix_csv(values: np.ndarray, path, ids=None) -> None:
-    """Matrix with row/column ids; floats via repr so reloads are bit-exact.
-
-    The bytes are those ``csv.writer`` writes for the same rows, built in one
-    pass: a float's repr never needs quoting, and ids are quoted as csv would.
-    """
+    """Matrix with row/column ids; floats via repr so reloads are bit-exact."""
     values = np.asarray(values, dtype=float)
     m, k = values.shape
     if k == 0:
         raise ValueError("matrix must have at least one column")
-    ids_r = [str(i) for i in range(m)] if ids is None else [_csv_cell(str(i)) for i in ids]
-    lines = ["," + ",".join(map(str, range(k)))]
-    lines += [",".join([rid, *map(repr, row)]) for rid, row in zip(ids_r, values.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    ids = range(m) if ids is None else ids
+    write_table(path, ["", *map(str, range(k))],
+                ([str(rid), *map(repr, row)] for rid, row in zip(ids, values.tolist())))
 
 
 def load_matrix_csv(path) -> tuple[np.ndarray, list[str]]:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = list(csv.reader(fh))
-    if not reader:
-        raise ValueError("matrix file is empty")
-    ids = []
-    rows = []
-    for rec in reader[1:]:
-        ids.append(rec[0])
-        rows.append([float(v) for v in rec[1:]])
-    values = np.array(rows)
+    records = read_table(path)
+    if not records:
+        raise ValueError(f"{path}: matrix file is empty")
+    rows = parse_records(path, records[1:], lambda cells: list(map(float, cells[1:])))
+    values = np.array(rows).reshape(len(rows), len(records[0][1]) - 1)
     if not np.isfinite(values).all():
         raise ValueError(f"{path}: matrix cells must be finite (found NaN or inf)")
-    return values, ids
+    return values, [cells[0] for _, cells in records[1:]]
 
 
 def save_calibration_csv(report: CalibrationReport, path) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n_qubits", "tolerance", "avg_diagonal", "psd_distance"])
-        for n, d, avg, dist in report.rows:
-            w.writerow([n, d, repr(avg), repr(dist)])
+    write_table(path, ["n_qubits", "tolerance", "avg_diagonal", "psd_distance"],
+                ([str(n), str(d), repr(avg), repr(dist)] for n, d, avg, dist in report.rows))

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import parse_labels, read_table, write_table
+
 
 @dataclass
 class BinarySVC:
@@ -291,48 +293,44 @@ def grid_search(candidates, labels, c: float = 1.0, n_folds: int = 5,
 # model serialization
 # ---------------------------------------------------------------------------
 
+_MODEL_HEADER = ["kind", "i", "j", "value"]
+
+
 def save_model_csv(model: MulticlassSVC, path) -> None:
     """Records file: class list, pair memberships, biases, nonzero dual coefs."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "i", "j", "value"])
-        w.writerow(["meta", model.n_train, len(model.pair_classes), repr(model.c)])
-        for k, cls in enumerate(model.classes):
-            w.writerow(["class", k, "", str(cls)])
-        for p, (a, b) in enumerate(model.pair_classes):
-            w.writerow(["pair", p, int(a), int(b)])
-            w.writerow(["bias", p, "", repr(float(model.biases[p]))])
-        for p in range(model.coefs.shape[0]):
-            for idx in np.flatnonzero(model.coefs[p]):
-                w.writerow(["coef", p, int(idx), repr(float(model.coefs[p, idx]))])
+    rows = [["meta", str(model.n_train), str(len(model.pair_classes)), repr(model.c)]]
+    rows += (["class", str(k), "", str(cls)] for k, cls in enumerate(model.classes))
+    for p, ((a, b), bias) in enumerate(zip(model.pair_classes.tolist(), model.biases.tolist())):
+        rows += (["pair", str(p), str(a), str(b)], ["bias", str(p), "", repr(bias)])
+    pairs, idx = np.nonzero(model.coefs)
+    rows += (["coef", str(p), str(i), repr(v)] for p, i, v in
+             zip(pairs.tolist(), idx.tolist(), model.coefs[pairs, idx].tolist()))
+    write_table(path, _MODEL_HEADER, rows)
 
 
 def load_model_csv(path) -> MulticlassSVC:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2 or rows[1][0] != "meta":
-        raise ValueError("not a model records file")
-    n_train = int(rows[1][1])
-    n_pairs = int(rows[1][2])
-    c = float(rows[1][3])
-    class_rows = [(int(r[1]), r[3]) for r in rows if r[0] == "class"]
-    class_labels = [lbl for _, lbl in sorted(class_rows)]
-    try:
-        classes = np.array([int(v) for v in class_labels])
-    except ValueError:
-        classes = np.array(class_labels)
-    pair_classes = np.zeros((n_pairs, 2), dtype=int)
-    biases = np.zeros(n_pairs)
-    coefs = np.zeros((n_pairs, n_train))
-    for r in rows[2:]:
-        if r[0] == "pair":
-            pair_classes[int(r[1])] = (int(r[2]), int(r[3]))
-        elif r[0] == "bias":
-            biases[int(r[1])] = float(r[3])
-        elif r[0] == "coef":
-            coefs[int(r[1]), int(r[2])] = float(r[3])
+    records = read_table(path)
+    if len(records) < 2 or records[0][1] != _MODEL_HEADER or records[1][1][0] != "meta":
+        raise ValueError(f"{path}: not a model records file")
+    labels = {}
+    for ln_no, (kind, i, j, value) in records[1:]:
+        try:
+            if kind == "meta":
+                n_train, n_pairs, c = int(i), int(j), float(value)
+                pair_classes = np.zeros((n_pairs, 2), dtype=int)
+                biases = np.zeros(n_pairs)
+                coefs = np.zeros((n_pairs, n_train))
+            elif kind == "class":
+                labels[int(i)] = value
+            elif kind == "pair":
+                pair_classes[int(i)] = (int(j), int(value))
+            elif kind == "bias":
+                biases[int(i)] = float(value)
+            elif kind == "coef":
+                coefs[int(i), int(j)] = float(value)
+            else:
+                raise ValueError(f"unknown record kind {kind!r}")
+        except (ValueError, IndexError) as exc:
+            raise ValueError(f"{path}: line {ln_no}: {exc}") from None
+    classes = parse_labels([labels[k] for k in sorted(labels)])
     return MulticlassSVC(classes, pair_classes, coefs, biases, c)

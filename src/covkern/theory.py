@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, sphere_points, unit_rows
+from .data import Dataset, sphere_points, unit_rows, write_table
 from .kernel import overlap_kernel_from_state
 from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
 
@@ -240,10 +240,9 @@ def expectation_ordering_margins(rows: list[ExpectationRow]) -> dict[int, float]
 
 
 def save_expectation_csv(rows: list[ExpectationRow], path) -> None:
-    with open(path, "w") as fh:
-        fh.write("case,dim_x,dim_y,mean,stderr\n")
-        for row in rows:
-            fh.write(f"{row.case},{row.dim_x},{row.dim_y},{row.mean!r},{row.stderr!r}\n")
+    write_table(path, ["case", "dim_x", "dim_y", "mean", "stderr"],
+                ([row.case, str(row.dim_x), str(row.dim_y), repr(row.mean), repr(row.stderr)]
+                 for row in rows))
 
 
 # ---------------------------------------------------------------------------

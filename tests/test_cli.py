@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand plus exit-code and override behavior."""
 
+import csv
 import json
 import os
 import re
@@ -599,6 +600,46 @@ def test_report_collects_manifests(tmp_path):
         "out": str(tmp_path / "rep2"), "runs_dir": str(tmp_path / "void"),
     })
     assert run(["report", "--config", empty_cfg]) == 3
+
+
+def test_report_quotes_run_paths_that_hold_commas(tmp_path):
+    runs = tmp_path / "runs"
+    cfg = write_config(tmp_path, "a.json", {
+        "out": str(runs / "a,b"), "dataset": {"kind": "bell", "samples_per_class": 3},
+    })
+    assert run(["datagen", "--config", cfg]) == 0
+    rep_cfg = write_config(tmp_path, "r.json",
+                           {"out": str(tmp_path / "rep"), "runs_dir": str(runs)})
+    assert run(["report", "--config", rep_cfg]) == 0
+    with open(tmp_path / "rep" / "report.csv", newline="") as fh:
+        header, row = csv.reader(fh)
+    assert len(row) == len(header) == 7
+    assert row[:2] == ["a,b", "datagen"]
+
+
+def test_string_labels_with_commas_and_quotes_survive_fit_and_predict(tmp_path):
+    names = np.array(["a,b", 'say "hi"'])
+    ds = dt.bell_pair_dataset(6, seed=1)
+    train, test = dt.split_dataset(dt.Dataset(ds.features, names[ds.labels]), 0.5, seed=0)
+    paths = {}
+    for name, part in (("train", train), ("test", test)):
+        paths[name] = str(tmp_path / f"{name}.csv")
+        dt.save_csv(part, paths[name])
+    fit_out = tmp_path / "fit"
+    fit_cfg = write_config(tmp_path, "fit.json", {
+        "out": str(fit_out), "seed": 0, "train": paths["train"], "params": "zeros"})
+    assert run(["fit", "--config", fit_cfg]) == 0
+    assert list(svc.load_model_csv(fit_out / "model.csv").classes) == list(names)
+    pred_out = tmp_path / "pred"
+    pred_cfg = write_config(tmp_path, "pred.json", {
+        "out": str(pred_out), "seed": 0, "model_dir": str(fit_out), "test": paths["test"],
+        "params": "zeros"})
+    assert run(["predict", "--config", pred_cfg]) == 0
+    with open(pred_out / "predictions.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["index", "predicted", "actual"]
+    assert [r[2] for r in rows] == list(test.labels)
+    assert {r[1] for r in rows} <= set(names)
 
 
 @pytest.mark.parametrize("name, content", [

@@ -1,9 +1,18 @@
 """Dataset generators: geometry invariants, splitting, CSV round trips."""
 
+import csv
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from covkern import align as al
+from covkern import cli
 from covkern import data as dt
+from covkern import kernel as kn
+from covkern import svc
 
 
 # ------------------------------------------------------- Dataset container
@@ -230,3 +239,112 @@ def test_csv_errors_carry_line_numbers(tmp_path):
     empty.write_text("")
     with pytest.raises(ValueError, match="header"):
         dt.load_csv(empty)
+
+
+# ------------------------------------------------------- the CSV dialect
+
+CELLS = st.text(alphabet=',"\r\n ab1.-', max_size=6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda w: st.lists(st.lists(CELLS, min_size=w, max_size=w), min_size=1, max_size=5)))
+def test_table_cells_round_trip(tmp_path_factory, table):
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    dt.write_table(path, table[0], table[1:])
+    assert [cells for _, cells in dt.read_table(path)] == table
+    with open(path, newline="") as fh:   # what any CSV reader sees
+        assert list(csv.reader(fh)) == table
+
+
+def test_table_quotes_only_cells_that_need_it(tmp_path):
+    path = tmp_path / "t.csv"
+    dt.write_table(path, ["a", "b,c"], [["1.5", 'say "hi"'], ["x\ry", "z\nw"], ["", "-0.0"]])
+    assert path.read_bytes() == (b'a,"b,c"\n1.5,"say ""hi"""\n"x\ry","z\nw"\n,-0.0\n')
+    # each record's number is the line it ends on; CR and LF inside cells both break lines
+    assert [n for n, _ in dt.read_table(path)] == [1, 2, 5, 6]
+
+
+def test_table_reader_skips_blank_lines_and_takes_crlf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"a,b\r\n\r\n1,2\r\n")
+    assert list(dt.read_table(path)) == [(1, ["a", "b"]), (3, ["1", "2"])]
+
+
+def _dataset_text(rows):
+    return "f0,f1,label\n0.5,1.5,0\n" + rows
+
+
+def _model_text(rows):
+    return "kind,i,j,value\nmeta,2,1,1.0\n" + rows
+
+
+# each reader, a file whose line 3 is broken, and the two ways to break it
+READERS = {
+    "dataset": (dt.load_csv, _dataset_text, "2.5,1\n", "2.5,x,1\n"),
+    "matrix": (kn.load_matrix_csv, lambda rows: ",0,1\n0,1.0,0.5\n" + rows,
+               "1,0.5\n", "1,0.5,x\n"),
+    "model": (svc.load_model_csv, _model_text, "class,0,0\n", "bias,x,,0.5\n"),
+    "trace": (al.load_trace_csv, lambda rows: "iteration,loss,p0\n0,0.5,0.1\n" + rows,
+              "1,0.4\n", "1,0.4,x\n"),
+    "params": (cli.load_params_csv, lambda rows: "index,value\n0,0.1\n" + rows,
+               "1,0.2,7\n", "1,x\n"),
+}
+
+
+@pytest.mark.parametrize("fault", ["ragged", "non-numeric"])
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_names_path_and_line_of_a_bad_row(tmp_path, reader, fault):
+    load, text, ragged, non_numeric = READERS[reader]
+    path = tmp_path / f"{reader}.csv"
+    path.write_text(text(ragged if fault == "ragged" else non_numeric))
+    with pytest.raises((ValueError, cli.ArtifactError), match=re.escape(f"{path}: line 3: ")):
+        load(path)
+
+
+def _fitted_model():
+    kernel = np.array([[1.0, 0.2, 0.1], [0.2, 1.0, 0.3], [0.1, 0.3, 1.0]])
+    return svc.fit_multiclass(kernel, np.array(["a,b", 'say "hi"', "a,b"]))
+
+
+# each artifact as an earlier version wrote it: its save, its load, one object
+# and how to compare two loaded copies
+ARTIFACTS = {
+    "dataset": (dt.save_csv, dt.load_csv,
+                dt.Dataset(np.array([[0.1, -0.0], [5e-324, 2.0]]), np.array([3, 1]), (1, 0)),
+                lambda a, b: a.features.tobytes() == b.features.tobytes()
+                and list(a.labels) == list(b.labels) and a.importance == b.importance),
+    "matrix": (kn.save_matrix_csv, kn.load_matrix_csv, np.array([[1.0, 1 / 3], [-0.0, 5e-324]]),
+               lambda a, b: a[0].tobytes() == b[0].tobytes() and a[1] == b[1]),
+    "model": (svc.save_model_csv, svc.load_model_csv, _fitted_model(),
+              lambda a, b: list(a.classes) == list(b.classes) and a.c == b.c
+              and a.coefs.tobytes() == b.coefs.tobytes()
+              and a.biases.tobytes() == b.biases.tobytes()),
+    "trace": (al.save_trace_csv, al.load_trace_csv,
+              al.AlignmentTrace(np.array([0.9, 0.4]), np.array([[0.1, -0.0], [1 / 3, 2.0]]), 1),
+              lambda a, b: a.losses.tobytes() == b.losses.tobytes()
+              and a.params_history.tobytes() == b.params_history.tobytes()),
+    "params": (cli.save_params_csv, cli.load_params_csv, np.array([0.1, -0.0, 5e-324]),
+               lambda a, b: a.tobytes() == b.tobytes()),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(ARTIFACTS))
+def test_crlf_files_load_as_the_lf_files_do(tmp_path, artifact):
+    save, load, obj, same = ARTIFACTS[artifact]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    save(obj, lf)
+    assert b"\r" not in lf.read_bytes()
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert same(load(lf), load(crlf))
+
+
+def test_labels_with_commas_and_quotes_round_trip(tmp_path):
+    ds = dt.Dataset(np.array([[0.5, 1.5], [2.5, 3.5], [4.5, 5.5]]),
+                    np.array(["a,b", 'say "hi"', "line\nbreak"]))
+    path = tmp_path / "named.csv"
+    dt.save_csv(ds, path)
+    assert list(dt.load_csv(path).labels) == ["a,b", 'say "hi"', "line\nbreak"]
+    model = _fitted_model()
+    svc.save_model_csv(model, tmp_path / "model.csv")
+    assert list(svc.load_model_csv(tmp_path / "model.csv").classes) == ['a,b', 'say "hi"']

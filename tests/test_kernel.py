@@ -725,7 +725,7 @@ def test_matrix_csv_writer_bytes_match_the_per_element_repr_writer(tmp_path):
     ids = ["r0", "r1", "r2"]
     old = tmp_path / "old.csv"
     with open(old, "w", newline="") as fh:   # the writer as it was, cell by cell
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow([""] + [str(j) for j in range(CSV_EDGE_VALUES.shape[1])])
         for rid, row in zip(ids, CSV_EDGE_VALUES):
             w.writerow([rid] + [repr(float(v)) for v in row])
@@ -749,7 +749,7 @@ def test_matrix_csv_bytes_match_csv_writer(tmp_path, values, ids):
     values = np.array(values)
     ref = tmp_path / "ref.csv"
     with open(ref, "w", newline="") as fh:
-        w = csv.writer(fh)
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow([""] + [str(j) for j in range(values.shape[1])])
         row_ids = range(values.shape[0]) if ids is None else ids
         for rid, row in zip(row_ids, values.tolist()):
