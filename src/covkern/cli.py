@@ -214,8 +214,8 @@ def _load_dataset(path) -> dt.Dataset:
         raise ConfigError("a dataset path is required")
     try:
         return dt.load_csv(path)
-    except (OSError, ValueError) as exc:
-        raise DataError(f"{path}: {exc}")
+    except (OSError, ValueError) as exc:   # each names the path
+        raise DataError(str(exc)) from None
 
 
 def _config_call(name: str, fn, *args, **kwargs):
@@ -237,12 +237,18 @@ def kernel_config_from_config(cfg: dict, seed: int) -> kn.KernelConfig:
     return _config_call("kernel", kn.KernelConfig, **sec)
 
 
-def _feature_map(sec: dict, dataset: dt.Dataset) -> fm.FeatureMapSpec:
-    """The feature map a read feature_map section gives for ``dataset``."""
+def _feature_map(sec: dict, dataset: dt.Dataset, tolerance: int = 0) -> fm.FeatureMapSpec:
+    """The feature map a read feature_map section gives for ``dataset``, whose
+    register must be simulable and hold a kernel ``tolerance`` wide."""
     n_qubits = sec.get("n_qubits", dataset.n_features)
     if n_qubits != dataset.n_features:
         raise ConfigError(
             f"feature_map.n_qubits is {n_qubits} but the dataset has {dataset.n_features} features")
+    if n_qubits > sc.MAX_QUBITS:
+        raise DataError(f"the dataset has {n_qubits} features, but at most {sc.MAX_QUBITS} "
+                        "qubits are simulated")
+    if tolerance > n_qubits:
+        raise ConfigError(f"kernel.tolerance {tolerance} exceeds the {n_qubits}-qubit register")
     coupling = sec["coupling"]
     importance = dataset.importance if sec["use_importance"] and dataset.importance else None
     angle_scale = sec.get("angle_scale", np.pi / 2.0 if sec["standardize"] else 1.0)
@@ -438,7 +444,7 @@ def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     noise = noise_from_config(cfg)
     spsa = al.SPSAConfig(**{"seed": seed} | _section(cfg, "spsa"))
     train = _load_dataset(top.get("train"))
-    spec = _feature_map(fmap, train)
+    spec = _feature_map(fmap, train, config.tolerance)
     init = params_from_config(cfg, spec, seed)
     transform = standardizer(train, fmap["standardize"])
     trace = al.align_kernel(transform(train.features), train.labels, spec, init, spsa,
@@ -488,7 +494,7 @@ def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     extra: dict = {"train_sha256": file_sha256(train_path)}
 
     if top["quantum"]:
-        spec = _feature_map(fmap, train)
+        spec = _feature_map(fmap, train, config.tolerance)
         params = params_from_config(cfg, spec, seed)
         transform = standardizer(train, fmap["standardize"])
         estimate = kn.assemble_matrix(transform(train.features), spec, params, config,
@@ -554,7 +560,7 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     if test.n_features != train.n_features:
         raise DataError("test dataset width does not match the training data")
 
-    spec = _feature_map(fmap, train)
+    spec = _feature_map(fmap, train, config.tolerance)
     params = params_from_config(cfg, spec, seed)
     fingerprint = pipeline_fingerprint(spec, params, config, noise, fmap["standardize"])
     if fingerprint != fit_manifest["fingerprint"]:
@@ -565,7 +571,7 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     try:
         model = svc.load_model_csv(model_path)
     except (OSError, ValueError, IndexError) as exc:
-        raise ArtifactError(f"{model_path}: unreadable model file ({exc})") from None
+        raise ArtifactError(f"unreadable model file: {exc}") from None   # exc names the path
     if model.n_train != train.n_samples:
         raise ArtifactError("model was fitted on a different number of training samples")
     transform = standardizer(train, fmap["standardize"])

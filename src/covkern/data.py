@@ -301,6 +301,7 @@ def save_csv(dataset: Dataset, path) -> None:
 
 
 def load_csv(path) -> Dataset:
+    """The dataset in ``path``; every ValueError names the path."""
     records = read_table(path)
     importance: tuple[int, ...] = ()
     if records and records[0][1][0] == "#importance":
@@ -312,5 +313,8 @@ def load_csv(path) -> Dataset:
     if header[-1] != "label" or any(h != f"f{i}" for i, h in enumerate(header[:-1])):
         raise ValueError(f"{path}: line {ln_no}: bad header {','.join(header)!r}")
     rows = parse_records(path, records[1:], lambda cells: list(map(float, cells[:-1])))
-    return Dataset(np.array(rows, dtype=float).reshape(len(rows), len(header) - 1),
-                   parse_labels([cells[-1] for _, cells in records[1:]]), importance)
+    try:
+        return Dataset(np.array(rows, dtype=float).reshape(len(rows), len(header) - 1),
+                       parse_labels([cells[-1] for _, cells in records[1:]]), importance)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

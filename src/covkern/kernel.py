@@ -7,12 +7,15 @@ all-zeros fidelity kernel; raising the tolerance trades specificity for
 robustness against readout bit flips.
 
 Matrices are assembled from the upper triangle only and mirrored, with one
-RNG stream per entry derived from (master_seed, tag, i, j), so assembly order
-and parallelism cannot change sampled results, and re-running at a different
-tolerance reuses identical counts.  The streams are counter-based: one Philox
-key per call from ``SeedSequence((master_seed, tag))``, and entry (i, j)
-draws from counter (0, 0, i, j), so an entry's stream costs a counter write,
-not a generator set-up (Salmon et al., SC'11).
+RNG stream per matrix row derived from (master_seed, tag, i), so assembly
+order and tiling cannot change sampled results, a leading block of rows or
+columns reproduces the full call's, and re-running at a different tolerance
+reuses identical counts.  The streams are counter-based: one Philox key per
+call from ``SeedSequence((master_seed, tag))``; row i draws one multinomial
+over its columns in ascending order (j > i for a Gram matrix) from counter
+(0, 0, i, 0), and a Gram diagonal is one more stream from counter
+(0, 1, 0, 0).  A row's stream costs a counter write, not a generator set-up
+(Salmon et al., SC'11), and an entry is redrawn with its row.
 
 Two evaluation routes exist, and both are tested against the explicit
 circuit simulation of ``kernel_entry`` (``simcore.run_circuit``).  Both start
@@ -33,24 +36,29 @@ most ``_CHUNK_AMPS`` values together.
 Every other case (readout noise, shots, tolerance > 0) takes the profile
 route: one compiled pair circuit per angle difference delta = b - a,
 
-    (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2),
+    (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2).
 
-so a pair costs one phase multiply, two product layers
-(``simcore.product_into``, their Kronecker blocks built once per call) and
-one diagonal multiply.  Pairs go in tiles of ``max(1, _TILE_AMPS // 2**n)``,
-so each numpy pass works on a 512 KB array (2**15 amplitudes) that a core's
-L2 cache holds.  The tile working set is allocated once per call and reused
-by every tile, so no tile-sized array is allocated (and page-faulted in)
-per tile: two complex buffers that the product layers ping-pong between,
-two float ones for |amplitude|^2 and one (row, weight) bin index, about
-1.75 MB whatever the number of pairs.  e(delta) is written into a buffer
-from two phase tables of at most 2**ceil(n/2) entries per pair.  Only the
-Hamming weight of an outcome matters, so readout noise is
-one (n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each
-pair's weight histogram, and shots are one multinomial draw over the n+1
-weight bins.  A pair's numbers come out the same in whatever tile it falls
-(one-row products take the same BLAS routine as wider ones, and weight sums
-run in index order), so results do not depend on the tiling.
+Each 2x2 factor of both layers is written in ZYZ Euler form,
+diag . RY . diag.  The diagonals fold into phi and D, except the left ones
+of (x)M_q^dagger, which are dropped, as a diagonal just before measurement
+changes no probability.  So a pair costs one phase multiply, two real
+product layers (``simcore.product_into``, their Kronecker blocks built once
+per call) and one diagonal multiply.  Pairs go in tiles of
+``max(1, _TILE_AMPS // 2**n)``, so each numpy pass works on a 512 KB array
+(2**15 amplitudes) that a core's L2 cache holds; a tile is held as
+(2**n // 16, pairs, 16).  The tile working set is allocated once per call
+and reused by every tile, so no tile-sized array is allocated (and
+page-faulted in) per tile: two complex buffers that the product layers
+ping-pong between, two float ones for |amplitude|^2 and one (pair, weight)
+bin index, about 1.75 MB whatever the number of pairs.  e(delta) is written
+into a buffer from two phase tables per pair, over qubits 4..n-1 and 0..3.
+Only the Hamming weight of an outcome matters, so readout noise is one
+(n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each pair's
+weight histogram, and shots are one multinomial per matrix row over its
+pairs' n+1 weight bins.  A pair's numbers come out the same in whatever
+tile it falls (one-row products take the same BLAS routine as wider ones, a
+later group's matmul has 32 float columns per pair, and weight sums run in
+index order), so results do not depend on the tiling.
 
 The two size constants bound different things: ``_TILE_AMPS`` the profile
 route's pair tiles, whose elementwise passes are memory-bound, and
@@ -77,8 +85,8 @@ _TILE_AMPS = 2 ** 15   # complex amplitudes per profile-route tile of pairs
 class KernelConfig:
     """How kernel entries are estimated.
 
-    ``shots=None`` means exact outcome distributions; otherwise each entry is
-    sampled with its own deterministic RNG stream.  ``estimate_diagonal``
+    ``shots=None`` means exact outcome distributions; otherwise each matrix
+    row is sampled from its own deterministic RNG stream.  ``estimate_diagonal``
     keeps diagonal entries estimated like any other (their circuits are
     identity-equivalent, which is what calibration exploits); switching it off
     pins them to exact 1.
@@ -118,10 +126,11 @@ def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], n
     """The fiducial U = D (x)M_q: one fused 2x2 matrix per qubit and the +-1
     diagonal D of all its CZ gates, read from a single ``build_fiducial``."""
     n = spec.n_qubits
+    fiducial = build_fiducial(spec, params)   # checks the width before any 2**n array
     mats = [np.eye(2, dtype=complex) for _ in range(n)]
     idx = np.arange(2 ** n)
     parity = np.zeros(2 ** n, dtype=idx.dtype)
-    for g in build_fiducial(spec, params).gates:   # all rotations, then the CZ tree
+    for g in fiducial.gates:   # all rotations, then the CZ tree
         if g.name == "cz":
             a, b = g.qubits
             parity ^= (idx >> a) & (idx >> b) & 1
@@ -194,21 +203,50 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
 # profile route: one compiled pair circuit, noise and shots on weight bins
 # ---------------------------------------------------------------------------
 
+def _zyz(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, RY, right) with u = diag(left) . RY . diag(right), RY real
+    orthogonal: the ZYZ Euler form (Nielsen & Chuang, Thm 4.1) of each 2x2
+    unitary in a stack.
+
+    u = g [[a, -conj(b)], [b, conj(a)]] with g**2 = det u; with alpha = arg a
+    and theta = arg b, left is g exp(+-i (alpha - theta) / 2) and right
+    exp(+-i (alpha + theta) / 2).  A zero a or b (u anti-diagonal or
+    diagonal) has phase 0, which serves.
+    """
+    g = np.sqrt(u[..., 0, 0] * u[..., 1, 1] - u[..., 0, 1] * u[..., 1, 0] + 0j)[..., None]
+    ab = u[..., :, 0] / g
+    half = 0.5j * np.angle(ab)
+    left = g * np.exp(np.stack([half[..., 0] - half[..., 1], half[..., 1] - half[..., 0]], -1))
+    right = np.exp(np.stack([half[..., 0] + half[..., 1], -half[..., 0] - half[..., 1]], -1))
+    c, s = np.abs(ab[..., 0]), np.abs(ab[..., 1])
+    return left, np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), right
+
+
+def _diag_product(diags) -> np.ndarray:
+    """The diagonal of the tensor product of diag(diags[q]), qubit 0 the low bit."""
+    out = np.ones(1)
+    for d in diags:   # qubit q takes bit q: it doubles the table as its high bit
+        out = (d[:, None] * out).ravel()
+    return out
+
+
 def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is
     clear, as two phase tables with the pair axis last: ``high`` over qubits
-    n//2..n-1 and ``low`` over qubits 0..n//2-1, so that
-    e(delta)[r] = kron(high[:, r], low[:, r]).
+    4..n-1 and ``low`` over qubits 0..min(n, 4)-1, so that amplitude k of
+    pair r in the tile layout of ``simcore.product_into``,
+    [k // 16, r, k % 16], is high[k // 16, r] * low[k % 16, r].
 
     Each table is built by the Kronecker recursion over its qubits, in place:
     the first 2**j rows hold the phases of the table's j lowest qubits, and
-    its next qubit doubles them.  A table has at most 2**ceil(n/2) rows.
+    its next qubit doubles them.
     """
     f = np.exp(-0.5j * deltas.T)
     f_conj = f.conj()
     n, b = f.shape
+    split = min(n, sc._GROUP)
     tables = []
-    for qubits in (range(n // 2, n), range(n // 2)):
+    for qubits in (range(split, n), range(split)):
         table = np.empty((2 ** len(qubits), b), dtype=complex)
         table[0] = 1.0
         for j, q in enumerate(qubits):
@@ -220,80 +258,83 @@ def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, rows_b,
-                   config: KernelConfig, noise, tag: int) -> np.ndarray:
+                   streams, config: KernelConfig, noise, tag: int) -> np.ndarray:
     """Cumulative weight-mass profile (n+1 columns) of each pair of angle rows
     (angles_a[rows_a[r]], angles_b[rows_b[r]]), sampled when ``config.shots`` is set.
 
-    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), evaluated
-    one tile of pairs at a time; see the module docstring.  The working set
-    is allocated once per call and reused by every tile (the last, short
-    one takes leading rows): two complex tile buffers that the product
-    layers ping-pong between (``simcore.product_into``), two float ones for
-    |amplitude|^2, and one (row, weight) bin index for ``bincount``.  Noise
-    and shots act on each pair's weight histogram, per tile, and the profile
-    is that histogram's one cumulative sum.
+    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), with both
+    layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a time on
+    buffers allocated once per call (see the module docstring); the last,
+    short tile takes a leading part of each.  ``out`` holds the pairs' weight
+    histograms, noise applied, until their cumulative sums replace them.
 
-    Shots come from one Philox generator per call, keyed by the two words of
-    ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``.  Entry
-    (i, j) = (rows_a[r], rows_b[r]) draws one multinomial over its weight
-    histogram after the counter is set to (0, 0, i, j) and the output buffer
-    emptied.  A draw only advances the two low counter words, so no entry can
-    reach another's counter: its counts depend on (master_seed, tag, i, j)
-    and its histogram alone, which is the law of
-    ``Generator(Philox(key=key, counter=[0, 0, i, j])).multinomial(shots, h)``.
-    The state written before each draw holds Python ints and lists, which
-    the bit generator's setter reads in under half the time arrays take.
+    ``streams`` lists (Philox counter, pairs) in pair order.  Shots come
+    from one Philox generator per call, keyed by the two words of
+    ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``: each
+    stream's pairs are one ``multinomial`` call over their normalised
+    histograms after the counter is set and the output buffer emptied.  A
+    stream only advances the two low counter words, so none reaches
+    another's counter, and its counts are those of
+    ``Generator(Philox(key=key, counter=counter)).multinomial(shots, h)``.
     """
     n = spec.n_qubits
     mats, fid_diag = _compile_fiducial(spec, params)
+    left, embed, right = _zyz(_TO_Z_BASIS[spec.embed_axis].conj().T)
+    _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
+    high_n = 2 ** max(0, n - sc._GROUP)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
+    phi = (phi * _diag_product([right] * n)).reshape(high_n, 1, -1)
+    mid = (_diag_product(undo_right) * fid_diag * _diag_product([left] * n)).reshape(high_n, 1, -1)
+    to_embed = sc.product_blocks(n, [embed] * n)
+    undo_fid = sc.product_blocks(n, undo_ry)
     deltas = angles_b[rows_b] - angles_a[rows_a]
     b = deltas.shape[0]
-    tile = max(1, _TILE_AMPS // 2 ** n)
-    shots = config.shots
-    if shots is not None:
-        key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
-        bitgen = np.random.Philox(key=key)
-        gen = np.random.Generator(bitgen)
-        counter = [0, 0, 0, 0]   # words 0 and 1 stay 0
-        state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key.tolist()},
-                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-        counts = np.empty((tile, n + 1), dtype=np.int64)
+    tile = max(1, min(b, _TILE_AMPS // 2 ** n))
     out = np.empty((b, n + 1))
-    to_embed = sc.product_blocks(n, [_TO_Z_BASIS[spec.embed_axis].conj().T] * n)
-    undo_fid = sc.product_blocks(n, [m.conj().T for m in mats])
     noisy = noise is not None and not noise.is_trivial()
     transfer = sc.weight_transfer(n, noise) if noisy else None
-    amps = np.empty((2, tile, 2 ** n), dtype=complex)
-    probs = np.empty((2, tile, 2 ** n))
-    bins = sc.weight_bins(tile, n)
+    amps = np.empty((2, tile * 2 ** n), dtype=complex)
+    probs = np.empty((2, tile * 2 ** n))
+    weights = sc.hamming_weights(n).reshape(high_n, 1, -1)
+    bins = np.empty(tile * 2 ** n, dtype=weights.dtype)
+    binned = 0   # pairs the bin index is written for
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
         t = hi - lo
+        size = t * 2 ** n
         high, low = _pair_phases(deltas[lo:hi])
-        cur, spare = amps[0, :t], amps[1, :t]
-        np.multiply(high.T[:, :, None], low.T[:, None, :],
-                    out=cur.reshape(t, high.shape[0], low.shape[0]))
+        cur, spare = (buf[:size].reshape(high_n, t, -1) for buf in amps)
+        np.multiply(high[:, :, None], low.T, out=cur)
         cur *= phi
         cur, spare = sc.product_into(cur, spare, to_embed)
-        cur *= fid_diag
+        cur *= mid
         cur, _ = sc.product_into(cur, spare, undo_fid)
-        sq, sq_imag = probs[0, :t], probs[1, :t]
+        sq, sq_imag = (buf[:size].reshape(cur.shape) for buf in probs)
         np.square(cur.real, out=sq)
         sq += np.square(cur.imag, out=sq_imag)
-        hist = np.bincount(bins[:sq.size], weights=sq.ravel(),
-                           minlength=t * (n + 1)).reshape(t, n + 1)
+        if t != binned:   # the first tile, and a short last one, write it in place
+            np.add(np.arange(t)[:, None] * (n + 1), weights, out=bins[:size].reshape(cur.shape))
+            binned = t
+        out[lo:hi] = np.bincount(bins[:size], weights=sq.ravel(),
+                                 minlength=t * (n + 1)).reshape(t, n + 1)
         if noisy:
-            hist = sc.matmul_rows(hist, transfer.T)
-        if shots is None:
-            np.cumsum(hist, axis=1, out=out[lo:hi])
-            continue
-        hist /= hist.sum(axis=1, keepdims=True)
-        for r, (i, j, h) in enumerate(zip(rows_a[lo:hi].tolist(), rows_b[lo:hi].tolist(), hist)):
-            counter[2], counter[3] = i, j
-            bitgen.state = state
-            counts[r] = gen.multinomial(shots, h)
-        np.divide(np.cumsum(counts[:t], axis=1), shots, out=out[lo:hi])
+            out[lo:hi] = sc.matmul_rows(out[lo:hi], transfer.T)
+    if config.shots is None:
+        return np.cumsum(out, axis=1, out=out)
+    key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox", "state": {"counter": None, "key": key.tolist()},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    out /= out.sum(axis=1, keepdims=True)
+    lo = 0
+    for counter, pairs in streams:
+        state["state"]["counter"] = counter
+        bitgen.state = state
+        rows = out[lo:lo + pairs]
+        np.cumsum(gen.multinomial(config.shots, rows), axis=1, out=rows)
+        lo += pairs
+    out /= config.shots
     return out
 
 
@@ -335,10 +376,13 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     angles = _angles(spec, xs)
     m = angles.shape[0]
     rows_a, rows_b = np.triu_indices(m, k=1)
+    streams = [([0, 0, i, 0], m - 1 - i) for i in range(m - 1)]
     if config.estimate_diagonal:
         rows_a = np.concatenate([rows_a, np.arange(m)])
         rows_b = np.concatenate([rows_b, np.arange(m)])
-    prof = _pair_profiles(spec, params, angles, angles, rows_a, rows_b, config, noise, 0)
+        streams.append(([0, 1, 0, 0], m))
+    prof = _pair_profiles(spec, params, angles, angles, rows_a, rows_b, streams, config,
+                          noise, 0)
     out = np.ones((m, m, spec.n_qubits + 1))
     out[rows_a, rows_b] = prof
     out[rows_b, rows_a] = prof
@@ -381,7 +425,9 @@ def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: Kerne
         return _exact_kernel(spec, params, angles_r, angles_c)
     mr, mc = angles_r.shape[0], angles_c.shape[0]
     rows_a, rows_b = (idx.ravel() for idx in np.indices((mr, mc)))
-    prof = _pair_profiles(spec, params, angles_r, angles_c, rows_a, rows_b, config, noise, 1)
+    streams = [([0, 0, i, 0], mc) for i in range(mr)]
+    prof = _pair_profiles(spec, params, angles_r, angles_c, rows_a, rows_b, streams, config,
+                          noise, 1)
     return prof[:, config.tolerance].reshape(mr, mc)
 
 

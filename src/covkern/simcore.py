@@ -20,8 +20,8 @@ so they push the (n+1)-bin weight histogram through the matrix
 ``apply_product`` applies a tensor product of one-qubit matrices to a batch of
 states in groups of ``_GROUP`` qubits, one Kronecker block per group from
 ``product_blocks``, and ``product_into`` does the same between two caller-held
-buffers; ``_apply_rotation`` and ``run_circuit`` stay the gate-by-gate
-reference.
+buffers that hold the batch with its states side by side; ``_apply_rotation``
+and ``run_circuit`` stay the gate-by-gate reference.
 """
 
 from __future__ import annotations
@@ -153,7 +153,9 @@ def product_blocks(n: int, mats) -> list[np.ndarray]:
     for lo in range(0, n, _GROUP):
         block = np.ones((1, 1))
         for q in range(min(lo + _GROUP, n) - 1, lo - 1, -1):   # qubit hi-1 is the high bit
-            block = np.kron(block, mats[q])
+            # np.kron(block, mats[q]), without its per-call overhead
+            block = (block[:, None, :, None] * mats[q][None, :, None, :]).reshape(
+                2 * block.shape[0], -1)
         blocks.append(block)
     return blocks
 
@@ -172,31 +174,39 @@ def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def apply_product(states: np.ndarray, blocks) -> np.ndarray:
     """Apply the tensor product held in ``product_blocks`` to every row of a
     (B, 2**n) batch.  Returns a new array; see ``product_into``."""
-    cur = np.array(states, dtype=np.result_type(states, *blocks))
-    return product_into(cur, np.empty_like(cur), blocks)[0]
+    states = np.asarray(states)
+    tiles = states.reshape(states.shape[0], -1, blocks[0].shape[0]).transpose(1, 0, 2)
+    cur = np.array(tiles, dtype=np.result_type(states, *blocks), order="C")
+    cur, _ = product_into(cur, np.empty_like(cur), blocks)
+    return cur.transpose(1, 0, 2).reshape(states.shape)
 
 
 def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """``apply_product`` on two same-shaped, C-contiguous (B, 2**n) buffers,
-    both overwritten.
+    """Apply the tensor product held in ``product_blocks`` to a batch of B
+    states held in two C-contiguous (2**n // s, B, s) buffers, s the first
+    block's size: amplitude k of state r sits at [k // s, r, k % s].  Both
+    buffers are overwritten; returns (result, the other buffer).
 
-    Each group's block is applied with one matmul over that group's axis,
-    written into the other buffer, so a layer costs ceil(n / 4) passes over
-    the batch and allocates nothing of its size.  Returns (result, the other
-    buffer).
+    Group 0 is one matmul over the B * 2**n // s rows of s amplitudes (one
+    row goes through ``matmul_rows``).  Each later group is one matmul over
+    its axis, every state of the batch side by side in the columns.  A real
+    block acts on real and imaginary parts alike, so on complex states it
+    runs in float64 on the buffers' float view.  A layer costs ceil(n / 4)
+    passes over the batch and allocates nothing of its size.
     """
-    low = 1   # 2 ** (qubits below the current group)
-    for block in blocks:
-        s = block.shape[0]
-        if low == 1:
-            rows = cur.reshape(-1, s)
-            if rows.shape[0] == 1:
-                spare.reshape(1, s)[:] = matmul_rows(rows, block.T)
-            else:
-                np.matmul(rows, block.T, out=spare.reshape(-1, s))
-        else:
-            np.matmul(block, cur.reshape(-1, s, low), out=spare.reshape(-1, s, low))
-        low *= s
+    s = blocks[0].shape[0]
+    rows, first = cur.reshape(-1, s), blocks[0].T.astype(cur.dtype)
+    if rows.shape[0] == 1:
+        spare.reshape(1, s)[:] = matmul_rows(rows, first)
+    else:
+        np.matmul(rows, first, out=spare.reshape(-1, s))
+    cur, spare = spare, cur
+    width = cur[0].size   # amplitudes per index of the groups not yet applied
+    for block in blocks[1:]:
+        s, cols = block.shape[0], width * cur.itemsize // block.itemsize
+        np.matmul(block, cur.view(block.dtype).reshape(-1, s, cols),
+                  out=spare.view(block.dtype).reshape(-1, s, cols))
+        width *= s
         cur, spare = spare, cur
     return cur, spare
 
@@ -360,24 +370,17 @@ def hamming_mass(dist: np.ndarray, n: int, max_weight: int) -> float:
     return float(dist[..., mask].sum(axis=-1))
 
 
-def weight_bins(rows: int, n: int) -> np.ndarray:
-    """Flat (row, weight) bin index of a (rows, 2**n) batch: entry (r, k) goes
-    to bin r * (n+1) + weight(k).  A ``bincount`` over it adds each bin's
-    outcomes in index order, and its first r * 2**n entries serve r rows."""
-    return (np.arange(rows)[:, None] * (n + 1) + hamming_weights(n)).ravel()
-
-
 def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
     """Cumulative mass at each Hamming weight 0..n; last entry is the total.
 
-    One ``bincount`` over ``weight_bins`` for any leading shape, so a row's
-    profile does not depend on how many rows are batched with it.
+    One ``bincount`` over (row, weight) bins for any leading shape, so a
+    row's profile does not depend on how many rows are batched with it.
     """
     if dist.shape[-1] != 2 ** n:
         raise ValueError("distribution length does not match qubit count")
     rows = dist.reshape(-1, 2 ** n)
-    per = np.bincount(weight_bins(rows.shape[0], n), weights=rows.ravel(),
-                      minlength=rows.shape[0] * (n + 1))
+    bins = np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)
+    per = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))
     return np.cumsum(per.reshape(dist.shape[:-1] + (n + 1,)), axis=-1)
 
 

@@ -553,6 +553,58 @@ def test_fit_feature_map_width_mismatch(tmp_path, capsys):
     assert "5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task", ["fit", "predict"])
+def test_tolerance_wider_than_the_register_is_a_config_error(tmp_path, capsys, task):
+    # it used to end as "internal error: ValueError: tolerance 9 exceeds qubit count 2"
+    _, pred_cfg = fitted_model(tmp_path)
+    cfg = read_json(pred_cfg) if task == "predict" else {
+        "out": str(tmp_path / "o"), "train": str(tmp_path / "train.csv")}
+    cfg["kernel"] = {"tolerance": 9}
+    capsys.readouterr()
+    assert run([task, "--config", write_config(tmp_path, "tol.json", cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "tolerance 9" in err and "internal error" not in err
+
+
+def test_register_wider_than_the_simulator_fails_before_any_register_array(
+        tmp_path, capsys, monkeypatch):
+    # calibrate at n=30 used to die in np.arange(2**30) as "internal error:
+    # MemoryError"; the guard fails such a call instead of allocating it
+    wide = tmp_path / "wide.csv"
+    dt.save_csv(dt.Dataset(np.zeros((4, 30)), np.array([0, 1, 0, 1])), wide)
+    arange = np.arange
+
+    def guarded(*args, **kwargs):
+        assert all(abs(a) <= 2 ** cli.sc.MAX_QUBITS for a in args if isinstance(a, int))
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", guarded)
+    cal = write_config(tmp_path, "cal.json", {"out": str(tmp_path / "cal"),
+                                              "calibration": {"n_values": [2, 30]}})
+    assert run(["calibrate", "--config", cal]) == 2   # a config value
+    assert "30" in capsys.readouterr().err
+    fit = write_config(tmp_path, "fit.json", {"out": str(tmp_path / "fit"), "train": str(wide)})
+    assert run(["fit", "--config", fit]) == 3         # the data
+    err = capsys.readouterr().err
+    assert "30 features" in err and "internal error" not in err
+
+
+def test_error_messages_name_the_path_once(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x,y\n1,2\n")
+    cfg = write_config(tmp_path, "c.json", {"out": str(tmp_path / "o"), "train": str(bad)})
+    assert run(["fit", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "bad header" in err and err.count(str(bad)) == 1
+    fit_out, pred_cfg = fitted_model(tmp_path)
+    model = fit_out / "model.csv"
+    model.write_text(model.read_text().replace("meta,", "meta,x", 1))
+    capsys.readouterr()
+    assert run(["predict", "--config", pred_cfg]) == 4
+    err = capsys.readouterr().err
+    assert "unreadable model file" in err and err.count(str(model)) == 1
+
+
 # ------------------------------------------------------- verify / report
 
 def test_verify_runs_structural_checks(tmp_path):

@@ -333,6 +333,79 @@ def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
                 np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=8, deadline=None)
+@given(noisy=st.booleans(), shots=st.sampled_from([None, 1, 4000]),
+       axes=st.sampled_from([("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eight_qubit_profiles_do_not_depend_on_tiles_of_five_or_seven_pairs(
+        noisy, shots, axes, seed):
+    # a tile is held as (16, pairs, 16), so its pair count sets the width of
+    # every later group's matmul: 21 Gram pairs (diagonal included) and 12
+    # cross pairs split into 5-pair tiles (5, 5, 5, 5, 1 and 5, 5, 2) and
+    # 7-pair tiles (7, 7, 7 and 7, 5) must give the untiled bits
+    n = 8
+    rng = np.random.default_rng(seed)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes, angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs, rows = rng.normal(size=(6, n)), rng.normal(size=(2, n))
+    noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03) if noisy else None
+    cfg = kn.KernelConfig(shots=shots, master_seed=seed)
+    tiles = []
+    pair_phases = kn._pair_phases
+
+    def recording_pair_phases(deltas):
+        tiles.append(deltas.shape[0])
+        return pair_phases(deltas)
+
+    def both():
+        tiles.clear()
+        return (kn.assemble_profiles(xs, spec, params, cfg, noise),
+                [kn.assemble_cross(rows, xs, spec, params, replace(cfg, tolerance=d), noise)
+                 for d in range(n + 1)])
+
+    prof, cross = both()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        for pairs, expected in ((5, [5, 5, 5, 5, 1] + [5, 5, 2]), (7, [7, 7, 7] + [7, 5])):
+            patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
+            tiled_prof, tiled_cross = both()
+            assert tiles[:len(expected)] == expected
+            np.testing.assert_array_equal(tiled_prof, prof)
+            for got, want in zip(tiled_cross, cross):
+                np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("axes", [("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")])
+@pytest.mark.parametrize("value", [0.0, np.pi, 1e-9])
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_profile_route_folds_degenerate_fiducial_rotations(axes, value, where):
+    # both product layers are taken apart as diag . RY . diag, whose phases
+    # are arbitrary where an entry is 0: every fiducial angle 0 (the README's
+    # "params": "zeros") makes each M_q the identity, one angle pi on a non-z
+    # axis makes it anti-diagonal, and 1e-9 makes it all but diagonal; the
+    # three axis orders embed about x, y and z
+    n = 4
+    rng = np.random.default_rng(45)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes, angle_scale=2.0)
+    params = np.full(3 * n, value)
+    if where == "one":
+        params[:] = 0.0
+        params[next(k for k, a in enumerate(axes) if a != "z")::3] = value
+    xs, rows = rng.normal(size=(3, n)), rng.normal(size=(2, n))
+    noise = sc.NoiseModel(p01=0.06, p10=0.02, depolarizing=0.04)
+    prof = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
+    cross = [kn.assemble_cross(rows, xs, spec, params, kn.KernelConfig(tolerance=d), noise)
+             for d in range(n + 1)]
+    for d in range(n + 1):
+        cfg = kn.KernelConfig(tolerance=d)
+        for i, j in itertools.combinations_with_replacement(range(3), 2):
+            ref = kn.kernel_entry(spec, params, xs[i], xs[j], cfg, noise)
+            assert prof[i, j, d] == prof[j, i, d] == pytest.approx(ref, rel=0, abs=1e-12)
+        for i, j in np.ndindex(2, 3):
+            ref = kn.kernel_entry(spec, params, rows[i], xs[j], cfg, noise)
+            assert cross[d][i, j] == pytest.approx(ref, rel=0, abs=1e-12)
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(1, 6),
        axes=st.sampled_from([("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")]),
@@ -479,29 +552,45 @@ def test_cross_assembly_streams_are_order_independent(monkeypatch):
     assert chunk_sizes == [3] * 4 + [3] * 2 + [2] + [3] * 3
 
 
-def test_sampled_entries_follow_their_philox_counter_streams():
-    # one Philox key per call from (master_seed, tag), tag 0 for Grams; entry
-    # (i, j) is one multinomial from counter (0, 0, i, j) over the normalised
-    # noisy exact weight histogram, so it can be redrawn alone
+def test_sampled_rows_follow_their_philox_counter_streams():
+    # one Philox key per call from (master_seed, tag), tag 0 for Grams and 1
+    # for cross blocks; row i is one multinomial from counter (0, 0, i, 0)
+    # over the normalised noisy exact weight histograms of its columns in
+    # ascending order (j > i for a Gram), and a Gram's diagonal is one more
+    # from counter (0, 1, 0, 0)
     rng = np.random.default_rng(44)
     n, m, shots, seed = 5, 12, 2000, 9
     spec = fm.make_feature_map(fm.line_coupling(n), n)
     params = rng.uniform(-np.pi, np.pi, 3 * n)
-    xs = rng.normal(size=(m, n))
+    xs, rows = rng.normal(size=(m, n)), rng.normal(size=(4, n))
     noise = sc.NoiseModel(p01=0.04, p10=0.06, depolarizing=0.01)
-    exact = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
     cfg = kn.KernelConfig(shots=shots, master_seed=seed)
+
+    def draws(exact, tag, counter):
+        h = np.diff(exact, prepend=0.0, axis=-1)
+        h /= h.sum(axis=-1, keepdims=True)
+        key = np.random.SeedSequence((seed, tag)).generate_state(2, np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return np.cumsum(gen.multinomial(shots, h), axis=-1) / shots
+
+    exact = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
     sampled = kn.assemble_profiles(xs, spec, params, cfg, noise)
-    key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
-    for i, j in itertools.combinations_with_replacement(range(m), 2):
-        h = np.diff(exact[i, j], prepend=0.0)
-        h /= h.sum()
-        gen = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, i, j]))
-        expected = np.cumsum(gen.multinomial(shots, h)) / shots
-        np.testing.assert_array_equal(sampled[i, j], expected)
-        np.testing.assert_array_equal(sampled[j, i], expected)
-    # the diagonal entries are drawn after the upper triangle, or not at all:
-    # neither changes an off-diagonal draw
+    for i in range(m - 1):
+        expected = draws(exact[i, i + 1:], 0, [0, 0, i, 0])
+        np.testing.assert_array_equal(sampled[i, i + 1:], expected)
+        np.testing.assert_array_equal(sampled[i + 1:, i], expected)
+    diag = np.arange(m)
+    np.testing.assert_array_equal(sampled[diag, diag], draws(exact[diag, diag], 0, [0, 1, 0, 0]))
+    exact_cross = np.stack([kn.assemble_cross(rows, xs, spec, params,
+                                              kn.KernelConfig(tolerance=d), noise)
+                            for d in range(n + 1)], axis=-1)
+    for d in range(n + 1):
+        cross = kn.assemble_cross(rows, xs, spec, params, replace(cfg, tolerance=d), noise)
+        for i in range(rows.shape[0]):
+            np.testing.assert_array_equal(
+                cross[i], draws(exact_cross[i], 1, [0, 0, i, 0])[:, d])
+    # the diagonal is drawn on its own stream, or not at all: neither changes
+    # an off-diagonal draw
     pinned = kn.assemble_profiles(xs, spec, params, replace(cfg, estimate_diagonal=False), noise)
     off = ~np.eye(m, dtype=bool)
     np.testing.assert_array_equal(pinned[off], sampled[off])
