@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import parse_records, read_table, write_table
+from .data import parse_records, read_table, sorted_unique, write_table
 from .kernel import KernelConfig, assemble_matrix, repair_psd
 from .svc import rbf_matrix
 
@@ -55,7 +55,7 @@ def target_matrix(labels, kind: str = "zero_one") -> np.ndarray:
     if kind == "zero_one":
         return same.astype(float)
     if kind == "shifted":
-        n_classes = len(np.unique(labels))
+        n_classes = len(sorted_unique(labels))
         if n_classes < 2:
             raise ValueError("shifted target needs at least two classes")
         return np.where(same, 1.0, -1.0 / (n_classes - 1))

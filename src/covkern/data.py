@@ -24,6 +24,18 @@ from itertools import chain
 import numpy as np
 
 
+def sorted_unique(values) -> np.ndarray:
+    """The distinct entries of an array, sorted and flattened.
+
+    ``np.unique`` would do, but its first call imports ``numpy.ma``, which
+    costs every covkern process over a megabyte and several milliseconds.
+    """
+    ordered = np.sort(np.asarray(values).ravel())
+    keep = np.ones(ordered.shape, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 @dataclass
 class Dataset:
     """Feature rows, integer labels, optional feature-importance ordering.
@@ -58,7 +70,7 @@ class Dataset:
         return self.features.shape[1]
 
     def classes(self) -> np.ndarray:
-        return np.unique(self.labels)
+        return sorted_unique(self.labels)
 
 
 def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:

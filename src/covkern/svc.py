@@ -4,8 +4,10 @@ The binary solver is sequential minimal optimization with LIBSVM's
 second-order working sets (WSS2; Fan, Chen & Lin, JMLR 6, 2005): the usual
 box-constrained dual with an equality constraint, updated two coordinates at
 a time, stopping as before when the maximal KKT violation gap drops below
-tolerance.  Multiclass is one-vs-one with majority voting; ties fall
-back to summed absolute decision values, then to the lowest class index.
+tolerance.  The working sets are kept incrementally: each step rewrites only
+the two entries whose coefficients moved, and every scan runs into buffers
+allocated once per fit.  Multiclass is one-vs-one with majority voting; ties
+fall back to summed absolute decision values, then to the lowest class index.
 
 Classical baseline kernels (RBF and a two-width generalized RBF) and a small
 stratified-CV grid search live here too, so quantum and classical models run
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import parse_labels, read_table, write_table
+from .data import parse_labels, read_table, sorted_unique, write_table
 
 
 @dataclass
@@ -35,80 +37,99 @@ class BinarySVC:
         return np.flatnonzero(np.abs(self.coef) > 1e-12)
 
 
-def _working_sets(y: np.ndarray, alpha: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the up set (alpha_i * y_i can grow) and the low set (it can shrink)."""
-    pos, below_c, above_0 = y > 0, alpha < c - 1e-12, alpha > 1e-12
-    return np.where(pos, below_c, above_0), np.where(pos, above_0, below_c)
-
-
 def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
                tol: float = 1e-3, max_iter: int | None = None) -> BinarySVC:
     """SMO on the dual problem for labels in {-1, +1}.
 
-    ``kernel`` must be the symmetric PSD train matrix.  Working sets are WSS2
-    (Fan, Chen & Lin, 2005): i is the maximal violator, and j the low-set t
-    maximising b_t^2 / a_t, with b_t its violation against i and a_t =
-    K_ii + K_tt - 2 K_it.  The stopping rule is unchanged: the maximal
-    violating gap within ``tol``, so every training point meets its
-    optimality condition to within ``tol``.
+    ``kernel`` must be the symmetric PSD train matrix, finite everywhere.
+    Working sets are WSS2 (Fan, Chen & Lin, 2005): i is the maximal violator,
+    and j the low-set t maximising b_t^2 / a_t, with b_t its violation
+    against i and a_t = K_ii + K_tt - 2 K_it.  The stopping rule is
+    unchanged: the maximal violating gap within ``tol``, so every training
+    point meets its optimality condition to within ``tol``.
     """
     kernel = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
     m = y.shape[0]
     if kernel.shape != (m, m):
         raise ValueError("kernel must be square and match the label count")
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel must be finite (found NaN or inf)")
     if not np.all(np.isin(y, (-1.0, 1.0))):
         raise ValueError("binary labels must be -1 or +1")
-    if len(np.unique(y)) < 2:
+    if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need both classes present to fit")
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = 200 * m + 10_000
 
-    alpha = np.zeros(m)
+    # The up set holds the t whose alpha_t * y_t can grow, the low set those
+    # where it can shrink.  Each is a penalty row, 0 on the set and -inf (up)
+    # or +inf (low) off it, so a scan over a set is one add into a buffer; an
+    # empty set turns the gap into -inf.  Only alpha_i and alpha_j change per
+    # step, so only their two penalty entries are rewritten.
+    c = float(c)
+    c_hi = c - 1e-12
+    pos, below_c = y > 0, 0.0 < c_hi   # every alpha starts at 0
+    up_pen = np.where(pos & below_c, 0.0, -np.inf)
+    low_pen = np.where(~pos & below_c, 0.0, np.inf)
+    ys = y.tolist()
+    alpha = [0.0] * m
     # -y * gradient of 1/2 a'Qa - sum(a), which is y - kernel @ coef
     neg_yg = y.copy()
     diag = kernel.diagonal().copy()
+    scan, b, quad = np.empty(m), np.empty(m), np.empty(m)
     it = 0
     gap = np.inf
     while it < max_iter:
-        up, low = _working_sets(y, alpha, c)
-        if not up.any() or not low.any():
-            gap = 0.0
-            break
-        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+        np.add(neg_yg, up_pen, out=scan)
+        i = int(scan.argmax())
+        g_i = scan.item(i)
         # b_t: how far t violates KKT against i; its max is the maximal violating gap
-        b = neg_yg[i] - np.where(low, neg_yg, np.inf)
+        np.add(neg_yg, low_pen, out=scan)
+        np.subtract(g_i, scan, out=b)
         gap = b.max()
         if gap <= tol:
             break
         # j maximises b_t^2 / a_t, the dual gain of an unclipped step on (i, t)
         k_i = kernel[i]
-        quad = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
-        gain = np.maximum(b, 0.0)   # gap > tol > 0, so some t has b_t > 0
-        j = int(np.argmax(gain * gain / quad))
-        step = b[j] / quad[j]
-        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
-        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
-        step = min(step, cap_i, cap_j)
+        np.add(diag, diag[i], out=quad)
+        np.multiply(k_i, 2.0, out=scan)
+        np.subtract(quad, scan, out=quad)
+        np.maximum(quad, 1e-12, out=quad)
+        np.maximum(b, 0.0, out=scan)   # gap > tol > 0, so some t has b_t > 0
+        np.multiply(scan, scan, out=scan)
+        np.divide(scan, quad, out=scan)
+        j = int(scan.argmax())
+        y_i, y_j, a_i, a_j = ys[i], ys[j], alpha[i], alpha[j]
+        step = min(b.item(j) / quad.item(j),
+                   (c - a_i) if y_i > 0 else a_i,
+                   a_j if y_j > 0 else (c - a_j))
         # clamped: when a cap binds, alpha + (c - alpha) can round past c
-        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
-        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
-        neg_yg -= step * (k_i - kernel[j])   # rows: kernel is symmetric
+        alpha[i] = min(max(a_i + y_i * step, 0.0), c)
+        alpha[j] = min(max(a_j - y_j * step, 0.0), c)
+        for t, y_t in ((i, y_i), (j, y_j)):
+            below_c, above_0 = alpha[t] < c_hi, alpha[t] > 1e-12
+            up_pen[t] = 0.0 if (below_c if y_t > 0 else above_0) else -np.inf
+            low_pen[t] = 0.0 if (above_0 if y_t > 0 else below_c) else np.inf
+        np.subtract(k_i, kernel[j], out=scan)   # rows: kernel is symmetric
+        np.multiply(scan, step, out=scan)
+        np.subtract(neg_yg, scan, out=neg_yg)
         it += 1
     if gap > tol:
         raise RuntimeError(f"SMO did not converge in {max_iter} iterations (gap {gap})")
 
+    alpha = np.array(alpha)
     coef = alpha * y
     fitted = kernel @ coef
     free = (alpha > 1e-8 * c) & (alpha < c * (1 - 1e-8))
     if free.any():
         bias = float(np.mean(y[free] - fitted[free]))
     else:
-        up, low = _working_sets(y, alpha, c)
+        up, low = up_pen == 0.0, low_pen == 0.0
         hi = neg_yg[up].max() if up.any() else 0.0
         lo = neg_yg[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)
@@ -158,7 +179,7 @@ def fit_multiclass(kernel: np.ndarray, labels, c: float = 1.0,
     m = labels.shape[0]
     if kernel.shape != (m, m):
         raise ValueError("kernel must be square and match the label count")
-    classes = np.unique(labels)
+    classes = sorted_unique(labels)
     if classes.shape[0] < 2:
         raise ValueError("need at least two classes")
     pair_classes = []
@@ -250,10 +271,12 @@ def generalized_rbf_matrix(xs, ys=None, gamma1: float = 1.0, sigma1: float = 1.0
 
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> np.ndarray:
     """Fold id per sample; each class is shuffled then dealt round-robin."""
+    if n_folds < 2:
+        raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     labels = np.asarray(labels)
     rng = np.random.default_rng(seed)
     fold = np.empty(labels.shape[0], dtype=int)
-    for cls in np.unique(labels):
+    for cls in sorted_unique(labels):
         idx = np.flatnonzero(labels == cls)
         if idx.shape[0] < n_folds:
             raise ValueError(f"class {cls!r} has {idx.shape[0]} samples, fewer than {n_folds} folds")

@@ -754,3 +754,17 @@ def test_console_script_smoke(tmp_path):
     assert proc.returncode == 0
     assert "datagen: wrote" in proc.stdout
     assert (out / "dataset.csv").exists()
+
+
+def test_fit_process_never_imports_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use: over a megabyte per process
+    train_path, _ = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "fit.json", {
+        "out": str(tmp_path / "fit"), "seed": 0, "train": train_path, "params": "zeros",
+        "baseline": {"kind": "rbf", "gamma": 0.5},
+    })
+    code = ("import sys\nfrom covkern import cli\n"
+            "rc = cli.main(sys.argv[1:])\nprint(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, "fit", "--config", cfg],
+                          capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr

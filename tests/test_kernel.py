@@ -519,9 +519,10 @@ def test_same_counts_reused_across_tolerances():
 
 
 def test_cross_assembly_streams_are_order_independent(monkeypatch):
-    # entry (i, j) draws from its own stream, so a leading block of rows or
-    # columns reproduces the same block of the full call, however the pairs
-    # are split into tiles
+    # row i draws its columns in ascending order from its own stream, so a
+    # leading block of rows, or of columns (a prefix of each row's draw),
+    # reproduces the same block of the full call, however the pairs are
+    # split into tiles
     rng = np.random.default_rng(42)
     spec = fm.make_feature_map(fm.line_coupling(2), 2)
     params = rng.uniform(-np.pi, np.pi, 6)

@@ -111,6 +111,100 @@ def test_smo_meets_kkt_to_its_tolerance(case):
         assert max(gap, 0.0) == pytest.approx(model.kkt_gap, abs=1e-9)
 
 
+def reference_fit_binary(kernel, y, c, tol, max_iter=None):
+    """WSS2 SMO written plainly: both working-set masks and every temporary
+    rebuilt on each pass.  ``svc.fit_binary`` must take the same steps in the
+    same floating-point operations."""
+    m = y.shape[0]
+    if max_iter is None:
+        max_iter = 200 * m + 10_000
+
+    def working_sets(alpha):
+        pos, below_c, above_0 = y > 0, alpha < c - 1e-12, alpha > 1e-12
+        return np.where(pos, below_c, above_0), np.where(pos, above_0, below_c)
+
+    alpha = np.zeros(m)
+    neg_yg = y.copy()
+    diag = kernel.diagonal().copy()
+    it = 0
+    gap = np.inf
+    while it < max_iter:
+        up, low = working_sets(alpha)
+        if not up.any() or not low.any():
+            gap = 0.0
+            break
+        i = int(np.argmax(np.where(up, neg_yg, -np.inf)))
+        b = neg_yg[i] - np.where(low, neg_yg, np.inf)
+        gap = b.max()
+        if gap <= tol:
+            break
+        k_i = kernel[i]
+        quad = np.maximum(diag[i] + diag - 2.0 * k_i, 1e-12)
+        gain = np.maximum(b, 0.0)
+        j = int(np.argmax(gain * gain / quad))
+        step = b[j] / quad[j]
+        cap_i = (c - alpha[i]) if y[i] > 0 else alpha[i]
+        cap_j = alpha[j] if y[j] > 0 else (c - alpha[j])
+        step = min(step, cap_i, cap_j)
+        alpha[i] = min(max(alpha[i] + y[i] * step, 0.0), c)
+        alpha[j] = min(max(alpha[j] - y[j] * step, 0.0), c)
+        neg_yg -= step * (k_i - kernel[j])
+        it += 1
+    if gap > tol:
+        raise RuntimeError(f"SMO did not converge in {max_iter} iterations (gap {gap})")
+    coef = alpha * y
+    fitted = kernel @ coef
+    free = (alpha > 1e-8 * c) & (alpha < c * (1 - 1e-8))
+    if free.any():
+        bias = float(np.mean(y[free] - fitted[free]))
+    else:
+        up, low = working_sets(alpha)
+        hi = neg_yg[up].max() if up.any() else 0.0
+        lo = neg_yg[low].min() if low.any() else 0.0
+        bias = float((hi + lo) / 2.0)
+    return svc.BinarySVC(coef, bias, it, float(max(gap, 0.0)))
+
+
+def assert_same_iterates(kernel, y, c, tol):
+    want = reference_fit_binary(kernel, y, c, tol)
+    got = svc.fit_binary(kernel, y, c=c, tol=tol)
+    assert got.iterations == want.iterations
+    assert got.coef.tobytes() == want.coef.tobytes()
+    assert np.float64(got.bias).tobytes() == np.float64(want.bias).tobytes()
+    assert np.float64(got.kkt_gap).tobytes() == np.float64(want.kkt_gap).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(binary_problems())
+def test_smo_takes_the_reference_loops_steps_bit_for_bit(case):
+    assert_same_iterates(*case)
+
+
+@pytest.mark.parametrize("c", [0.05, 10.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_smo_matches_the_reference_loop_on_tie_heavy_problems(seed, c):
+    rng = np.random.default_rng(seed)
+    m = 40
+    # duplicated samples: equal rows, equal gradients, equal gains
+    points = rng.normal(size=(8, 2))[rng.integers(0, 8, size=m)]
+    y = rng.choice([-1.0, 1.0], size=m)
+    y[:2] = 1.0, -1.0
+    assert_same_iterates(svc.rbf_matrix(points, None, 0.7), y, c, 1e-3)
+    # rank-1 kernels: every a_t is the same difference of two numbers
+    v = rng.normal(size=m)
+    assert_same_iterates(np.outer(v, v), y, c, 1e-6)
+    assert_same_iterates(np.ones((m, m)), y, c, 1e-3)
+
+
+def test_smo_exhausts_max_iter_like_the_reference_loop():
+    _, y, kernel = separable_problem(3, m=30)
+    with pytest.raises(RuntimeError) as want:
+        reference_fit_binary(kernel, y, 10.0, 1e-9, max_iter=5)
+    with pytest.raises(RuntimeError) as got:
+        svc.fit_binary(kernel, y, c=10.0, tol=1e-9, max_iter=5)
+    assert str(got.value) == str(want.value)
+
+
 @pytest.mark.parametrize("seed", [170, 607, 1303, 2463])
 def test_smo_keeps_alpha_inside_the_box_exactly(seed):
     # problems on which alpha + (c - alpha) rounded past c before updates were clamped
@@ -144,6 +238,16 @@ def test_binary_input_validation():
         svc.fit_binary(kernel, np.array([1.0, -1.0, 1.0, -1.0]), c=0.0)
     with pytest.raises(ValueError, match="tol"):
         svc.fit_binary(kernel, np.array([1.0, -1.0, 1.0, -1.0]), tol=0.0)
+
+
+@pytest.mark.parametrize("where, value", [((0, 1), np.nan), ((2, 2), np.inf), ((1, 3), -np.inf)])
+def test_non_finite_kernels_are_rejected(where, value):
+    kernel = np.eye(4)
+    kernel[where] = kernel[where[::-1]] = value
+    with pytest.raises(ValueError, match="finite"):
+        svc.fit_binary(kernel, np.array([1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        svc.fit_multiclass(kernel, [0, 1, 0, 1])
 
 
 def test_dual_objective_formula():
@@ -332,6 +436,13 @@ def test_stratified_folds_balance_classes():
         assert sizes.sum() == count
     with pytest.raises(ValueError):
         svc.stratified_folds(np.array([0, 0, 1]), 2)
+
+
+@pytest.mark.parametrize("n_folds", [0, 1])
+def test_grid_search_needs_two_folds(n_folds):
+    xs, labels = three_class_problem(seed=5, per_class=4)
+    with pytest.raises(ValueError, match="n_folds"):
+        svc.grid_search([("rbf", svc.rbf_matrix(xs, None, 0.5))], labels, n_folds=n_folds)
 
 
 def test_grid_search_picks_better_kernel():
