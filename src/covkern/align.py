@@ -72,6 +72,12 @@ class SPSAConfig:
     iterations: int = 100
     seed: int = 0
 
+    def __post_init__(self):
+        if self.c == 0:
+            raise ValueError("c must be nonzero: it sets the perturbation size")
+        if not self.stability > -1:
+            raise ValueError(f"stability must exceed -1, got {self.stability!r}")
+
     def gains(self, k: int) -> tuple[float, float]:
         a_k = self.a / (k + 1 + self.stability) ** SPSA_GAIN_EXPONENT
         c_k = self.c / (k + 1) ** SPSA_PERTURB_EXPONENT

@@ -8,8 +8,8 @@ re-running a manifest's config reproduces them byte for byte.
 
 Exit codes: 0 success; 2 configuration error; 3 dataset error; 4 artifact
 mismatch between pipeline stages (e.g. predict against a model fitted with a
-different feature map); 1 unexpected internal failure or failed verification
-checks.
+different feature map); 5 failed verification checks; 1 unexpected internal
+failure.
 
 The seed and output directory can be overridden without editing the config:
 command-line flags win, then the environment variables COVKERN_SEED and
@@ -442,7 +442,7 @@ def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     fmap = _section(cfg, "feature_map")
     config = kernel_config_from_config(cfg, seed)
     noise = noise_from_config(cfg)
-    spsa = al.SPSAConfig(**{"seed": seed} | _section(cfg, "spsa"))
+    spsa = _config_call("spsa", al.SPSAConfig, **{"seed": seed} | _section(cfg, "spsa"))
     train = _load_dataset(top.get("train"))
     spec = _feature_map(fmap, train, config.tolerance)
     init = params_from_config(cfg, spec, seed)
@@ -604,10 +604,12 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     trials = sec["trials"]
     rows: list[tuple[str, float, float, str, bool]] = []
 
-    # sphere second moment against 1/d, 3 standard errors
+    # sphere second moment against 1/d, 3 standard errors (at d = 1 every
+    # moment is exactly 1, so the standard error is 0 and the mean must be 1/d)
     for d in sec["sphere_dims"]:
         mean, se = th.sphere_inner_moment(d, trials, seed=(seed + d))
-        margin = 3.0 - abs(mean - 1.0 / d) / se
+        dev = abs(mean - 1.0 / d)
+        margin = 3.0 - dev / se if se > 0 else (3.0 if dev == 0 else -np.inf)
         rows.append((f"sphere_moment_d{d}", mean, margin, f"|mean-1/{d}| <= 3se", margin >= 0))
 
     # closed form against the statevector kernel
@@ -651,7 +653,7 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
         print(f"verify: {len(failed)} of {len(rows)} checks failed")
     else:
         print(f"verify: all {len(rows)} checks passed")
-    return (1 if failed else 0), ["verify_report.csv", "expectations.csv"], None
+    return (5 if failed else 0), ["verify_report.csv", "expectations.csv"], None
 
 
 def cmd_report(cfg: dict, top: dict, out: str, seed: int) -> _Result:

@@ -114,6 +114,8 @@ class SubspaceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.class_dims:
+            raise ValueError("class_dims must name at least one class")
         if any(d < 1 for d in self.class_dims):
             raise ValueError("every class needs dimension at least 1")
         if sum(self.class_dims) > self.ambient_dim:

@@ -6,16 +6,9 @@ sum over accepted outcomes, no renormalization).  Tolerance 0 is the usual
 all-zeros fidelity kernel; raising the tolerance trades specificity for
 robustness against readout bit flips.
 
-Matrices are assembled from the upper triangle only and mirrored, with one
-RNG stream per matrix row derived from (master_seed, tag, i), so assembly
-order and tiling cannot change sampled results, a leading block of rows or
-columns reproduces the full call's, and re-running at a different tolerance
-reuses identical counts.  The streams are counter-based: one Philox key per
-call from ``SeedSequence((master_seed, tag))``; row i draws one multinomial
-over its columns in ascending order (j > i for a Gram matrix) from counter
-(0, 0, i, 0), and a Gram diagonal is one more stream from counter
-(0, 1, 0, 0).  A row's stream costs a counter write, not a generator set-up
-(Salmon et al., SC'11), and an entry is redrawn with its row.
+Gram matrices are assembled from the upper triangle only and mirrored, and
+sampled entries draw from one counter-based RNG stream per matrix row; the
+stream layout is ``_pair_profiles``'s.
 
 Two evaluation routes exist, and both are tested against the explicit
 circuit simulation of ``kernel_entry`` (``simcore.run_circuit``).  Both start
@@ -24,7 +17,10 @@ from the fiducial U = D (x)M_q, compiled once per call from one
 and D is the +-1 diagonal of all the CZ gates.  The embedding layers collapse
 to one rotation per qubit about a shared axis, and such rotations are
 diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let phi = (x)V^dagger psi be
-the fiducial state psi = U|0> in that basis.
+the fiducial state psi = U|0> in that basis.  Every Kronecker product of
+per-qubit length-2 factors (psi as D times the product of the M_q's first
+columns, and the profile route's diagonals and phase tables) comes from one
+in-place builder, ``_kron``.
 
 The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
 With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
@@ -140,15 +136,34 @@ def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], n
     return mats, 1.0 - 2.0 * parity
 
 
+def _kron(pairs) -> np.ndarray:
+    """The Kronecker product of per-qubit (clear-bit, set-bit) factor pairs,
+    qubit 0 the low bit: entry k of the result is prod_q pairs[q, bit q of k].
+
+    ``pairs`` has shape (qubits, 2, *batch); the result (2**qubits, *batch).
+    It is built in place: the first 2**j entries hold the product over the j
+    lowest qubits, and the next qubit doubles them.
+    """
+    pairs = np.asarray(pairs)
+    out = np.empty((2 ** pairs.shape[0],) + pairs.shape[2:], dtype=pairs.dtype)
+    out[0] = 1.0
+    for j, (clear, set_) in enumerate(pairs):
+        w = 1 << j
+        np.multiply(out[:w], set_, out=out[w:2 * w])
+        out[:w] *= clear
+    return out
+
+
 def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
-    zero = np.zeros((1, diag.shape[0]), dtype=complex)
-    zero[0, 0] = 1.0
-    return diag * sc.apply_product(zero, sc.product_blocks(len(mats), mats))[0]
+    """U|0> = D (x)M_q|0>: the tensor product of the first columns of the M_q."""
+    return diag * _kron(np.array(mats)[:, :, 0])
 
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
     """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
-    return sc.apply_product(psi[None], sc.product_blocks(n, [_TO_Z_BASIS[axis]] * n))[0]
+    blocks = sc.product_blocks(n, [_TO_Z_BASIS[axis]] * n)
+    cur = np.array(psi, dtype=complex).reshape(-1, 1, blocks[0].shape[0])   # a copy to overwrite
+    return sc.product_into(cur, np.empty_like(cur), blocks)[0].reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -222,45 +237,25 @@ def _zyz(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), right
 
 
-def _diag_product(diags) -> np.ndarray:
-    """The diagonal of the tensor product of diag(diags[q]), qubit 0 the low bit."""
-    out = np.ones(1)
-    for d in diags:   # qubit q takes bit q: it doubles the table as its high bit
-        out = (d[:, None] * out).ravel()
-    return out
-
-
 def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is
     clear, as two phase tables with the pair axis last: ``high`` over qubits
     4..n-1 and ``low`` over qubits 0..min(n, 4)-1, so that amplitude k of
     pair r in the tile layout of ``simcore.product_into``,
-    [k // 16, r, k % 16], is high[k // 16, r] * low[k % 16, r].
-
-    Each table is built by the Kronecker recursion over its qubits, in place:
-    the first 2**j rows hold the phases of the table's j lowest qubits, and
-    its next qubit doubles them.
-    """
+    [k // 16, r, k % 16], is high[k // 16, r] * low[k % 16, r]."""
     f = np.exp(-0.5j * deltas.T)
-    f_conj = f.conj()
-    n, b = f.shape
-    split = min(n, sc._GROUP)
-    tables = []
-    for qubits in (range(split, n), range(split)):
-        table = np.empty((2 ** len(qubits), b), dtype=complex)
-        table[0] = 1.0
-        for j, q in enumerate(qubits):
-            w = 1 << j
-            np.multiply(table[:w], f_conj[q], out=table[w:2 * w])
-            table[:w] *= f[q]
-        tables.append(table)
-    return tables[0], tables[1]
+    pairs = np.stack([f, f.conj()], axis=1)
+    split = min(f.shape[0], sc._GROUP)
+    return _kron(pairs[split:]), _kron(pairs[:split])
 
 
-def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, rows_b,
-                   streams, config: KernelConfig, noise, tag: int) -> np.ndarray:
-    """Cumulative weight-mass profile (n+1 columns) of each pair of angle rows
-    (angles_a[rows_a[r]], angles_b[rows_b[r]]), sampled when ``config.shots`` is set.
+def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: KernelConfig,
+                   noise) -> np.ndarray:
+    """Cumulative weight-mass profiles (m_a, m_b, n+1) of every pair of angle
+    rows (angles_a[i], angles_b[j]), sampled when ``config.shots`` is set;
+    ``angles_b=None`` means the Gram matrix of angles_a, whose upper triangle
+    is evaluated and mirrored, with its diagonal when ``estimate_diagonal``
+    is set (exact 1 otherwise).
 
     The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), with both
     layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a time on
@@ -268,23 +263,38 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, row
     short tile takes a leading part of each.  ``out`` holds the pairs' weight
     histograms, noise applied, until their cumulative sums replace them.
 
-    ``streams`` lists (Philox counter, pairs) in pair order.  Shots come
-    from one Philox generator per call, keyed by the two words of
-    ``SeedSequence((master_seed, tag)).generate_state(2, uint64)``: each
-    stream's pairs are one ``multinomial`` call over their normalised
-    histograms after the counter is set and the output buffer emptied.  A
-    stream only advances the two low counter words, so none reaches
-    another's counter, and its counts are those of
+    Shots draw from one RNG stream per matrix row, so assembly order and
+    tiling cannot change sampled results, a leading block of rows or columns
+    reproduces the full call's, and every tolerance reuses the same counts.
+    The streams are counter-based (Salmon et al., SC'11): one Philox key per
+    call, ``SeedSequence((master_seed, tag)).generate_state(2, uint64)`` with
+    tag 0 for a Gram and 1 for a cross block.  Row i is one ``multinomial``
+    over the normalised histograms of its columns in ascending order (j > i
+    for a Gram) from counter (0, 0, i, 0), and a Gram diagonal one more from
+    (0, 1, 0, 0).  A stream advances only the two low counter words, so none
+    reaches another's, and its counts are those of
     ``Generator(Philox(key=key, counter=counter)).multinomial(shots, h)``.
     """
-    n = spec.n_qubits
+    n, m_a = spec.n_qubits, angles_a.shape[0]
+    gram = angles_b is None
+    tag = 0 if gram else 1
+    if gram:
+        rows_a, rows_b = np.triu_indices(m_a, k=1)
+        streams = [([0, 0, i, 0], m_a - 1 - i) for i in range(m_a - 1)]
+        if config.estimate_diagonal:
+            rows_a, rows_b = (np.concatenate([idx, np.arange(m_a)]) for idx in (rows_a, rows_b))
+            streams.append(([0, 1, 0, 0], m_a))
+        angles_b = angles_a
+    else:
+        rows_a, rows_b = (idx.ravel() for idx in np.indices((m_a, angles_b.shape[0])))
+        streams = [([0, 0, i, 0], angles_b.shape[0]) for i in range(m_a)]
     mats, fid_diag = _compile_fiducial(spec, params)
     left, embed, right = _zyz(_TO_Z_BASIS[spec.embed_axis].conj().T)
     _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
     high_n = 2 ** max(0, n - sc._GROUP)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
-    phi = (phi * _diag_product([right] * n)).reshape(high_n, 1, -1)
-    mid = (_diag_product(undo_right) * fid_diag * _diag_product([left] * n)).reshape(high_n, 1, -1)
+    phi = (phi * _kron([right] * n)).reshape(high_n, 1, -1)
+    mid = (fid_diag * _kron(undo_right * left)).reshape(high_n, 1, -1)
     to_embed = sc.product_blocks(n, [embed] * n)
     undo_fid = sc.product_blocks(n, undo_ry)
     deltas = angles_b[rows_b] - angles_a[rows_a]
@@ -320,22 +330,28 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, rows_a, row
         if noisy:
             out[lo:hi] = sc.matmul_rows(out[lo:hi], transfer.T)
     if config.shots is None:
-        return np.cumsum(out, axis=1, out=out)
-    key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox", "state": {"counter": None, "key": key.tolist()},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    out /= out.sum(axis=1, keepdims=True)
-    lo = 0
-    for counter, pairs in streams:
-        state["state"]["counter"] = counter
-        bitgen.state = state
-        rows = out[lo:lo + pairs]
-        np.cumsum(gen.multinomial(config.shots, rows), axis=1, out=rows)
-        lo += pairs
-    out /= config.shots
-    return out
+        np.cumsum(out, axis=1, out=out)
+    else:
+        key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
+        bitgen = np.random.Philox(key=key)
+        gen = np.random.Generator(bitgen)
+        state = {"bit_generator": "Philox", "state": {"counter": None, "key": key.tolist()},
+                 "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        out /= out.sum(axis=1, keepdims=True)
+        lo = 0
+        for counter, pairs in streams:
+            state["state"]["counter"] = counter
+            bitgen.state = state
+            rows = out[lo:lo + pairs]
+            np.cumsum(gen.multinomial(config.shots, rows), axis=1, out=rows)
+            lo += pairs
+        out /= config.shots
+    if not gram:
+        return out.reshape(m_a, -1, n + 1)
+    full = np.ones((m_a, m_a, n + 1))
+    full[rows_a, rows_b] = out
+    full[rows_b, rows_a] = out
+    return full
 
 
 def _angles(spec: FeatureMapSpec, xs) -> np.ndarray:
@@ -373,20 +389,7 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     tolerance d.  Sampled entries use one multinomial draw per (i, j), so all
     tolerances of an entry come from the same counts.
     """
-    angles = _angles(spec, xs)
-    m = angles.shape[0]
-    rows_a, rows_b = np.triu_indices(m, k=1)
-    streams = [([0, 0, i, 0], m - 1 - i) for i in range(m - 1)]
-    if config.estimate_diagonal:
-        rows_a = np.concatenate([rows_a, np.arange(m)])
-        rows_b = np.concatenate([rows_b, np.arange(m)])
-        streams.append(([0, 1, 0, 0], m))
-    prof = _pair_profiles(spec, params, angles, angles, rows_a, rows_b, streams, config,
-                          noise, 0)
-    out = np.ones((m, m, spec.n_qubits + 1))
-    out[rows_a, rows_b] = prof
-    out[rows_b, rows_a] = prof
-    return out
+    return _pair_profiles(spec, params, _angles(spec, xs), None, config, noise)
 
 
 def matrix_from_profiles(profiles: np.ndarray, config: KernelConfig) -> KernelMatrixEstimate:
@@ -423,12 +426,8 @@ def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: Kerne
     angles_r, angles_c = _angles(spec, xs_rows), _angles(spec, xs_cols)
     if _exact_route(spec, config, noise):
         return _exact_kernel(spec, params, angles_r, angles_c)
-    mr, mc = angles_r.shape[0], angles_c.shape[0]
-    rows_a, rows_b = (idx.ravel() for idx in np.indices((mr, mc)))
-    streams = [([0, 0, i, 0], mc) for i in range(mr)]
-    prof = _pair_profiles(spec, params, angles_r, angles_c, rows_a, rows_b, streams, config,
-                          noise, 1)
-    return prof[:, config.tolerance].reshape(mr, mc)
+    prof = _pair_profiles(spec, params, angles_r, angles_c, config, noise)
+    return np.array(prof[:, :, config.tolerance])
 
 
 def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,

@@ -17,11 +17,11 @@ on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
 so they push the (n+1)-bin weight histogram through the matrix
 ``weight_transfer(n, noise)`` instead.
 
-``apply_product`` applies a tensor product of one-qubit matrices to a batch of
+``product_into`` applies a tensor product of one-qubit matrices to a batch of
 states in groups of ``_GROUP`` qubits, one Kronecker block per group from
-``product_blocks``, and ``product_into`` does the same between two caller-held
-buffers that hold the batch with its states side by side; ``_apply_rotation``
-and ``run_circuit`` stay the gate-by-gate reference.
+``product_blocks``, between two caller-held buffers that hold the batch with
+its states side by side; ``_apply_rotation`` and ``run_circuit`` stay the
+gate-by-gate reference.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def product_blocks(n: int, mats) -> list[np.ndarray]:
     ``mats[q]`` is the 2x2 matrix on qubit q.  Block g is
     mats[hi-1] (x) ... (x) mats[lo] for the qubits lo..hi-1 of group g
     (lo = g * _GROUP), at most 16 x 16.  A layer applied to many batches
-    builds its blocks once and hands them to ``apply_product`` each time.
+    builds its blocks once and hands them to ``product_into`` each time.
     """
     blocks = []
     for lo in range(0, n, _GROUP):
@@ -169,16 +169,6 @@ def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     if rows.shape[0] == 1:
         return (np.concatenate([rows, rows]) @ mat)[:1]
     return rows @ mat
-
-
-def apply_product(states: np.ndarray, blocks) -> np.ndarray:
-    """Apply the tensor product held in ``product_blocks`` to every row of a
-    (B, 2**n) batch.  Returns a new array; see ``product_into``."""
-    states = np.asarray(states)
-    tiles = states.reshape(states.shape[0], -1, blocks[0].shape[0]).transpose(1, 0, 2)
-    cur = np.array(tiles, dtype=np.result_type(states, *blocks), order="C")
-    cur, _ = product_into(cur, np.empty_like(cur), blocks)
-    return cur.transpose(1, 0, 2).reshape(states.shape)
 
 
 def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:

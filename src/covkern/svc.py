@@ -258,9 +258,14 @@ def rbf_matrix(xs, ys=None, gamma: float = 1.0) -> np.ndarray:
 
 def generalized_rbf_matrix(xs, ys=None, gamma1: float = 1.0, sigma1: float = 1.0,
                            gamma2: float = 0.0, sigma2: float = 1.0) -> np.ndarray:
-    """Two-width mixture gamma1*exp(-r^2/(2 s1^2)) + gamma2*exp(-r^2/(2 s2^2))."""
-    if sigma1 <= 0 or sigma2 <= 0:
-        raise ValueError("widths must be positive")
+    """Two-width mixture gamma1*exp(-r^2/(2 s1^2)) + gamma2*exp(-r^2/(2 s2^2)).
+
+    Each width must be positive with a positive finite float square.
+    """
+    for sigma in (sigma1, sigma2):
+        if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < np.inf):
+            raise ValueError(f"widths must be positive with a positive finite square, "
+                             f"got {sigma!r}")
     sq = _sq_dists(xs, ys)
     return gamma1 * np.exp(-sq / (2.0 * sigma1 ** 2)) + gamma2 * np.exp(-sq / (2.0 * sigma2 ** 2))
 

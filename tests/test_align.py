@@ -79,6 +79,17 @@ def test_gain_schedule():
     assert a5 > 0 and c5 > 0
 
 
+@pytest.mark.parametrize("bad, fragment", [({"c": 0.0}, "c must be nonzero"),
+                                           ({"stability": -1.0}, "stability must exceed -1"),
+                                           ({"stability": -3.0}, "stability must exceed -1")])
+def test_gain_schedule_rejects_a_zero_perturbation_or_a_nonpositive_base(bad, fragment):
+    # c = 0 divides the gradient estimate by zero; stability <= -1 makes the
+    # first step's base k + 1 + stability zero or negative
+    with pytest.raises(ValueError, match=fragment):
+        al.SPSAConfig(**bad)
+    assert al.SPSAConfig(c=-0.1, stability=-0.5).gains(0)[0] > 0
+
+
 def test_align_kernel_is_deterministic_and_consistent():
     ds = dt.bell_pair_dataset(4, seed=3)
     spec = fm.make_feature_map(fm.line_coupling(2), 2)

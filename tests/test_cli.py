@@ -1,11 +1,15 @@
 """End-to-end runs of every subcommand plus exit-code and override behavior."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from covkern import cli
 from covkern import data as dt
 from covkern import svc
+from covkern import theory as th
 
 
 def write_config(tmp_path, name, payload):
@@ -137,6 +142,16 @@ def test_datagen_rejects_unknown_kind(tmp_path, capsys):
     })
     assert run(["datagen", "--config", cfg]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_datagen_subspaces_without_classes_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(tmp_path / "o"),
+        "dataset": {"kind": "subspaces", "ambient_dim": 4, "class_dims": [],
+                    "samples_per_class": 3},
+    })
+    assert run(["datagen", "--config", cfg]) == 2
+    assert "class_dims must name at least one class" in capsys.readouterr().err
 
 
 def test_datagen_reports_missing_fields(tmp_path, capsys):
@@ -624,6 +639,29 @@ def test_verify_runs_structural_checks(tmp_path):
     assert (out / "expectations.csv").exists()
 
 
+def test_verify_passes_the_one_dimensional_sphere(tmp_path):
+    # at d = 1 every sample's moment is exactly 1: a zero standard error
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(out), "verify": {"trials": 200, "sphere_dims": [1], "table_dims": [1]},
+    })
+    assert run(["verify", "--config", cfg]) == 0
+    rows = list(csv.reader((out / "verify_report.csv").open()))
+    assert rows[1] == ["sphere_moment_d1", "1.0", "3.0", "|mean-1/1| <= 3se", "True"]
+
+
+def test_failed_verify_has_its_own_exit_code(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "c.json", {
+        "out": str(out), "verify": {"trials": 200, "sphere_dims": [2], "table_dims": [1]},
+    })
+    monkeypatch.setattr(th, "verify_delta_kernel", lambda dataset, fiducial: (0.5, False))
+    assert run(["verify", "--config", cfg]) == 5
+    captured = capsys.readouterr()
+    assert "FAIL class_indicator_kernel" in captured.out and "internal error" not in captured.err
+    assert (out / "manifest.json").exists()
+
+
 def test_report_collects_manifests(tmp_path):
     runs = tmp_path / "runs"
     out1 = runs / "a"
@@ -711,6 +749,128 @@ def test_report_with_bad_json_is_an_artifact_error(tmp_path, capsys, name, conte
                                             "runs_dir": str(tmp_path / "runs")})
     assert run(["report", "--config", cfg]) == 4
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("value", [1e300, 1e-300])
+def test_generalized_rbf_width_without_a_finite_positive_square_is_a_config_error(
+        tmp_path, capsys, width, value):
+    train_path, _ = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "fit.json", {
+        "out": str(tmp_path / "fit"), "train": train_path, "quantum": False,
+        "baseline": {"kind": "generalized_rbf", width: value},
+    })
+    assert run(["fit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "bad baseline section: widths must be positive" in err and "internal error" not in err
+
+
+# ------------------------------------------------------- boundary property
+
+_MISSING = object()   # the edge "key absent"
+_EDGES = [0, -1, 25, 1e300, 1e-300, True, False, None, "x", "", [], [1], [0, 1], {}, {"x": 1},
+          _MISSING]
+_DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+
+# one small config per task, and per kind of a section with kinds; paths are
+# relative to the directory the runs start in, which holds train.csv,
+# test.csv and runs/fit (a fit of the "fit-rbf" config)
+_QUANTUM = {"train": "train.csv", "feature_map": {"n_qubits": 2}, "kernel": {"shots": 50},
+            "noise": {"p01": 0.05}}
+_BOUNDARY_CONFIGS = {name: {"out": "out", "seed": 3} | cfg for name, cfg in {
+    "datagen-subspaces": {"dataset": {"kind": "subspaces", "ambient_dim": 4,
+                                      "class_dims": [1, 2], "samples_per_class": 3,
+                                      "split": 0.5}},
+    "datagen-covariant": {"dataset": {"kind": "covariant", "n_qubits": 2, "step": 0.5,
+                                      "offsets": [0.0, 1.0], "samples_per_class": 3}},
+    "datagen-bell": {"dataset": {"kind": "bell", "samples_per_class": 3}},
+    "calibrate": {"calibration": {"n_values": [2], "samples": 3}, "noise": {"p01": 0.05}},
+    "align": {"train": "train.csv", "params": "random", "feature_map": {},
+              "spsa": {"iterations": 2}},
+    "fit-rbf": _QUANTUM | {"svc": {"c": 1.0}, "baseline": {"kind": "rbf"}},
+    "fit-generalized_rbf": _QUANTUM | {"baseline": {"kind": "generalized_rbf", "gamma2": 0.5,
+                                                    "sigma2": 2.0}},
+    "predict": _QUANTUM | {"model_dir": os.path.join("runs", "fit"), "test": "test.csv"},
+    "verify": {"verify": {"trials": 200, "sphere_dims": [2], "table_dims": [1]}},
+    "report": {"runs_dir": "runs"},
+}.items()}
+
+
+def _boundary_paths():
+    """Every key path of ``cli._SCHEMA`` with the configs it goes into.
+
+    A top-level key goes into the configs that hold it, a section's key into
+    those that hold the section, and a kind's key into those of that kind; a
+    path that no config holds goes into all of them.
+    """
+    def holds(cfg, section, key):
+        if section is None:
+            return key in cfg
+        if isinstance(section, tuple):
+            return cfg.get(section[0], {}).get("kind") == section[1]
+        return section in cfg
+
+    paths = []
+    for section, keys in cli._SCHEMA.items():
+        for key in keys:
+            names = [name for name, cfg in _BOUNDARY_CONFIGS.items() if holds(cfg, section, key)]
+            paths.append(((section, key), names or list(_BOUNDARY_CONFIGS)))
+    return paths
+
+
+_PATHS = _boundary_paths()
+
+
+@pytest.fixture(scope="module")
+def boundary_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("boundary")
+    dt.save_csv(dt.bell_pair_dataset(4, seed=1), root / "train.csv")
+    dt.save_csv(dt.bell_pair_dataset(2, seed=2), root / "test.csv")
+    assert _run_boundary(root, "fit", _BOUNDARY_CONFIGS["fit-rbf"] | {"out": "runs/fit"})[0] == 0
+    return root
+
+
+def _run_boundary(root, task, cfg):
+    """Exit code and stderr of one in-process run started in ``root``.
+
+    verify's default of 200,000 trials per check is the one default that
+    makes a run more than tiny; it is 2,000 here.
+    """
+    cfg_path = os.path.join(root, "boundary.json")
+    with open(cfg_path, "w") as fh:
+        json.dump(cfg, fh)
+    err = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    trials_kind = cli._SCHEMA["verify"]["trials"][0]
+    try:
+        with mock.patch.dict(os.environ), contextlib.redirect_stderr(err), \
+                mock.patch.dict(cli._SCHEMA["verify"], trials=(trials_kind, 2000)), \
+                contextlib.redirect_stdout(io.StringIO()):
+            os.environ.pop("COVKERN_OUT", None)
+            os.environ.pop("COVKERN_SEED", None)
+            code = cli.main([task, "--config", cfg_path])
+    finally:
+        os.chdir(cwd)
+    return code, err.getvalue()
+
+
+# max_examples covers every (path, edge): Hypothesis stops once it has drawn each
+@settings(max_examples=len(_PATHS) * len(_EDGES) + 100, deadline=None)
+@given(st.sampled_from(_PATHS), st.sampled_from(_EDGES))
+def test_every_config_key_fails_at_the_boundary_with_a_documented_exit_code(
+        boundary_dir, path, edge):
+    (section, key), names = path
+    for name in names:
+        cfg = copy.deepcopy(_BOUNDARY_CONFIGS[name])
+        target = cfg if section is None else cfg.setdefault(
+            section if isinstance(section, str) else section[0], {})
+        if edge is _MISSING:
+            target.pop(key, None)
+        else:
+            target[key] = copy.deepcopy(edge)
+        code, err = _run_boundary(boundary_dir, name.split("-")[0], cfg)
+        assert code in _DOCUMENTED_EXITS and "internal error" not in err, (name, code, err)
 
 
 # ------------------------------------------------------- README

@@ -276,6 +276,63 @@ def test_config_validation():
 
 # ------------------------------------------------------- BFT profiles
 
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+def test_kron_builder_matches_kron_oracle(n):
+    # entry k is the product of qubit q's clear-bit or set-bit factor, qubit 0
+    # the low bit: np.kron(pairs[n-1], ..., pairs[0]), for each batch column
+    rng = np.random.default_rng(n)
+    pairs = rng.normal(size=(n, 2, 3)) + 1j * rng.normal(size=(n, 2, 3))
+
+    def oracle(factors):
+        dense = np.ones(1, dtype=complex)
+        for q in reversed(range(n)):
+            dense = np.kron(dense, factors[q])
+        return dense
+
+    np.testing.assert_allclose(kn._kron(pairs[:, :, 0]), oracle(pairs[:, :, 0]),
+                               rtol=0, atol=1e-12)
+    batched = kn._kron(pairs)
+    assert batched.shape == (2 ** n, 3)
+    for r in range(3):
+        np.testing.assert_allclose(batched[:, r], oracle(pairs[:, :, r]), rtol=0, atol=1e-12)
+    assert kn._kron(pairs[:0]).tolist() == [[1.0] * 3]   # no qubits: the empty product
+
+
+@pytest.mark.parametrize("estimate_diagonal", [True, False])
+@pytest.mark.parametrize("shots", [None, 300])
+def test_gram_profiles_are_the_row_layout_of_their_pairs(estimate_diagonal, shots):
+    # angles_b=None evaluates pairs (i, j > i), then (i, i) when the diagonal is
+    # estimated, and mirrors them; sampled rows draw from counter (0, 0, i, 0)
+    # and the diagonal from (0, 1, 0, 0) under tag 0.  Exact pairs are the
+    # cross route's pairs bit for bit, whatever tile they fall in
+    rng = np.random.default_rng(47)
+    n, m, seed = 4, 7, 13
+    spec = fm.make_feature_map(fm.line_coupling(n), n)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    angles = kn._angles(spec, rng.normal(size=(m, n)))
+    noise = sc.NoiseModel(p01=0.05, p10=0.02, depolarizing=0.01)
+    cfg = kn.KernelConfig(shots=shots, estimate_diagonal=estimate_diagonal, master_seed=seed)
+    pairs = kn._pair_profiles(spec, params, angles, angles, replace(cfg, shots=None), noise)
+    key = np.random.SeedSequence((seed, 0)).generate_state(2, np.uint64)
+
+    def row(exact, counter):
+        if shots is None:
+            return exact
+        h = np.diff(exact, prepend=0.0, axis=-1)
+        gen = np.random.Generator(np.random.Philox(key=key, counter=counter))
+        return np.cumsum(gen.multinomial(shots, h / h.sum(axis=-1, keepdims=True)),
+                         axis=-1) / shots
+
+    expected = np.ones((m, m, n + 1))
+    for i in range(m - 1):
+        expected[i, i + 1:] = expected[i + 1:, i] = row(pairs[i, i + 1:], [0, 0, i, 0])
+    if estimate_diagonal:
+        diag = np.arange(m)
+        expected[diag, diag] = row(pairs[diag, diag], [0, 1, 0, 0])
+    gram = kn._pair_profiles(spec, params, angles, None, cfg, noise)
+    np.testing.assert_array_equal(gram, expected)
+
+
 def test_profiles_are_cumulative_and_end_at_total_mass():
     rng = np.random.default_rng(30)
     spec = fm.make_feature_map(fm.line_coupling(3), 3)

@@ -425,6 +425,14 @@ def test_generalized_rbf_matches_direct_formula():
     np.testing.assert_allclose(one, svc.rbf_matrix(xs, None, 2.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("width", ["sigma1", "sigma2"])
+@pytest.mark.parametrize("value", [1e300, 1e-300, np.float64(1e300), np.float64(1e-300),
+                                   -1.0, np.inf, np.nan])
+def test_generalized_rbf_rejects_a_width_without_a_finite_positive_square(width, value):
+    with pytest.raises(ValueError, match="widths must be positive"):
+        svc.generalized_rbf_matrix(np.zeros((2, 2)), **{width: value})
+
+
 # ------------------------------------------------------- CV grid search
 
 def test_stratified_folds_balance_classes():
