@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import parse_records, read_table, sorted_unique, write_table
-from .kernel import KernelConfig, assemble_matrix, repair_psd
+from .kernel import KernelConfig, assemble_matrix, repair_psd, symmetric_eigh
 from .svc import rbf_matrix
 
 SPSA_GAIN_EXPONENT = 0.602
@@ -163,9 +163,7 @@ def load_trace_csv(path) -> AlignmentTrace:
 # ---------------------------------------------------------------------------
 
 def _psd_eigh(values: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(values, dtype=float)
-    sym = (values + values.T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v, _ = symmetric_eigh(values)
     scale = max(abs(w[0]), abs(w[-1]), 1.0)
     if w[0] < -1e-9 * scale:
         raise ValueError(f"{name} matrix is not positive semidefinite (min eig {w[0]})")

@@ -91,8 +91,7 @@ def heavy_hex_coupling(rows: int, row_len: int) -> CouplingMap:
             next_id += 1
             edges.append((r * row_len + c, bridge))
             edges.append(((r + 1) * row_len + c, bridge))
-    norm = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-    return CouplingMap(next_id, norm)
+    return coupling_from_edges(edges)
 
 
 def save_coupling(coupling: CouplingMap, path) -> None:
@@ -184,11 +183,11 @@ def _best_root(adj, vertices):
 def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
     """Pick a register of n qubits and a shallowest breadth-first spanning tree.
 
-    When the coupling map is larger than the register, candidate registers are
-    the first n vertices visited by a breadth-first walk from each start qubit;
-    the candidate whose best tree is shallowest wins, ties resolved by lowest
-    start index.  Tree edges are packed greedily into vertex-disjoint layers in
-    discovery order.
+    Candidate registers are the first n vertices visited by a breadth-first
+    walk from each start qubit (the whole map, when it is connected and no
+    larger than the register); the candidate whose best tree is shallowest
+    wins, ties resolved by lowest start index.  Tree edges are packed greedily
+    into vertex-disjoint layers in discovery order.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -196,30 +195,23 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
         raise ValueError(
             f"requested {n_qubits} qubits but the coupling map has {coupling.n_qubits}")
     adj = coupling.adjacency()
-
-    if n_qubits == coupling.n_qubits:
-        order, _, _ = _bfs(adj, 0)
-        if len(order) != coupling.n_qubits:
-            raise ValueError("coupling graph is disconnected")
-        chosen = tuple(range(coupling.n_qubits))
-    else:
-        seen: dict[frozenset, tuple] = {}
-        for start in range(coupling.n_qubits):
-            walk, _, _ = _bfs(adj, start)
-            if len(walk) < n_qubits:
-                continue
-            key = frozenset(walk[:n_qubits])
-            if key not in seen:
-                # ties between equally shallow registers go to the lowest start
-                seen[key] = (start, tuple(sorted(key)))
-        if not seen:
-            raise ValueError("no connected register of that size exists")
-        scored = []
-        for start, vertices in seen.values():
-            height, _ = _best_root(adj, vertices)
-            scored.append((height, start, vertices))
-        scored.sort()
-        chosen = scored[0][2]
+    seen: dict[frozenset, tuple] = {}
+    for start in range(coupling.n_qubits):
+        walk, _, _ = _bfs(adj, start)
+        if len(walk) < n_qubits:
+            continue
+        key = frozenset(walk[:n_qubits])
+        if key not in seen:
+            # ties between equally shallow registers go to the lowest start
+            seen[key] = (start, tuple(sorted(key)))
+    if not seen:
+        raise ValueError("no connected register of that size exists")
+    scored = []
+    for start, vertices in seen.values():
+        height, _ = _best_root(adj, vertices)
+        scored.append((height, start, vertices))
+    scored.sort()
+    chosen = scored[0][2]
 
     phys_to_logical = {p: i for i, p in enumerate(chosen)}
     sub_adj: list[list[int]] = [[] for _ in chosen]
@@ -319,16 +311,11 @@ def make_feature_map(coupling: CouplingMap, n_qubits: int, importance=None,
     return FeatureMapSpec(n_qubits, tuple(axes), float(angle_scale), assignment, plan)
 
 
-def _validate_params(spec: FeatureMapSpec, params: np.ndarray) -> np.ndarray:
+def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
+    """Fiducial layer: three rotations per qubit, then the CZ tree once."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} fiducial parameters, got shape {params.shape}")
-    return params
-
-
-def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
-    """Fiducial layer: three rotations per qubit, then the CZ tree once."""
-    params = _validate_params(spec, params)
     circ = Circuit(spec.n_qubits)
     for q in range(spec.n_qubits):
         for k, axis in enumerate(spec.axes):
@@ -339,17 +326,22 @@ def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
     return circ
 
 
-def embedding_angles(spec: FeatureMapSpec, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] <= max(spec.assignment):
+def embedding_angles(spec: FeatureMapSpec, xs) -> np.ndarray:
+    """Checked feature rows (samples x features) as embedding angles, one column per qubit."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError("feature array must be two-dimensional (samples x features)")
+    if not np.isfinite(xs).all():
+        raise ValueError("features must be finite (found NaN or inf)")
+    if xs.shape[1] <= max(spec.assignment):
         raise ValueError(
-            f"feature vector of length {x.shape} cannot serve assignment {spec.assignment}")
-    return spec.angle_scale * x[np.array(spec.assignment)]
+            f"{xs.shape[1]} feature columns cannot serve assignment {spec.assignment}")
+    return spec.angle_scale * xs[:, np.array(spec.assignment)]
 
 
 def build_embedding(spec: FeatureMapSpec, x) -> Circuit:
-    """Data embedding: one rotation about the embed axis per qubit."""
-    angles = embedding_angles(spec, x)
+    """Data embedding of one feature vector: one rotation per qubit about the embed axis."""
+    angles = embedding_angles(spec, [x])[0]
     circ = Circuit(spec.n_qubits)
     gate = _AXIS_GATE[spec.embed_axis]
     for q in range(spec.n_qubits):

@@ -19,8 +19,9 @@ to one rotation per qubit about a shared axis, and such rotations are
 diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let phi = (x)V^dagger psi be
 the fiducial state psi = U|0> in that basis.  Every Kronecker product of
 per-qubit length-2 factors (psi as D times the product of the M_q's first
-columns, and the profile route's diagonals and phase tables) comes from one
-in-place builder, ``_kron``.
+columns, the profile route's diagonals and phase tables, and the Kronecker
+blocks of every product layer) comes from one in-place builder,
+``simcore.kron_factors``.
 
 The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
 With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
@@ -71,7 +72,8 @@ import numpy as np
 
 from . import simcore as sc
 from .data import parse_records, read_table, write_table
-from .featuremap import FeatureMapSpec, build_fiducial, build_kernel_circuit, line_coupling, make_feature_map
+from .featuremap import (FeatureMapSpec, build_fiducial, build_kernel_circuit, embedding_angles,
+                         line_coupling, make_feature_map)
 
 _CHUNK_AMPS = 2 ** 21  # complex amplitudes per exact-route basis block
 _TILE_AMPS = 2 ** 15   # complex amplitudes per profile-route tile of pairs
@@ -136,27 +138,9 @@ def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], n
     return mats, 1.0 - 2.0 * parity
 
 
-def _kron(pairs) -> np.ndarray:
-    """The Kronecker product of per-qubit (clear-bit, set-bit) factor pairs,
-    qubit 0 the low bit: entry k of the result is prod_q pairs[q, bit q of k].
-
-    ``pairs`` has shape (qubits, 2, *batch); the result (2**qubits, *batch).
-    It is built in place: the first 2**j entries hold the product over the j
-    lowest qubits, and the next qubit doubles them.
-    """
-    pairs = np.asarray(pairs)
-    out = np.empty((2 ** pairs.shape[0],) + pairs.shape[2:], dtype=pairs.dtype)
-    out[0] = 1.0
-    for j, (clear, set_) in enumerate(pairs):
-        w = 1 << j
-        np.multiply(out[:w], set_, out=out[w:2 * w])
-        out[:w] *= clear
-    return out
-
-
 def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
     """U|0> = D (x)M_q|0>: the tensor product of the first columns of the M_q."""
-    return diag * _kron(np.array(mats)[:, :, 0])
+    return diag * sc.kron_factors(np.array(mats)[:, :, 0])
 
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
@@ -246,7 +230,7 @@ def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     f = np.exp(-0.5j * deltas.T)
     pairs = np.stack([f, f.conj()], axis=1)
     split = min(f.shape[0], sc._GROUP)
-    return _kron(pairs[split:]), _kron(pairs[:split])
+    return sc.kron_factors(pairs[split:]), sc.kron_factors(pairs[:split])
 
 
 def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: KernelConfig,
@@ -293,16 +277,15 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
     high_n = 2 ** max(0, n - sc._GROUP)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
-    phi = (phi * _kron([right] * n)).reshape(high_n, 1, -1)
-    mid = (fid_diag * _kron(undo_right * left)).reshape(high_n, 1, -1)
+    phi = (phi * sc.kron_factors([right] * n)).reshape(high_n, 1, -1)
+    mid = (fid_diag * sc.kron_factors(undo_right * left)).reshape(high_n, 1, -1)
     to_embed = sc.product_blocks(n, [embed] * n)
     undo_fid = sc.product_blocks(n, undo_ry)
     deltas = angles_b[rows_b] - angles_a[rows_a]
     b = deltas.shape[0]
     tile = max(1, min(b, _TILE_AMPS // 2 ** n))
     out = np.empty((b, n + 1))
-    noisy = noise is not None and not noise.is_trivial()
-    transfer = sc.weight_transfer(n, noise) if noisy else None
+    transfer = sc.weight_transfer(n, noise or sc.NoiseModel())   # the identity without noise
     amps = np.empty((2, tile * 2 ** n), dtype=complex)
     probs = np.empty((2, tile * 2 ** n))
     weights = sc.hamming_weights(n).reshape(high_n, 1, -1)
@@ -327,8 +310,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
             binned = t
         out[lo:hi] = np.bincount(bins[:size], weights=sq.ravel(),
                                  minlength=t * (n + 1)).reshape(t, n + 1)
-        if noisy:
-            out[lo:hi] = sc.matmul_rows(out[lo:hi], transfer.T)
+        out[lo:hi] = sc.matmul_rows(out[lo:hi], transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)
     else:
@@ -347,24 +329,11 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
             lo += pairs
         out /= config.shots
     if not gram:
-        return out.reshape(m_a, -1, n + 1)
+        return out.reshape(m_a, angles_b.shape[0], n + 1)
     full = np.ones((m_a, m_a, n + 1))
     full[rows_a, rows_b] = out
     full[rows_b, rows_a] = out
     return full
-
-
-def _angles(spec: FeatureMapSpec, xs) -> np.ndarray:
-    """The embedding angles of checked feature rows, one column per qubit."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2:
-        raise ValueError("feature array must be two-dimensional (samples x features)")
-    if not np.isfinite(xs).all():
-        raise ValueError("features must be finite (found NaN or inf)")
-    if xs.shape[1] <= max(spec.assignment):
-        raise ValueError(
-            f"{xs.shape[1]} feature columns cannot serve assignment {spec.assignment}")
-    return spec.angle_scale * xs[:, np.array(spec.assignment)]
 
 
 def _exact_route(spec: FeatureMapSpec, config: KernelConfig, noise) -> bool:
@@ -389,7 +358,7 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     tolerance d.  Sampled entries use one multinomial draw per (i, j), so all
     tolerances of an entry come from the same counts.
     """
-    return _pair_profiles(spec, params, _angles(spec, xs), None, config, noise)
+    return _pair_profiles(spec, params, embedding_angles(spec, xs), None, config, noise)
 
 
 def matrix_from_profiles(profiles: np.ndarray, config: KernelConfig) -> KernelMatrixEstimate:
@@ -410,7 +379,7 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     ``_CHUNK_AMPS`` amplitudes; everything else takes the profile route of
     compiled pair circuits (see the module docstring).
     """
-    angles = _angles(spec, xs)
+    angles = embedding_angles(spec, xs)
     if not _exact_route(spec, config, noise):
         return matrix_from_profiles(assemble_profiles(xs, spec, params, config, noise), config)
     values = _exact_kernel(spec, params, angles)
@@ -423,7 +392,7 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
 def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: KernelConfig,
                    noise: sc.NoiseModel | None = None) -> np.ndarray:
     """Rectangular kernel block K[i, j] = k(rows_i, cols_j) (e.g. test x train)."""
-    angles_r, angles_c = _angles(spec, xs_rows), _angles(spec, xs_cols)
+    angles_r, angles_c = embedding_angles(spec, xs_rows), embedding_angles(spec, xs_cols)
     if _exact_route(spec, config, noise):
         return _exact_kernel(spec, params, angles_r, angles_c)
     prof = _pair_profiles(spec, params, angles_r, angles_c, config, noise)
@@ -448,19 +417,30 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
 # positive semidefinite repair and diagnostics
 # ---------------------------------------------------------------------------
 
-def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest PSD matrix in Frobenius norm, plus the original minimum eigenvalue.
-
-    Clips negative eigenvalues to zero; PSD input comes back unchanged, as the
-    same array, not a copy.  Raises ValueError for a NaN or infinite entry.
-    """
+def symmetric_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ascending eigenvalues and eigenvectors of a finite matrix's symmetric part,
+    and m * eps * max|lambda|, the accuracy of a symmetric eigensolver (Golub &
+    Van Loan, Matrix Computations, 4th ed., 8.1): an eigenvalue within it cannot
+    be told from zero.  Raises ValueError for a NaN or infinite entry."""
     values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         raise ValueError("matrix must be finite (found NaN or inf)")
-    sym = (values + values.T) / 2.0
-    w, v = np.linalg.eigh(sym)
+    w, v = np.linalg.eigh((values + values.T) / 2.0)
+    return w, v, values.shape[0] * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
+
+
+def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
+    """Nearest PSD matrix in Frobenius norm, plus the original minimum eigenvalue.
+
+    Clips negative eigenvalues to zero.  A minimum eigenvalue within
+    ``symmetric_eigh``'s rounding bound counts as zero, so PSD input comes
+    back unchanged, as the same array, not a copy.  Raises ValueError for a
+    NaN or infinite entry.
+    """
+    values = np.asarray(values, dtype=float)
+    w, v, bound = symmetric_eigh(values)
     min_eig = float(w[0])
-    if min_eig >= 0.0:
+    if min_eig >= -bound:
         return values, min_eig
     clipped = np.clip(w, 0.0, None)
     proj = (v * clipped) @ v.T
@@ -469,7 +449,7 @@ def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 def repair_psd(estimate: KernelMatrixEstimate) -> KernelMatrixEstimate:
     projected, min_eig = psd_project(estimate.values)
-    return replace(estimate, values=projected, psd_projected=min_eig < 0.0,
+    return replace(estimate, values=projected, psd_projected=projected is not estimate.values,
                    min_eigenvalue_before=min_eig)
 
 
@@ -480,8 +460,8 @@ def psd_distance(values: np.ndarray) -> float:
     norm = np.linalg.norm(values)
     if norm == 0.0:
         raise ValueError("zero matrix has no normalized PSD distance")
-    projected, min_eig = psd_project(values)
-    if min_eig >= 0.0:
+    projected, _ = psd_project(values)
+    if projected is values:
         return 0.0
     pnorm = np.linalg.norm(projected)
     if pnorm == 0.0:

@@ -17,11 +17,11 @@ on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
 so they push the (n+1)-bin weight histogram through the matrix
 ``weight_transfer(n, noise)`` instead.
 
-``product_into`` applies a tensor product of one-qubit matrices to a batch of
-states in groups of ``_GROUP`` qubits, one Kronecker block per group from
-``product_blocks``, between two caller-held buffers that hold the batch with
-its states side by side; ``_apply_rotation`` and ``run_circuit`` stay the
-gate-by-gate reference.
+``kron_factors`` builds every Kronecker product of per-qubit length-2 factors
+in the package, among them each block of ``product_blocks`` that
+``product_into`` applies, ``_GROUP`` qubits at a time, to a batch of states
+held side by side in two caller-held buffers; ``_apply_rotation`` and
+``run_circuit`` stay the gate-by-gate reference.
 """
 
 from __future__ import annotations
@@ -141,23 +141,38 @@ def _apply_rotation(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.nda
     return np.moveaxis(out, 0, n - 1 - q).reshape(-1)
 
 
+def kron_factors(pairs) -> np.ndarray:
+    """The Kronecker product of per-qubit (clear-bit, set-bit) factor pairs,
+    qubit 0 the low bit: entry k of the result is prod_q pairs[q, bit q of k].
+
+    ``pairs`` has shape (qubits, 2, *batch); the result (2**qubits, *batch).
+    It is built in place: the first 2**j entries hold the product over the j
+    lowest qubits, and the next qubit doubles them.
+    """
+    pairs = np.asarray(pairs)
+    out = np.empty((2 ** pairs.shape[0],) + pairs.shape[2:], dtype=pairs.dtype)
+    out[0] = 1.0
+    for j, (clear, set_) in enumerate(pairs):
+        w = 1 << j
+        np.multiply(out[:w], set_, out=out[w:2 * w])
+        out[:w] *= clear
+    return out
+
+
 def product_blocks(n: int, mats) -> list[np.ndarray]:
     """Kronecker blocks of mats[n-1] (x) ... (x) mats[0], ``_GROUP`` qubits each.
 
     ``mats[q]`` is the 2x2 matrix on qubit q.  Block g is
     mats[hi-1] (x) ... (x) mats[lo] for the qubits lo..hi-1 of group g
-    (lo = g * _GROUP), at most 16 x 16.  A layer applied to many batches
+    (lo = g * _GROUP), at most 16 x 16: column c is the ``kron_factors`` of
+    each qubit's column for its bit of c.  A layer applied to many batches
     builds its blocks once and hands them to ``product_into`` each time.
     """
-    blocks = []
-    for lo in range(0, n, _GROUP):
-        block = np.ones((1, 1))
-        for q in range(min(lo + _GROUP, n) - 1, lo - 1, -1):   # qubit hi-1 is the high bit
-            # np.kron(block, mats[q]), without its per-call overhead
-            block = (block[:, None, :, None] * mats[q][None, :, None, :]).reshape(
-                2 * block.shape[0], -1)
-        blocks.append(block)
-    return blocks
+    mats = np.asarray(mats)
+    bits = (np.arange(2 ** _GROUP) >> np.arange(_GROUP)[:, None]) & 1   # bit q of column c
+    groups = (mats[lo:lo + _GROUP] for lo in range(0, n, _GROUP))
+    return [kron_factors(np.take_along_axis(g, bits[:len(g), None, :2 ** len(g)], axis=2))
+            for g in groups]
 
 
 def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -322,20 +337,16 @@ class ShotCounts:
         return sum(self.counts.values())
 
 
-def _draw_multinomial(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    total = dist.sum()
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"distribution sums to {total}, not 1")
-    return rng.multinomial(shots, dist / total)
-
-
 def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> ShotCounts:
     """Draw shot counts from an outcome distribution, deterministically by seed."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if dist.shape[0] != 2 ** n:
         raise ValueError("distribution length does not match qubit count")
-    draws = _draw_multinomial(dist, shots, np.random.default_rng(seed))
+    total = dist.sum()
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"distribution sums to {total}, not 1")
+    draws = np.random.default_rng(seed).multinomial(shots, dist / total)
     hits = np.nonzero(draws)[0]
     counts = {format(int(i), f"0{n}b"): int(draws[i]) for i in hits}
     return ShotCounts(n, shots, counts)

@@ -17,10 +17,11 @@ through the identical fit/predict path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .data import parse_labels, read_table, sorted_unique, write_table
+from .data import parse_labels, parse_records, read_table, sorted_unique, write_table
 
 
 @dataclass
@@ -336,29 +337,43 @@ def save_model_csv(model: MulticlassSVC, path) -> None:
     write_table(path, _MODEL_HEADER, rows)
 
 
+_MODEL_VALUES = {"class": lambda j, v: v, "pair": lambda j, v: (int(j), int(v)),
+                 "bias": lambda j, v: float(v)}
+
+
 def load_model_csv(path) -> MulticlassSVC:
+    """Read ``save_model_csv``'s records back.  A ValueError names ``path``
+    unless the file has one ``meta`` record, first, class indices 0..k-1, and
+    one ``bias`` and one ``pair`` per pair index, the pairs being the
+    one-vs-one class pairs."""
     records = read_table(path)
     if len(records) < 2 or records[0][1] != _MODEL_HEADER or records[1][1][0] != "meta":
         raise ValueError(f"{path}: not a model records file")
-    labels = {}
-    for ln_no, (kind, i, j, value) in records[1:]:
-        try:
-            if kind == "meta":
-                n_train, n_pairs, c = int(i), int(j), float(value)
-                pair_classes = np.zeros((n_pairs, 2), dtype=int)
-                biases = np.zeros(n_pairs)
-                coefs = np.zeros((n_pairs, n_train))
-            elif kind == "class":
-                labels[int(i)] = value
-            elif kind == "pair":
-                pair_classes[int(i)] = (int(j), int(value))
-            elif kind == "bias":
-                biases[int(i)] = float(value)
-            elif kind == "coef":
-                coefs[int(i), int(j)] = float(value)
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"{path}: line {ln_no}: {exc}") from None
-    classes = parse_labels([labels[k] for k in sorted(labels)])
-    return MulticlassSVC(classes, pair_classes, coefs, biases, c)
+    [(n_train, n_pairs, c)] = parse_records(
+        path, records[1:2], lambda cells: (int(cells[1]), int(cells[2]), float(cells[3])))
+    if min(n_train, n_pairs) < 1:
+        raise ValueError(f"{path}: line {records[1][0]}: meta needs positive counts")
+    coefs = np.zeros((n_pairs, n_train))
+    tables = {kind: [] for kind in _MODEL_VALUES}
+
+    def record(cells) -> None:
+        kind, i, j, value = cells
+        if kind in tables:
+            tables[kind].append((int(i), _MODEL_VALUES[kind](j, value)))
+        elif kind == "coef" and 0 <= int(i) < n_pairs and 0 <= int(j) < n_train:
+            coefs[int(i), int(j)] = float(value)
+        else:
+            raise ValueError(f"unexpected {kind!r} record ({i}, {j})")
+
+    parse_records(path, records[2:], record)
+    values = {}
+    for kind, size in (("class", len(tables["class"])), ("pair", n_pairs), ("bias", n_pairs)):
+        keys = sorted(i for i, _ in tables[kind])
+        if keys != list(range(size)):
+            raise ValueError(f"{path}: {kind} indices must be 0..{size - 1} once each, got {keys}")
+        values[kind] = [v for _, v in sorted(tables[kind], key=lambda rec: rec[0])]
+    k, pairs = len(values["class"]), values["pair"]
+    if sorted(pairs) != list(combinations(range(k), 2)):
+        raise ValueError(f"{path}: pairs {pairs} are not the one-vs-one pairs of {k} classes")
+    return MulticlassSVC(parse_labels(values["class"]), np.array(pairs), coefs,
+                         np.array(values["bias"]), c)

@@ -197,6 +197,16 @@ def test_geometric_difference_rejects_indefinite_input():
         al.geometric_difference(good, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_geometric_difference_rejects_non_finite_input(bad):
+    values = np.eye(3)
+    values[0, 2] = values[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        al.geometric_difference(values, np.eye(3))
+    with pytest.raises(ValueError, match="finite"):
+        al.geometric_difference(np.eye(3), values)
+
+
 def test_rbf_gamma_search_table_and_tie_break():
     rng = np.random.default_rng(10)
     xs = rng.normal(size=(8, 3))

@@ -359,6 +359,33 @@ def test_predict_with_corrupt_model_is_an_artifact_error(tmp_path, capsys):
     assert "unreadable model file" in capsys.readouterr().err
 
 
+# edits to a fitted two-class model.csv that leave it well-formed CSV but no
+# longer a model: each must fail at the boundary, naming the file
+MODEL_EDITS = {
+    "dropped class": lambda lines: [ln for ln in lines if ln != "class,1,,1"],
+    "pair class out of range": lambda lines: [
+        "pair,0,0,5" if ln.startswith("pair,") else ln for ln in lines],
+    "dropped pair": lambda lines: [ln for ln in lines if not ln.startswith("pair,")],
+    "second meta": lambda lines: [x for ln in lines
+                                  for x in ([ln, lines[1]] if ln.startswith("pair,") else [ln])],
+}
+
+
+@pytest.mark.parametrize("edit", sorted(MODEL_EDITS))
+def test_predict_rejects_an_inconsistent_model_file(tmp_path, capsys, edit):
+    fit_out, pred_cfg = fitted_model(tmp_path)
+    model = fit_out / "model.csv"
+    lines = model.read_text().splitlines()
+    assert "class,1,,1" in lines and lines[1].startswith("meta,")
+    edited = MODEL_EDITS[edit](lines)
+    assert edited != lines
+    model.write_text("\n".join(edited) + "\n")
+    capsys.readouterr()
+    assert run(["predict", "--config", pred_cfg]) == 4
+    err = capsys.readouterr().err
+    assert str(model) in err and "internal error" not in err
+
+
 def test_predict_with_non_json_manifest_is_an_artifact_error(tmp_path, capsys):
     fit_out, pred_cfg = fitted_model(tmp_path)
     (fit_out / "manifest.json").write_text("{not json")

@@ -123,6 +123,40 @@ def test_entangler_rejects_impossible_requests():
         fm.build_entangler(fm.line_coupling(3), 0)
 
 
+# the plans a full-register request took before it went through the general
+# register search, which on a connected map picks the whole map
+FULL_REGISTER_PLANS = {
+    "line 8": (fm.line_coupling(8), 3,
+               ((3, 2), (3, 4), (2, 1), (4, 5), (1, 0), (5, 6), (6, 7)),
+               (((3, 2), (4, 5), (1, 0), (6, 7)), ((3, 4), (2, 1), (5, 6))),
+               (3, 2, 4, 1, 5, 0, 6, 7)),
+    "ring 8": (fm.ring_coupling(8), 0,
+               ((0, 1), (0, 7), (1, 2), (7, 6), (2, 3), (6, 5), (3, 4)),
+               (((0, 1), (7, 6), (2, 3)), ((0, 7), (1, 2), (6, 5), (3, 4))),
+               (0, 1, 7, 2, 6, 3, 5, 4)),
+    "heavy hex 3x7": (
+        fm.heavy_hex_coupling(3, 7), 9,
+        ((9, 8), (9, 10), (9, 23), (8, 7), (10, 11), (23, 16), (7, 21), (11, 12),
+         (11, 22), (16, 15), (16, 17), (21, 0), (12, 13), (22, 4), (15, 14), (17, 18),
+         (0, 1), (13, 24), (4, 3), (4, 5), (18, 19), (1, 2), (24, 20), (5, 6)),
+        (((9, 8), (10, 11), (23, 16), (7, 21), (12, 13), (22, 4), (15, 14), (17, 18),
+          (0, 1), (24, 20), (5, 6)),
+         ((9, 10), (8, 7), (11, 12), (16, 15), (21, 0), (13, 24), (4, 3), (18, 19),
+          (1, 2)),
+         ((9, 23), (11, 22), (16, 17), (4, 5))),
+        (9, 8, 10, 23, 7, 11, 16, 21, 12, 22, 15, 17, 0, 13, 4, 14, 18, 1, 24, 3, 5,
+         19, 2, 20, 6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_REGISTER_PLANS))
+def test_full_register_plan_is_unchanged(name):
+    coupling, root, tree_edges, layers, order = FULL_REGISTER_PLANS[name]
+    plan = fm.build_entangler(coupling, coupling.n_qubits)
+    assert plan == fm.EntanglerPlan(root, tree_edges, layers, order,
+                                    tuple(range(coupling.n_qubits)))
+
+
 def test_single_qubit_plan_is_trivial():
     plan = fm.build_entangler(fm.line_coupling(4), 1)
     assert plan.tree_edges == ()
@@ -196,8 +230,8 @@ def test_fiducial_gate_sequence():
 def test_embedding_uses_assignment_and_scale():
     spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=2.0)
     x = np.array([0.5, -1.0, 0.25])
-    angles = fm.embedding_angles(spec, x)
-    np.testing.assert_allclose(angles, 2.0 * x[np.array(spec.assignment)])
+    angles = fm.embedding_angles(spec, x[None, :])
+    np.testing.assert_allclose(angles, 2.0 * x[None, np.array(spec.assignment)])
     circ = fm.build_embedding(spec, x)
     assert [g.name for g in circ.gates] == ["rx", "rx", "rx"]
     assert [g.qubits[0] for g in circ.gates] == [0, 1, 2]

@@ -135,6 +135,31 @@ def test_assemble_cross_matches_entry_circuits():
             assert got[i, j] == pytest.approx(ref, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kernel_entry_rejects_non_finite_features(bad):
+    # the reference circuit takes the same checked angle map as the batched routes
+    spec = fm.make_feature_map(fm.line_coupling(2), 2)
+    with pytest.raises(ValueError, match="finite"):
+        kn.kernel_entry(spec, np.zeros(6), np.array([0.1, bad]), np.zeros(2), kn.KernelConfig())
+    with pytest.raises(ValueError, match="finite"):
+        kn.kernel_entry(spec, np.zeros(6), np.zeros(2), np.array([bad, 0.1]), kn.KernelConfig())
+
+
+@pytest.mark.parametrize("config, noise", [
+    (kn.KernelConfig(), None),
+    (kn.KernelConfig(shots=20), None),
+    (kn.KernelConfig(tolerance=1), None),
+    (kn.KernelConfig(), sc.NoiseModel(p01=0.1, p10=0.05)),
+], ids=["exact", "sampled", "tolerance", "noisy"])
+def test_cross_blocks_with_no_rows_or_no_columns_are_empty(config, noise):
+    rng = np.random.default_rng(23)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3)
+    params = rng.uniform(-np.pi, np.pi, 9)
+    xs = rng.normal(size=(4, 3))
+    assert kn.assemble_cross(xs[:0], xs, spec, params, config, noise).shape == (0, 4)
+    assert kn.assemble_cross(xs, xs[:0], spec, params, config, noise).shape == (4, 0)
+
+
 def test_diagonal_pinning_flag():
     rng = np.random.default_rng(6)
     spec = fm.make_feature_map(fm.line_coupling(3), 3)
@@ -289,13 +314,13 @@ def test_kron_builder_matches_kron_oracle(n):
             dense = np.kron(dense, factors[q])
         return dense
 
-    np.testing.assert_allclose(kn._kron(pairs[:, :, 0]), oracle(pairs[:, :, 0]),
+    np.testing.assert_allclose(sc.kron_factors(pairs[:, :, 0]), oracle(pairs[:, :, 0]),
                                rtol=0, atol=1e-12)
-    batched = kn._kron(pairs)
+    batched = sc.kron_factors(pairs)
     assert batched.shape == (2 ** n, 3)
     for r in range(3):
         np.testing.assert_allclose(batched[:, r], oracle(pairs[:, :, r]), rtol=0, atol=1e-12)
-    assert kn._kron(pairs[:0]).tolist() == [[1.0] * 3]   # no qubits: the empty product
+    assert sc.kron_factors(pairs[:0]).tolist() == [[1.0] * 3]   # no qubits: the empty product
 
 
 @pytest.mark.parametrize("estimate_diagonal", [True, False])
@@ -309,7 +334,7 @@ def test_gram_profiles_are_the_row_layout_of_their_pairs(estimate_diagonal, shot
     n, m, seed = 4, 7, 13
     spec = fm.make_feature_map(fm.line_coupling(n), n)
     params = rng.uniform(-np.pi, np.pi, 3 * n)
-    angles = kn._angles(spec, rng.normal(size=(m, n)))
+    angles = fm.embedding_angles(spec, rng.normal(size=(m, n)))
     noise = sc.NoiseModel(p01=0.05, p10=0.02, depolarizing=0.01)
     cfg = kn.KernelConfig(shots=shots, estimate_diagonal=estimate_diagonal, master_seed=seed)
     pairs = kn._pair_profiles(spec, params, angles, angles, replace(cfg, shots=None), noise)
@@ -753,6 +778,35 @@ def test_repair_of_a_psd_matrix_keeps_its_array():
     est = kn.KernelMatrixEstimate(np.eye(3), 0, None)
     assert kn.repair_psd(est).values is est.values
     assert kn.psd_project(est.values)[0] is est.values
+
+
+def test_exact_gram_with_a_rounding_level_eigenvalue_is_not_projected():
+    # an exact Gram is PSD by the Schur product theorem; at n=3, m=300 its
+    # computed minimum eigenvalue is a rounding-level negative, inside
+    # m * eps * max|lambda|, so repair keeps the array and reports no projection
+    rng = np.random.default_rng(0)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=2 * np.pi)
+    params = rng.uniform(0.0, 2 * np.pi, 9)
+    est = kn.assemble_matrix(rng.uniform(0.0, 1.0, (300, 3)), spec, params, kn.KernelConfig())
+    repaired = kn.repair_psd(est)
+    assert -1e-12 < repaired.min_eigenvalue_before < 0.0
+    assert not repaired.psd_projected
+    assert repaired.values is est.values
+    assert kn.psd_project(est.values)[0] is est.values
+    assert kn.psd_distance(est.values) == 0.0
+
+
+def test_sampled_gram_with_a_negative_eigenvalue_is_projected():
+    rng = np.random.default_rng(3)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=2 * np.pi)
+    params = rng.uniform(0.0, 2 * np.pi, 9)
+    est = kn.assemble_matrix(rng.uniform(0.0, 1.0, (30, 3)), spec, params,
+                             kn.KernelConfig(shots=50, master_seed=5))
+    repaired = kn.repair_psd(est)
+    assert repaired.min_eigenvalue_before < -0.1
+    assert repaired.psd_projected and repaired.values is not est.values
+    assert np.linalg.eigvalsh(repaired.values).min() >= -1e-12
+    assert kn.psd_distance(est.values) > 0.0
 
 
 def codeword_features():

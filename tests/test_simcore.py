@@ -246,6 +246,22 @@ def test_apply_product_matches_kron_oracle(n):
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("complex_factors", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
+def test_product_blocks_match_kron_oracle(n, complex_factors):
+    # block g is np.kron(mats[hi-1], ..., mats[lo]) over its group's qubits
+    rng = np.random.default_rng(n)
+    mats = rng.normal(size=(n, 2, 2)) + complex_factors * 1j * rng.normal(size=(n, 2, 2))
+    blocks = sc.product_blocks(n, list(mats))
+    assert len(blocks) == -(-n // 4)
+    for block, lo in zip(blocks, range(0, n, 4)):
+        dense = np.eye(1)
+        for q in reversed(range(lo, min(lo + 4, n))):
+            dense = np.kron(dense, mats[q])
+        assert block.dtype == mats.dtype
+        np.testing.assert_allclose(block, dense, rtol=0, atol=1e-14)
+
+
 def test_hamming_weights_match_bit_counting():
     w = sc.hamming_weights(6)
     for idx in range(64):
