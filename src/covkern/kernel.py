@@ -31,9 +31,9 @@ K = |conj(F_a) F_b^T|^2.  That costs O(m_a m_b 2**n) for the product, and the
 most ``_CHUNK_AMPS`` values together.
 
 Every other case (readout noise, shots, tolerance > 0) takes the profile
-route: one compiled pair circuit per angle difference delta = b - a,
+route: one compiled pair circuit per pair of angle rows (a, b),
 
-    (x)M_q^dagger . D . (x)V . (e(delta) * phi),   e(delta)_k = exp(-i z_k . delta / 2).
+    (x)M_q^dagger . D . (x)V . (E(b) * conj(E(a)) * phi),   E(x)_k = exp(-i z_k . x / 2).
 
 Each 2x2 factor of both layers is written in ZYZ Euler form,
 diag . RY . diag.  The diagonals fold into phi and D, except the left ones
@@ -42,20 +42,25 @@ changes no probability.  So a pair costs one phase multiply, two real
 product layers (``simcore.product_into``, their Kronecker blocks built once
 per call) and one diagonal multiply.  Pairs go in tiles of
 ``max(1, _TILE_AMPS // 2**n)``, so each numpy pass works on a 512 KB array
-(2**15 amplitudes) that a core's L2 cache holds; a tile is held as
-(2**n // 16, pairs, 16).  The tile working set is allocated once per call
-and reused by every tile, so no tile-sized array is allocated (and
-page-faulted in) per tile: two complex buffers that the product layers
-ping-pong between, two float ones for |amplitude|^2 and one (pair, weight)
-bin index, about 1.75 MB whatever the number of pairs.  e(delta) is written
-into a buffer from two phase tables per pair, over qubits 4..n-1 and 0..3.
-Only the Hamming weight of an outcome matters, so readout noise is one
+(2**15 amplitudes) that a core's L2 cache holds; a tile holds its pairs as
+the rows of one (pairs, 2**n) complex array.  The tile working set is
+allocated once per call and reused by every tile, so no tile-sized array is
+allocated (and page-faulted in) per tile: two complex buffers that the
+product layers ping-pong between, about 1 MB whatever the number of pairs.
+The per-sample phase tables, E(b) for column samples and conj(E(a)) * phi
+for row samples, are built with ``simcore.kron_factors`` one block of at
+most ``max(1, _TILE_AMPS // 2**n)`` samples at a time, so the two held at
+once take at most another 1 MB.  A matrix row's pairs share a and run over
+consecutive b, so a tile is written with one multiply per run.  Only the
+Hamming weight of an outcome matters: the finished tile is squared into the
+spare buffer's float view and summed into weight bins by one row matmul per
+4-qubit group (``simcore.weight_histograms``).  Readout noise is then one
 (n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each pair's
 weight histogram, and shots are one multinomial per matrix row over its
 pairs' n+1 weight bins.  A pair's numbers come out the same in whatever
-tile it falls (one-row products take the same BLAS routine as wider ones, a
-later group's matmul has 32 float columns per pair, and weight sums run in
-index order), so results do not depend on the tiling.
+tile it falls: every matmul of the product and weight layers varies only
+in its row or item count, and one-row products take the same BLAS routine
+as wider ones, so results do not depend on the tiling.
 
 The two size constants bound different things: ``_TILE_AMPS`` the profile
 route's pair tiles, whose elementwise passes are memory-bound, and
@@ -66,6 +71,7 @@ may pay too, but that is a change to the exact route, measured on its own.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,7 +152,7 @@ def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
     """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
     blocks = sc.product_blocks(n, [_TO_Z_BASIS[axis]] * n)
-    cur = np.array(psi, dtype=complex).reshape(-1, 1, blocks[0].shape[0])   # a copy to overwrite
+    cur = np.array(psi, dtype=complex).reshape(1, -1)   # a copy to overwrite
     return sc.product_into(cur, np.empty_like(cur), blocks)[0].reshape(-1)
 
 
@@ -221,18 +227,6 @@ def _zyz(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), right
 
 
-def _pair_phases(deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """e(delta)[r, k] = prod_q exp(-+ i delta_rq / 2), minus when bit q of k is
-    clear, as two phase tables with the pair axis last: ``high`` over qubits
-    4..n-1 and ``low`` over qubits 0..min(n, 4)-1, so that amplitude k of
-    pair r in the tile layout of ``simcore.product_into``,
-    [k // 16, r, k % 16], is high[k // 16, r] * low[k % 16, r]."""
-    f = np.exp(-0.5j * deltas.T)
-    pairs = np.stack([f, f.conj()], axis=1)
-    split = min(f.shape[0], sc._GROUP)
-    return sc.kron_factors(pairs[split:]), sc.kron_factors(pairs[:split])
-
-
 def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: KernelConfig,
                    noise) -> np.ndarray:
     """Cumulative weight-mass profiles (m_a, m_b, n+1) of every pair of angle
@@ -241,11 +235,12 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     is evaluated and mirrored, with its diagonal when ``estimate_diagonal``
     is set (exact 1 otherwise).
 
-    The pair state is (x)M_q^dagger . D . (x)V . (e(delta) * phi), with both
-    layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a time on
-    buffers allocated once per call (see the module docstring); the last,
-    short tile takes a leading part of each.  ``out`` holds the pairs' weight
-    histograms, noise applied, until their cumulative sums replace them.
+    The pair state is (x)M_q^dagger . D . (x)V . (E(b) * conj(E(a)) * phi),
+    with both layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a
+    time, each pair a row, on buffers allocated once per call (see the module
+    docstring); the last, short tile takes a leading part of each.  ``out``
+    holds the pairs' weight histograms, noise applied, until their cumulative
+    sums replace them.
 
     Shots draw from one RNG stream per matrix row, so assembly order and
     tiling cannot change sampled results, a leading block of rows or columns
@@ -275,42 +270,50 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     mats, fid_diag = _compile_fiducial(spec, params)
     left, embed, right = _zyz(_TO_Z_BASIS[spec.embed_axis].conj().T)
     _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
-    high_n = 2 ** max(0, n - sc._GROUP)
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
-    phi = (phi * sc.kron_factors([right] * n)).reshape(high_n, 1, -1)
-    mid = (fid_diag * sc.kron_factors(undo_right * left)).reshape(high_n, 1, -1)
+    phi *= sc.kron_factors([right] * n)
+    mid = fid_diag * sc.kron_factors(undo_right * left)
     to_embed = sc.product_blocks(n, [embed] * n)
     undo_fid = sc.product_blocks(n, undo_ry)
-    deltas = angles_b[rows_b] - angles_a[rows_a]
-    b = deltas.shape[0]
-    tile = max(1, min(b, _TILE_AMPS // 2 ** n))
+    layers = sc.weight_layers(n)
+    b = rows_a.shape[0]
+    per = max(1, _TILE_AMPS // 2 ** n)   # pairs per tile, samples per phase table block
+    tile = max(1, min(b, per))
     out = np.empty((b, n + 1))
     transfer = sc.weight_transfer(n, noise or sc.NoiseModel())   # the identity without noise
     amps = np.empty((2, tile * 2 ** n), dtype=complex)
-    probs = np.empty((2, tile * 2 ** n))
-    weights = sc.hamming_weights(n).reshape(high_n, 1, -1)
-    bins = np.empty(tile * 2 ** n, dtype=weights.dtype)
-    binned = 0   # pairs the bin index is written for
+
+    def phase_rows(angles, times):
+        """``rows(k)``: rows k.. of E(x) * times, E(x)_k = exp(-i z_k . x / 2),
+        for the samples x of ``angles``, up to the end of k's block of ``per``
+        samples; one block is held at a time."""
+        @functools.lru_cache(maxsize=1)
+        def block(first):
+            f = np.exp(-0.5j * angles[first:first + per].T)
+            e = sc.kron_factors(np.stack([f, f.conj()], axis=1))
+            return np.multiply(e.T, times, order="C")
+        return lambda k: block(k - k % per)[k % per:]
+
+    # a row of pairs runs over consecutive j, so each run of a tile that
+    # shares i and one block of E(b) is one multiply: E(b_j) * conj(E(a_i)) * phi,
+    # with conj(E(a)) = E(-a)
+    rows_e, rows_conj = phase_rows(angles_b, 1.0), phase_rows(-angles_a, phi)
+    new_run = ((np.diff(rows_a, prepend=-1) != 0) | (np.diff(rows_b, prepend=-1) != 1)
+               | (rows_b % per == 0))
+    new_run[::tile] = True   # and every tile starts one
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
         t = hi - lo
-        size = t * 2 ** n
-        high, low = _pair_phases(deltas[lo:hi])
-        cur, spare = (buf[:size].reshape(high_n, t, -1) for buf in amps)
-        np.multiply(high[:, :, None], low.T, out=cur)
-        cur *= phi
+        cur, spare = (buf[:t * 2 ** n].reshape(t, -1) for buf in amps)
+        starts = np.flatnonzero(new_run[lo:hi]).tolist()
+        for r0, r1 in zip(starts, [*starts[1:], t]):
+            np.multiply(rows_e(rows_b[lo + r0])[:r1 - r0], rows_conj(rows_a[lo + r0])[0],
+                        out=cur[r0:r1])
         cur, spare = sc.product_into(cur, spare, to_embed)
         cur *= mid
-        cur, _ = sc.product_into(cur, spare, undo_fid)
-        sq, sq_imag = (buf[:size].reshape(cur.shape) for buf in probs)
-        np.square(cur.real, out=sq)
-        sq += np.square(cur.imag, out=sq_imag)
-        if t != binned:   # the first tile, and a short last one, write it in place
-            np.add(np.arange(t)[:, None] * (n + 1), weights, out=bins[:size].reshape(cur.shape))
-            binned = t
-        out[lo:hi] = np.bincount(bins[:size], weights=sq.ravel(),
-                                 minlength=t * (n + 1)).reshape(t, n + 1)
-        out[lo:hi] = sc.matmul_rows(out[lo:hi], transfer.T)
+        cur, spare = sc.product_into(cur, spare, undo_fid)
+        squares = np.square(cur.view(float), out=spare.view(float))
+        out[lo:hi] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)
     else:
@@ -514,6 +517,8 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
     binomial CDF of d flips; the recommended tolerance is the smallest one
     whose average diagonal reaches each threshold.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     thresholds = tuple(float(t) for t in thresholds)
     if any(not 0.0 < t <= 1.0 for t in thresholds):
         raise ValueError("thresholds must lie in (0, 1]")

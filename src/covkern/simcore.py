@@ -20,8 +20,11 @@ so they push the (n+1)-bin weight histogram through the matrix
 ``kron_factors`` builds every Kronecker product of per-qubit length-2 factors
 in the package, among them each block of ``product_blocks`` that
 ``product_into`` applies, ``_GROUP`` qubits at a time, to a batch of states
-held side by side in two caller-held buffers; ``_apply_rotation`` and
-``run_circuit`` stay the gate-by-gate reference.
+held as the rows of two caller-held buffers; ``_apply_rotation`` and
+``run_circuit`` stay the gate-by-gate reference.  ``weight_histograms`` sums
+a batch's squared amplitudes into Hamming-weight bins the same way, one row
+matmul per group by a one-hot map of ``weight_layers``; the ``bincount`` of
+``weight_mass_profile`` stays the reference.
 """
 
 from __future__ import annotations
@@ -165,14 +168,19 @@ def product_blocks(n: int, mats) -> list[np.ndarray]:
     ``mats[q]`` is the 2x2 matrix on qubit q.  Block g is
     mats[hi-1] (x) ... (x) mats[lo] for the qubits lo..hi-1 of group g
     (lo = g * _GROUP), at most 16 x 16: column c is the ``kron_factors`` of
-    each qubit's column for its bit of c.  A layer applied to many batches
-    builds its blocks once and hands them to ``product_into`` each time.
+    each qubit's column for its bit of c.  One ``kron_factors`` call builds
+    every group, the last padded with identity factors, and each block is read
+    from its group's leading corner.  A layer applied to many batches builds
+    its blocks once and hands them to ``product_into`` each time.
     """
     mats = np.asarray(mats)
+    groups = -(-n // _GROUP)
+    pad = np.broadcast_to(np.eye(2, dtype=mats.dtype), (groups * _GROUP - n, 2, 2))
+    per = np.concatenate([mats, pad]).reshape(groups, _GROUP, 2, 2).transpose(1, 2, 0, 3)
     bits = (np.arange(2 ** _GROUP) >> np.arange(_GROUP)[:, None]) & 1   # bit q of column c
-    groups = (mats[lo:lo + _GROUP] for lo in range(0, n, _GROUP))
-    return [kron_factors(np.take_along_axis(g, bits[:len(g), None, :2 ** len(g)], axis=2))
-            for g in groups]
+    full = kron_factors(np.take_along_axis(per, bits[:, None, None, :], axis=3))
+    sizes = (2 ** min(_GROUP, n - lo) for lo in range(0, n, _GROUP))
+    return [np.ascontiguousarray(full[:s, g, :s]) for g, s in enumerate(sizes)]
 
 
 def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -187,17 +195,18 @@ def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the tensor product held in ``product_blocks`` to a batch of B
-    states held in two C-contiguous (2**n // s, B, s) buffers, s the first
-    block's size: amplitude k of state r sits at [k // s, r, k % s].  Both
-    buffers are overwritten; returns (result, the other buffer).
+    """Apply the tensor product held in ``product_blocks`` to B states held as
+    the rows of two C-contiguous (B, 2**n) buffers.  Both buffers are
+    overwritten; returns (result, the other buffer).
 
-    Group 0 is one matmul over the B * 2**n // s rows of s amplitudes (one
-    row goes through ``matmul_rows``).  Each later group is one matmul over
-    its axis, every state of the batch side by side in the columns.  A real
-    block acts on real and imaginary parts alike, so on complex states it
-    runs in float64 on the buffers' float view.  A layer costs ceil(n / 4)
-    passes over the batch and allocates nothing of its size.
+    Group 0 is one matmul over the B * 2**n // s rows of its s amplitudes (one
+    row goes through ``matmul_rows``).  Each later group g is one stacked
+    matmul, block times each (s, 2**(4g)) slab of each state.  A real block
+    acts on real and imaginary parts alike, so on complex states it runs in
+    float64 on the buffers' float view.  Every matmul varies only in its row
+    or item count, so a state's result does not depend on how many states
+    share the call.  A layer costs ceil(n / 4) passes over the batch and
+    allocates nothing of its size.
     """
     s = blocks[0].shape[0]
     rows, first = cur.reshape(-1, s), blocks[0].T.astype(cur.dtype)
@@ -206,7 +215,7 @@ def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray
     else:
         np.matmul(rows, first, out=spare.reshape(-1, s))
     cur, spare = spare, cur
-    width = cur[0].size   # amplitudes per index of the groups not yet applied
+    width = s   # amplitudes per index of the groups not yet applied
     for block in blocks[1:]:
         s, cols = block.shape[0], width * cur.itemsize // block.itemsize
         np.matmul(block, cur.view(block.dtype).reshape(-1, s, cols),
@@ -383,6 +392,41 @@ def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
     bins = np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)
     per = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))
     return np.cumsum(per.reshape(dist.shape[:-1] + (n + 1,)), axis=-1)
+
+
+def weight_layers(n: int) -> list[np.ndarray]:
+    """One-hot maps that sum a state's squared amplitudes into its n+1
+    Hamming-weight bins, one per ``_GROUP``-qubit group, for
+    ``weight_histograms``.
+
+    The input of map g is (index c of group g, weight v of the groups before
+    it), and row c * (v_max + 1) + v holds a 1 in column v + weight(c).  The
+    first map reads (c, real or imaginary part) instead, so it also adds the
+    two parts.  Every map is at most 16 (n+1) x (n+1).
+    """
+    layers, before = [], np.zeros(2, dtype=np.int64)   # the first map's (re, im) parts
+    for lo in range(0, n, _GROUP):
+        to = (hamming_weights(min(_GROUP, n - lo))[:, None] + before).ravel()
+        layer = np.zeros((to.size, to[-1] + 1))
+        layer[np.arange(to.size), to] = 1.0
+        layers.append(layer)
+        before = np.arange(layer.shape[1])
+    return layers
+
+
+def weight_histograms(squares: np.ndarray, layers) -> np.ndarray:
+    """(B, n+1) Hamming-weight histograms of B states from their squared
+    amplitudes' float view, (B, 2 * 2**n) with real and imaginary parts
+    interleaved, through the maps of ``weight_layers(n)``.
+
+    Each map is one row matmul (one row goes through ``matmul_rows``) whose
+    rows are a state's (indices of the later groups, weight so far), so a
+    state's histogram does not depend on how many states share the call.
+    """
+    hist = squares
+    for layer in layers:
+        hist = matmul_rows(hist.reshape(-1, layer.shape[0]), layer)
+    return hist.reshape(squares.shape[0], -1)
 
 
 def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:

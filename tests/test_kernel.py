@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -257,13 +259,13 @@ def test_noisy_exact_entries_match_circuit_distribution(monkeypatch):
 
         with monkeypatch.context() as patch:
             chunks = []
-            pair_phases = kn._pair_phases
+            histograms = sc.weight_histograms
 
-            def counting_pair_phases(deltas):
-                chunks.append(deltas.shape[0])
-                return pair_phases(deltas)
+            def counting_histograms(squares, layers):
+                chunks.append(squares.shape[0])
+                return histograms(squares, layers)
 
-            patch.setattr(kn, "_pair_phases", counting_pair_phases)
+            patch.setattr(sc, "weight_histograms", counting_histograms)
             if tile_amps is not None:
                 patch.setattr(kn, "_TILE_AMPS", tile_amps)
             prof = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
@@ -384,11 +386,11 @@ def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
     noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03) if noisy else None
     cfg = kn.KernelConfig(shots=shots, master_seed=seed)
     tiles = []
-    pair_phases = kn._pair_phases
+    histograms = sc.weight_histograms
 
-    def recording_pair_phases(deltas):
-        tiles.append(deltas.shape[0])
-        return pair_phases(deltas)
+    def recording_histograms(squares, layers):
+        tiles.append(squares.shape[0])
+        return histograms(squares, layers)
 
     def both():
         tiles.clear()
@@ -405,7 +407,7 @@ def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
     else:
         assert np.all(prof[:, :, n] == 1.0) and np.all(cross[n] == 1.0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        patch.setattr(sc, "weight_histograms", recording_histograms)
         for pairs, expected in ((1, [1] * 10 + [1] * 8), (3, [3, 3, 3, 1] + [3, 3, 2])):
             patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
             tiled_prof, tiled_cross = both()
@@ -421,8 +423,9 @@ def test_profiles_are_monotone_end_at_total_mass_and_do_not_depend_on_tiles(
        seed=st.integers(0, 2 ** 32 - 1))
 def test_eight_qubit_profiles_do_not_depend_on_tiles_of_five_or_seven_pairs(
         noisy, shots, axes, seed):
-    # a tile is held as (16, pairs, 16), so its pair count sets the width of
-    # every later group's matmul: 21 Gram pairs (diagonal included) and 12
+    # a tile holds its pairs as rows, so its pair count sets the row count of
+    # every matmul of the product and weight layers (and the item count of
+    # the stacked ones): 21 Gram pairs (diagonal included) and 12
     # cross pairs split into 5-pair tiles (5, 5, 5, 5, 1 and 5, 5, 2) and
     # 7-pair tiles (7, 7, 7 and 7, 5) must give the untiled bits
     n = 8
@@ -433,11 +436,11 @@ def test_eight_qubit_profiles_do_not_depend_on_tiles_of_five_or_seven_pairs(
     noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03) if noisy else None
     cfg = kn.KernelConfig(shots=shots, master_seed=seed)
     tiles = []
-    pair_phases = kn._pair_phases
+    histograms = sc.weight_histograms
 
-    def recording_pair_phases(deltas):
-        tiles.append(deltas.shape[0])
-        return pair_phases(deltas)
+    def recording_histograms(squares, layers):
+        tiles.append(squares.shape[0])
+        return histograms(squares, layers)
 
     def both():
         tiles.clear()
@@ -447,7 +450,7 @@ def test_eight_qubit_profiles_do_not_depend_on_tiles_of_five_or_seven_pairs(
 
     prof, cross = both()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        patch.setattr(sc, "weight_histograms", recording_histograms)
         for pairs, expected in ((5, [5, 5, 5, 5, 1] + [5, 5, 2]), (7, [7, 7, 7] + [7, 5])):
             patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
             tiled_prof, tiled_cross = both()
@@ -510,14 +513,14 @@ def test_profile_route_matrices_equal_kernel_entry(n, axes, p01, p10, depolarizi
     noise = sc.NoiseModel(p01=p01, p10=p10, depolarizing=depolarizing)
     cfg = kn.KernelConfig(tolerance=tolerance)
     tiles = []
-    pair_phases = kn._pair_phases
+    histograms = sc.weight_histograms
 
-    def recording_pair_phases(deltas):
-        tiles.append(deltas.shape[0])
-        return pair_phases(deltas)
+    def recording_histograms(squares, layers):
+        tiles.append(squares.shape[0])
+        return histograms(squares, layers)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kn, "_pair_phases", recording_pair_phases)
+        patch.setattr(sc, "weight_histograms", recording_histograms)
         patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
         gram = kn.assemble_matrix(xs, spec, params, cfg, noise).values
         cross = kn.assemble_cross(rows, xs, spec, params, cfg, noise)
@@ -528,6 +531,32 @@ def test_profile_route_matrices_equal_kernel_entry(n, axes, p01, p10, depolarizi
     for i, j in np.ndindex(*cross.shape):
         ref = kn.kernel_entry(spec, params, rows[i], xs[j], cfg, noise)
         assert cross[i, j] == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_profile_phase_tables_stay_within_the_tile_budget():
+    # the per-sample phase tables are held one block of samples at a time, so
+    # a cross call's peak grows with its columns only by what its output and
+    # pair indices grow: holding E(b) whole for 160 columns at n=12 would
+    # add 120 * 2**12 * 16 bytes, about 7.9 MB
+    n = 12
+    rng = np.random.default_rng(47)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    rows, cols = rng.normal(size=(2, n)), rng.normal(size=(160, n))
+    noise = sc.NoiseModel(p01=0.03)
+
+    def peak(m_b):
+        kn.assemble_cross(rows, cols[:m_b], spec, params, kn.KernelConfig(), noise)
+        tracemalloc.start()
+        try:
+            kn.assemble_cross(rows, cols[:m_b], spec, params, kn.KernelConfig(), noise)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    pairs = rows.shape[0] * (160 - 40)
+    grown = peak(160) - peak(40)
+    assert grown <= pairs * ((n + 1) * 8 + 2 * 8) + 64 * 1024
 
 
 def test_matrix_from_profiles_slices_one_tolerance():
@@ -615,17 +644,17 @@ def test_cross_assembly_streams_are_order_independent(monkeypatch):
     np.testing.assert_array_equal(
         full, kn.assemble_cross(rows, cols, spec, params, cfg, noise))
     chunk_sizes = []
-    real_phases = kn._pair_phases
+    real_histograms = sc.weight_histograms
 
-    def recording_phases(deltas):
-        chunk_sizes.append(deltas.shape[0])
-        return real_phases(deltas)
+    def recording_histograms(squares, layers):
+        chunk_sizes.append(squares.shape[0])
+        return real_histograms(squares, layers)
 
     for tile_amps in (None, 12):   # 12 amplitudes = 3 pairs of 2 qubits per tile
         with monkeypatch.context() as patch:
             if tile_amps is not None:
                 patch.setattr(kn, "_TILE_AMPS", tile_amps)
-                patch.setattr(kn, "_pair_phases", recording_phases)
+                patch.setattr(sc, "weight_histograms", recording_histograms)
             np.testing.assert_array_equal(
                 kn.assemble_cross(rows, cols, spec, params, cfg, noise), full)
             np.testing.assert_array_equal(
@@ -881,6 +910,20 @@ def test_calibration_threshold_validation_and_lookup():
     report = kn.calibrate([4], noise)
     with pytest.raises(KeyError):
         report.avg_diagonal(5, 0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_calibration_rejects_fewer_than_one_sample_before_any_work(samples, monkeypatch):
+    # zero samples once warned "Mean of empty slice" twice and then failed as
+    # a zero matrix with no normalized PSD distance
+    def no_work(*args, **kwargs):
+        raise AssertionError("calibrate assembled profiles")
+
+    monkeypatch.setattr(kn, "assemble_profiles", no_work)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="samples"):
+            kn.calibrate([4], sc.NoiseModel(p01=0.02), samples=samples)
 
 
 def test_calibration_csv_export(tmp_path):

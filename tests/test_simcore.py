@@ -230,7 +230,7 @@ def test_weight_transfer_is_readout_noise_on_weight_histograms(n, p01, p10, depo
 
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
 def test_apply_product_matches_kron_oracle(n):
-    # product_into on a batch of 3 states held side by side, [k // s, r, k % s]
+    # product_into on a batch of 3 states held as rows
     rng = np.random.default_rng(n)
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
     states = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
@@ -239,11 +239,9 @@ def test_apply_product_matches_kron_oracle(n):
         dense = np.kron(dense, mats[q])
     blocks = sc.product_blocks(n, mats)
     assert [b.shape[0] for b in blocks] == [2 ** min(4, n - lo) for lo in range(0, n, 4)]
-    s = blocks[0].shape[0]
-    cur = np.ascontiguousarray(states.reshape(3, -1, s).transpose(1, 0, 2))
+    cur = states.copy()
     got, _ = sc.product_into(cur, np.empty_like(cur), blocks)
-    np.testing.assert_allclose(got.transpose(1, 0, 2).reshape(3, -1), states @ dense.T,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, states @ dense.T, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("complex_factors", [False, True])
@@ -260,6 +258,29 @@ def test_product_blocks_match_kron_oracle(n, complex_factors):
             dense = np.kron(dense, mats[q])
         assert block.dtype == mats.dtype
         np.testing.assert_allclose(block, dense, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 8, 9, 13])
+def test_weight_layers_match_bincount_oracle_and_do_not_depend_on_batch(n, noisy):
+    # the weight layers sum squared real and imaginary parts into Hamming
+    # weight bins; with the transfer after them they must give the per-outcome
+    # noise channel's profile, and each row the same bits in any batch
+    rng = np.random.default_rng(100 + n)
+    states = rng.normal(size=(7, 2 ** n)) + 1j * rng.normal(size=(7, 2 ** n))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03) if noisy else sc.NoiseModel()
+    layers = sc.weight_layers(n)
+    assert all(layer.shape[0] <= 16 * (n + 1) and layer.shape[1] <= n + 1 for layer in layers)
+    squares = np.square(states.view(float))
+    hist = sc.weight_histograms(squares, layers)
+    assert hist.shape == (7, n + 1)
+    got = np.cumsum(hist @ sc.weight_transfer(n, noise).T, axis=1)
+    probs = (states.conj() * states).real
+    want = sc.weight_mass_profile(sc.apply_readout_noise(probs, n, noise), n)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    for lo, hi in ((0, 1), (2, 4), (4, 7), (6, 7), (1, 4)):
+        np.testing.assert_array_equal(sc.weight_histograms(squares[lo:hi], layers), hist[lo:hi])
 
 
 def test_hamming_weights_match_bit_counting():
