@@ -38,15 +38,28 @@ route: one compiled pair circuit per pair of angle rows (a, b),
 Each 2x2 factor of both layers is written in ZYZ Euler form,
 diag . RY . diag.  The diagonals fold into phi and D, except the left ones
 of (x)M_q^dagger, which are dropped, as a diagonal just before measurement
-changes no probability.  So a pair costs one phase multiply, two real
-product layers (``simcore.product_into``, their Kronecker blocks built once
-per call) and one diagonal multiply.  Pairs go in tiles of
+changes no probability.  What is left is two real product layers, L1 (the
+embedding's RYs) and L2 (the M_q's), with one diagonal ``mid`` between them.
+A layer's 4-qubit groups act on disjoint qubits, so they commute, and
+L2_0 . diag(mid) . L1_0, both group-0 blocks with the diagonal between, is
+block-diagonal over the index h of the qubits above group 0: its blocks are
+B_h = L2_0 . diag(mid_h) . L1_0, with mid_h the 16 entries of mid whose high
+bits are h.  So a pair costs one phase multiply, L1's groups from 1 on,
+one stacked matmul by the B_h, and L2's groups from 1 on
+(``simcore.product_into``; the embedding layer's blocks are built once per
+width and axis, the others once per call).  The stack
+(``_middle_blocks``) holds 512 bytes per amplitude of a state, so the middle
+is folded only while it fits ``_FOLD_BYTES``, 2 MB, which is every n <= 12;
+wider registers apply both layers whole with one diagonal multiply between
+them.  Pairs go in tiles of
 ``max(1, _TILE_AMPS // 2**n)``, so each numpy pass works on a 512 KB array
 (2**15 amplitudes) that a core's L2 cache holds; a tile holds its pairs as
 the rows of one (pairs, 2**n) complex array.  The tile working set is
 allocated once per call and reused by every tile, so no tile-sized array is
 allocated (and page-faulted in) per tile: two complex buffers that the
-product layers ping-pong between, about 1 MB whatever the number of pairs.
+product layers ping-pong between, about 1 MB whatever the number of pairs
+(at least two rows when folded: a one-pair tile runs its row twice, so that
+the stacked matmul stays on BLAS's matrix-matrix routine).
 The per-sample phase tables, E(b) for column samples and conj(E(a)) * phi
 for row samples, are built with ``simcore.kron_factors`` one block of at
 most ``max(1, _TILE_AMPS // 2**n)`` samples at a time, so the two held at
@@ -62,11 +75,13 @@ tile it falls: every matmul of the product and weight layers varies only
 in its row or item count, and one-row products take the same BLAS routine
 as wider ones, so results do not depend on the tiling.
 
-The two size constants bound different things: ``_TILE_AMPS`` the profile
-route's pair tiles, whose elementwise passes are memory-bound, and
-``_CHUNK_AMPS`` (2**21 amplitudes, 32 MB complex) only the exact route's
-basis blocks, each of which feeds one BLAS product.  Smaller exact blocks
-may pay too, but that is a change to the exact route, measured on its own.
+The size constants bound different things: ``_TILE_AMPS`` the profile
+route's pair tiles, whose elementwise passes are memory-bound,
+``_FOLD_BYTES`` its stack of middle blocks, which depends on the width
+alone, and ``_CHUNK_AMPS`` (2**21 amplitudes, 32 MB complex) only the exact
+route's basis blocks, each of which feeds one BLAS product.  Smaller exact
+blocks may pay too, but that is a change to the exact route, measured on
+its own.
 """
 
 from __future__ import annotations
@@ -83,6 +98,7 @@ from .featuremap import (FeatureMapSpec, build_fiducial, build_kernel_circuit, e
 
 _CHUNK_AMPS = 2 ** 21  # complex amplitudes per exact-route basis block
 _TILE_AMPS = 2 ** 15   # complex amplitudes per profile-route tile of pairs
+_FOLD_BYTES = 2 ** 21  # largest stack of folded middle blocks, 512 bytes per amplitude: n <= 12
 
 
 @dataclass(frozen=True)
@@ -227,6 +243,38 @@ def _zyz(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return left, np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2), right
 
 
+@functools.lru_cache(maxsize=None)
+def _embedding_layer(n: int, axis: str) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """(x)V on n qubits about ``axis`` in ZYZ form: its left phases, the
+    Kronecker blocks of its RY layer and its right phases, built once per
+    width and axis and shared read-only by every profile call."""
+    left, embed, right = _zyz(_TO_Z_BASIS[axis].conj().T)
+    blocks = sc.product_blocks(n, [embed] * n)
+    for a in (left, right, *blocks):
+        a.flags.writeable = False
+    return left, blocks, right
+
+
+def _middle_blocks(first: np.ndarray, mid: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """The stack of B_h = last . diag(mid[s h : s h + s]) . first, one per
+    index h of the qubits above the s-amplitude group 0, each in the real
+    (2s, 2s) form that right-multiplies a row of s complex amplitudes held as
+    interleaved floats: entry (k, j) of B_h^T becomes [[Re, Im], [-Im, Re]].
+    ``first`` and ``last`` are real.
+
+    Read as floats, row (k, 0) of that form is row k of B_h^T and row (k, 1)
+    row k of i B_h^T.  So one batched real matmul, first^T times the float
+    view of diag(mid_h) last^T, writes every row (k, 0), and one multiply by
+    i the rows (k, 1).
+    """
+    s = first.shape[0]
+    out = np.empty((mid.size // s, s, 2, s), dtype=complex)   # (h, k, row half, j)
+    np.matmul(first.T, np.multiply(mid.reshape(-1, s, 1), last.T, order="C").view(float),
+              out=out[:, :, 0].view(float))
+    np.multiply(out[:, :, 0], 1j, out=out[:, :, 1])
+    return out.view(float).reshape(-1, 2 * s, 2 * s)
+
+
 def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: KernelConfig,
                    noise) -> np.ndarray:
     """Cumulative weight-mass profiles (m_a, m_b, n+1) of every pair of angle
@@ -238,9 +286,20 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     The pair state is (x)M_q^dagger . D . (x)V . (E(b) * conj(E(a)) * phi),
     with both layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a
     time, each pair a row, on buffers allocated once per call (see the module
-    docstring); the last, short tile takes a leading part of each.  ``out``
-    holds the pairs' weight histograms, noise applied, until their cumulative
-    sums replace them.
+    docstring); the last, short tile takes a leading part of each.  Up to
+    n = 12 (``_FOLD_BYTES``) a tile runs these passes:
+
+    1. the phase multiply, one per run of a row's columns;
+    2. the embedding layer's groups from 1 on;
+    3. one matmul of the tile's float view, seen as (2**n / s, pairs, 2s),
+       by the stack of folded middle blocks (``_middle_blocks``), written
+       through the same view of the spare buffer;
+    4. the fiducial layer's groups from 1 on;
+    5. the squares, summed into weight bins by ``simcore.weight_histograms``.
+
+    Wider registers replace passes 2 to 4 by both layers whole and one
+    diagonal multiply between them.  ``out`` holds the pairs' weight
+    histograms, noise applied, until their cumulative sums replace them.
 
     Shots draw from one RNG stream per matrix row, so assembly order and
     tiling cannot change sampled results, a leading block of rows or columns
@@ -268,20 +327,23 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
         rows_a, rows_b = (idx.ravel() for idx in np.indices((m_a, angles_b.shape[0])))
         streams = [([0, 0, i, 0], angles_b.shape[0]) for i in range(m_a)]
     mats, fid_diag = _compile_fiducial(spec, params)
-    left, embed, right = _zyz(_TO_Z_BASIS[spec.embed_axis].conj().T)
+    left, to_embed, right = _embedding_layer(n, spec.embed_axis)
     _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
     phi *= sc.kron_factors([right] * n)
     mid = fid_diag * sc.kron_factors(undo_right * left)
-    to_embed = sc.product_blocks(n, [embed] * n)
     undo_fid = sc.product_blocks(n, undo_ry)
+    s = to_embed[0].shape[0]
+    fold = 2 ** n * 32 * s <= _FOLD_BYTES   # the stack: 2**n / s blocks of (2s)**2 floats
+    if fold:
+        stack = _middle_blocks(to_embed[0], mid, undo_fid[0])
     layers = sc.weight_layers(n)
     b = rows_a.shape[0]
     per = max(1, _TILE_AMPS // 2 ** n)   # pairs per tile, samples per phase table block
     tile = max(1, min(b, per))
     out = np.empty((b, n + 1))
     transfer = sc.weight_transfer(n, noise or sc.NoiseModel())   # the identity without noise
-    amps = np.empty((2, tile * 2 ** n), dtype=complex)
+    amps = np.empty((2, max(tile, 2 * fold) * 2 ** n), dtype=complex)
 
     def phase_rows(angles, times):
         """``rows(k)``: rows k.. of E(x) * times, E(x)_k = exp(-i z_k . x / 2),
@@ -304,15 +366,23 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
         t = hi - lo
-        cur, spare = (buf[:t * 2 ** n].reshape(t, -1) for buf in amps)
+        u = max(t, 2 * fold)   # rows through the layers, at least two when folded
+        cur, spare = (buf[:u * 2 ** n].reshape(u, -1) for buf in amps)
         starts = np.flatnonzero(new_run[lo:hi]).tolist()
         for r0, r1 in zip(starts, [*starts[1:], t]):
             np.multiply(rows_e(rows_b[lo + r0])[:r1 - r0], rows_conj(rows_a[lo + r0])[0],
                         out=cur[r0:r1])
-        cur, spare = sc.product_into(cur, spare, to_embed)
-        cur *= mid
-        cur, spare = sc.product_into(cur, spare, undo_fid)
-        squares = np.square(cur.view(float), out=spare.view(float))
+        if fold:
+            cur[t:] = cur[:1]   # a one-pair tile feeds its row twice, as matmul_rows does
+            cur, spare = sc.product_into(cur, spare, to_embed, start=1)
+            np.matmul(cur.view(float).reshape(u, -1, 2 * s).transpose(1, 0, 2), stack,
+                      out=spare.view(float).reshape(u, -1, 2 * s).transpose(1, 0, 2))
+            cur, spare = sc.product_into(spare, cur, undo_fid, start=1)
+        else:
+            cur, spare = sc.product_into(cur, spare, to_embed)
+            cur *= mid
+            cur, spare = sc.product_into(cur, spare, undo_fid)
+        squares = np.square(cur[:t].view(float), out=spare[:t].view(float))
         out[lo:hi] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)

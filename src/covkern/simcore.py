@@ -20,11 +20,13 @@ so they push the (n+1)-bin weight histogram through the matrix
 ``kron_factors`` builds every Kronecker product of per-qubit length-2 factors
 in the package, among them each block of ``product_blocks`` that
 ``product_into`` applies, ``_GROUP`` qubits at a time, to a batch of states
-held as the rows of two caller-held buffers; ``_apply_rotation`` and
-``run_circuit`` stay the gate-by-gate reference.  ``weight_histograms`` sums
-a batch's squared amplitudes into Hamming-weight bins the same way, one row
-matmul per group by a one-hot map of ``weight_layers``; the ``bincount`` of
-``weight_mass_profile`` stays the reference.
+held as the rows of two caller-held buffers (every group, or those from a
+start group on when the caller folds the lower ones into other work);
+``_apply_rotation`` and ``run_circuit`` stay the gate-by-gate reference.
+``weight_histograms`` sums a batch's squared amplitudes into Hamming-weight
+bins the same way, one row matmul per group by a one-hot map of
+``weight_layers``; the ``bincount`` of ``weight_mass_profile`` stays the
+reference.
 """
 
 from __future__ import annotations
@@ -194,7 +196,8 @@ def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return rows @ mat
 
 
-def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray, np.ndarray]:
+def product_into(cur: np.ndarray, spare: np.ndarray, blocks,
+                 start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Apply the tensor product held in ``product_blocks`` to B states held as
     the rows of two C-contiguous (B, 2**n) buffers.  Both buffers are
     overwritten; returns (result, the other buffer).
@@ -206,17 +209,20 @@ def product_into(cur: np.ndarray, spare: np.ndarray, blocks) -> tuple[np.ndarray
     float64 on the buffers' float view.  Every matmul varies only in its row
     or item count, so a state's result does not depend on how many states
     share the call.  A layer costs ceil(n / 4) passes over the batch and
-    allocates nothing of its size.
+    allocates nothing of its size.  Groups below ``start`` are left out: the
+    groups act on disjoint qubits and commute, so a caller may apply them
+    before or after the rest.
     """
     s = blocks[0].shape[0]
-    rows, first = cur.reshape(-1, s), blocks[0].T.astype(cur.dtype)
-    if rows.shape[0] == 1:
-        spare.reshape(1, s)[:] = matmul_rows(rows, first)
-    else:
-        np.matmul(rows, first, out=spare.reshape(-1, s))
-    cur, spare = spare, cur
-    width = s   # amplitudes per index of the groups not yet applied
-    for block in blocks[1:]:
+    if start == 0:
+        rows, first = cur.reshape(-1, s), blocks[0].T.astype(cur.dtype)
+        if rows.shape[0] == 1:
+            spare.reshape(1, s)[:] = matmul_rows(rows, first)
+        else:
+            np.matmul(rows, first, out=spare.reshape(-1, s))
+        cur, spare = spare, cur
+    width = s ** max(start, 1)   # amplitudes per index of the groups below the next one
+    for block in blocks[max(start, 1):]:
         s, cols = block.shape[0], width * cur.itemsize // block.itemsize
         np.matmul(block, cur.view(block.dtype).reshape(-1, s, cols),
                   out=spare.view(block.dtype).reshape(-1, s, cols))

@@ -533,30 +533,98 @@ def test_profile_route_matrices_equal_kernel_entry(n, axes, p01, p10, depolarizi
         assert cross[i, j] == pytest.approx(ref, rel=0, abs=1e-12)
 
 
-def test_profile_phase_tables_stay_within_the_tile_budget():
+_COUPLINGS = {"line": fm.line_coupling, "ring": fm.ring_coupling,
+              "heavy-hex": lambda n: fm.heavy_hex_coupling(2, 6)}   # 14 qubits
+
+
+@pytest.mark.parametrize("coupling, axes", [("line", ("z", "y", "x")), ("ring", ("x", "z", "y")),
+                                            ("heavy-hex", ("y", "x", "z"))])
+@pytest.mark.parametrize("n, folded", [(12, True), (13, False)])
+def test_profile_route_on_both_sides_of_the_fold_width_rule(n, folded, coupling, axes):
+    # n=12 is the widest register whose stack of folded middle blocks fits
+    # _FOLD_BYTES and n=13 the first that keeps the unfolded middle; on both
+    # sides, Gram and cross profiles must be kernel_entry's, and tiles of 1,
+    # 2 and 5 pairs (6 Gram pairs with the diagonal, 6 cross pairs) must give
+    # the untiled bits, exact and sampled
+    rng = np.random.default_rng(n)
+    spec = fm.make_feature_map(_COUPLINGS[coupling](n), n, axes=axes, angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    xs, rows = rng.normal(size=(3, n)), rng.normal(size=(2, n))
+    angles_x, angles_r = fm.embedding_angles(spec, xs), fm.embedding_angles(spec, rows)
+    noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03)
+    stacks, tiles = [], []
+    middle_blocks, histograms = kn._middle_blocks, sc.weight_histograms
+
+    def recording_blocks(*args):
+        stacks.append(args[1].size)
+        return middle_blocks(*args)
+
+    def recording_histograms(squares, layers):
+        tiles.append(squares.shape[0])
+        return histograms(squares, layers)
+
+    def both(shots):
+        cfg = kn.KernelConfig(shots=shots, master_seed=n)
+        return (kn._pair_profiles(spec, params, angles_x, None, cfg, noise),
+                kn._pair_profiles(spec, params, angles_r, angles_x, cfg, noise))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kn, "_middle_blocks", recording_blocks)
+        untiled = {shots: both(shots) for shots in (None, 4000)}
+        assert stacks == ([2 ** n] * 4 if folded else [])
+        patch.setattr(sc, "weight_histograms", recording_histograms)
+        for pairs, expected in ((1, [1] * 12), (2, [2] * 6), (5, [5, 1, 5, 1])):
+            patch.setattr(kn, "_TILE_AMPS", pairs * 2 ** n)
+            for shots, (gram, cross) in untiled.items():
+                tiles.clear()
+                tiled_gram, tiled_cross = both(shots)
+                assert tiles == expected
+                np.testing.assert_array_equal(tiled_gram, gram)
+                np.testing.assert_array_equal(tiled_cross, cross)
+    gram, cross = untiled[None]
+    for d in (0, 3, n):
+        cfg = kn.KernelConfig(tolerance=d)
+        for i, j in itertools.combinations_with_replacement(range(3), 2):
+            ref = kn.kernel_entry(spec, params, xs[i], xs[j], cfg, noise)
+            assert gram[i, j, d] == gram[j, i, d] == pytest.approx(ref, rel=0, abs=1e-12)
+        for i, j in np.ndindex(2, 3):
+            ref = kn.kernel_entry(spec, params, rows[i], xs[j], cfg, noise)
+            assert cross[i, j, d] == pytest.approx(ref, rel=0, abs=1e-12)
+
+
+def test_profile_phase_tables_stay_within_the_tile_budget(monkeypatch):
     # the per-sample phase tables are held one block of samples at a time, so
     # a cross call's peak grows with its columns only by what its output and
     # pair indices grow: holding E(b) whole for 160 columns at n=12 would
     # add 120 * 2**12 * 16 bytes, about 7.9 MB
-    n = 12
     rng = np.random.default_rng(47)
-    spec = fm.make_feature_map(fm.line_coupling(n), n, angle_scale=2.0)
-    params = rng.uniform(-np.pi, np.pi, 3 * n)
-    rows, cols = rng.normal(size=(2, n)), rng.normal(size=(160, n))
     noise = sc.NoiseModel(p01=0.03)
 
-    def peak(m_b):
-        kn.assemble_cross(rows, cols[:m_b], spec, params, kn.KernelConfig(), noise)
+    def peak(n, m_b, fold_bytes=kn._FOLD_BYTES):
+        spec = fm.make_feature_map(fm.line_coupling(n), n, angle_scale=2.0)
+        params = rng.uniform(-np.pi, np.pi, 3 * n)
+        rows, cols = rng.normal(size=(2, n)), rng.normal(size=(m_b, n))
+        monkeypatch.setattr(kn, "_FOLD_BYTES", fold_bytes)
+        kn.assemble_cross(rows, cols, spec, params, kn.KernelConfig(), noise)
         tracemalloc.start()
         try:
-            kn.assemble_cross(rows, cols[:m_b], spec, params, kn.KernelConfig(), noise)
+            kn.assemble_cross(rows, cols, spec, params, kn.KernelConfig(), noise)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    pairs = rows.shape[0] * (160 - 40)
-    grown = peak(160) - peak(40)
+    n = 12
+    pairs = 2 * (160 - 40)
+    grown = peak(n, 160) - peak(n, 40)
     assert grown <= pairs * ((n + 1) * 8 + 2 * 8) + 64 * 1024
+    # the folded middle at the widest folded n: the 2 MB stack (512 bytes per
+    # amplitude) and, while it is built, its 1 MB operand; at n=13 no stack is
+    # built, and a budget that let one in would add at least its 4 MB
+    stack = 2 ** n * 512
+    assert stack == kn._FOLD_BYTES
+    assert stack <= peak(n, 40) - peak(n, 40, fold_bytes=0) <= stack * 3 // 2 + 64 * 1024
+    assert abs(peak(n + 1, 40) - peak(n + 1, 40, fold_bytes=0)) <= 64 * 1024
+    assert peak(n + 1, 40, fold_bytes=2 * stack) - peak(n + 1, 40) >= 2 * stack
 
 
 def test_matrix_from_profiles_slices_one_tolerance():

@@ -228,19 +228,22 @@ def test_weight_transfer_is_readout_noise_on_weight_histograms(n, p01, p10, depo
                                rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("start", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
-def test_apply_product_matches_kron_oracle(n):
-    # product_into on a batch of 3 states held as rows
+def test_apply_product_matches_kron_oracle(n, start):
+    # product_into on a batch of 3 states held as rows; from group ``start``
+    # on it applies the same np.kron product with the identity on the qubits
+    # of the groups below
     rng = np.random.default_rng(n)
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n)]
     states = rng.normal(size=(3, 2 ** n)) + 1j * rng.normal(size=(3, 2 ** n))
     dense = np.eye(1, dtype=complex)
     for q in reversed(range(n)):
-        dense = np.kron(dense, mats[q])
+        dense = np.kron(dense, mats[q] if q >= 4 * start else np.eye(2))
     blocks = sc.product_blocks(n, mats)
     assert [b.shape[0] for b in blocks] == [2 ** min(4, n - lo) for lo in range(0, n, 4)]
     cur = states.copy()
-    got, _ = sc.product_into(cur, np.empty_like(cur), blocks)
+    got, _ = sc.product_into(cur, np.empty_like(cur), blocks, start=start)
     np.testing.assert_allclose(got, states @ dense.T, rtol=0, atol=1e-12)
 
 
