@@ -311,15 +311,24 @@ def make_feature_map(coupling: CouplingMap, n_qubits: int, importance=None,
     return FeatureMapSpec(n_qubits, tuple(axes), float(angle_scale), assignment, plan)
 
 
-def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
-    """Fiducial layer: three rotations per qubit, then the CZ tree once."""
+def fiducial_angles(spec: FeatureMapSpec, params) -> np.ndarray:
+    """Checked fiducial parameters as rotation angles, (qubits x 3): row q holds
+    qubit q's three angles, about ``spec.axes`` in order."""
     params = np.asarray(params, dtype=float)
     if params.shape != (spec.n_params,):
         raise ValueError(f"expected {spec.n_params} fiducial parameters, got shape {params.shape}")
+    if not np.isfinite(params).all():
+        raise ValueError("fiducial parameters must be finite (found NaN or inf)")
+    return params.reshape(spec.n_qubits, 3)
+
+
+def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
+    """Fiducial layer: three rotations per qubit, then the CZ tree once."""
+    angles = fiducial_angles(spec, params)
     circ = Circuit(spec.n_qubits)
-    for q in range(spec.n_qubits):
-        for k, axis in enumerate(spec.axes):
-            circ.add(_AXIS_GATE[axis](q, float(params[3 * q + k])))
+    for q, row in enumerate(angles):
+        for axis, angle in zip(spec.axes, row):
+            circ.add(_AXIS_GATE[axis](q, float(angle)))
     for layer in spec.plan.layers:
         for a, b in layer:
             circ.add(cz(a, b))

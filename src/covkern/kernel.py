@@ -12,16 +12,16 @@ stream layout is ``_pair_profiles``'s.
 
 Two evaluation routes exist, and both are tested against the explicit
 circuit simulation of ``kernel_entry`` (``simcore.run_circuit``).  Both start
-from the fiducial U = D (x)M_q, compiled once per call from one
-``build_fiducial``: M_q fuses qubit q's three rotations into one 2x2 matrix
-and D is the +-1 diagonal of all the CZ gates.  The embedding layers collapse
-to one rotation per qubit about a shared axis, and such rotations are
-diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let phi = (x)V^dagger psi be
-the fiducial state psi = U|0> in that basis.  Every Kronecker product of
-per-qubit length-2 factors (psi as D times the product of the M_q's first
-columns, the profile route's diagonals and phase tables, and the Kronecker
-blocks of every product layer) comes from one in-place builder,
-``simcore.kron_factors``.
+from the fiducial U = D (x)M_q, compiled once per call from its angles with no
+circuit (``_compile_fiducial``): M_q fuses qubit q's three rotations into one
+2x2 matrix and D is the +-1 diagonal of all the CZ gates.  The embedding
+layers collapse to one rotation per qubit about a shared axis, and such
+rotations are diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let
+phi = (x)V^dagger psi be the fiducial state psi = U|0> in that basis.  Every
+Kronecker product of per-qubit length-2 factors (D's sign rows, psi as D times
+the product of the M_q's first columns, the profile route's diagonals and
+phase tables, and the Kronecker blocks of every product layer) comes from one
+in-place builder, ``simcore.kron_factors``.
 
 The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
 With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
@@ -68,12 +68,12 @@ consecutive b, so a tile is written with one multiply per run.  Only the
 Hamming weight of an outcome matters: the finished tile is squared into the
 spare buffer's float view and summed into weight bins by one row matmul per
 4-qubit group (``simcore.weight_histograms``).  Readout noise is then one
-(n+1) x (n+1) matrix (``simcore.weight_transfer``) applied to each pair's
-weight histogram, and shots are one multinomial per matrix row over its
-pairs' n+1 weight bins.  A pair's numbers come out the same in whatever
-tile it falls: every matmul of the product and weight layers varies only
-in its row or item count, and one-row products take the same BLAS routine
-as wider ones, so results do not depend on the tiling.
+(n+1) x (n+1) matrix (``simcore.weight_transfer``, one per width and noise)
+applied to each pair's weight histogram, and shots are one multinomial per
+matrix row over its pairs' n+1 weight bins.  A pair's numbers come out the
+same in whatever tile it falls: every matmul of the product and weight
+layers varies only in its row or item count, and one-row products take the
+same BLAS routine as wider ones, so results do not depend on the tiling.
 
 The size constants bound different things: ``_TILE_AMPS`` the profile
 route's pair tiles, whose elementwise passes are memory-bound,
@@ -93,8 +93,9 @@ import numpy as np
 
 from . import simcore as sc
 from .data import parse_records, read_table, write_table
-from .featuremap import (FeatureMapSpec, build_fiducial, build_kernel_circuit, embedding_angles,
-                         line_coupling, make_feature_map)
+# build_fiducial stays importable here: benchmarks/tracing.py wraps it by this name
+from .featuremap import (FeatureMapSpec, build_fiducial, build_kernel_circuit,
+                         embedding_angles, fiducial_angles, line_coupling, make_feature_map)
 
 _CHUNK_AMPS = 2 ** 21  # complex amplitudes per exact-route basis block
 _TILE_AMPS = 2 ** 15   # complex amplitudes per profile-route tile of pairs
@@ -142,27 +143,30 @@ _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _TO_Z_BASIS = {"x": _HADAMARD, "y": _HADAMARD @ np.diag([1, -1j]), "z": np.eye(2)}
 
 
-def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[list[np.ndarray], np.ndarray]:
-    """The fiducial U = D (x)M_q: one fused 2x2 matrix per qubit and the +-1
-    diagonal D of all its CZ gates, read from a single ``build_fiducial``."""
+def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[np.ndarray, np.ndarray]:
+    """The fiducial U = D (x)M_q from ``fiducial_angles``: the (n, 2, 2) stack
+    of M_q, one stacked matmul per rotation, and D, doubled from one entry.
+    When qubit b joins, the new half is the old half times the signs of b's
+    lower tree neighbours' bits, built by ``kron_factors`` from the lowest of
+    them up and repeated over the bits below it.  The width is checked before D."""
     n = spec.n_qubits
-    fiducial = build_fiducial(spec, params)   # checks the width before any 2**n array
-    mats = [np.eye(2, dtype=complex) for _ in range(n)]
-    idx = np.arange(2 ** n)
-    parity = np.zeros(2 ** n, dtype=idx.dtype)
-    for g in fiducial.gates:   # all rotations, then the CZ tree
-        if g.name == "cz":
-            a, b = g.qubits
-            parity ^= (idx >> a) & (idx >> b) & 1
-        else:
-            q = g.qubits[0]
-            mats[q] = sc._ROTATIONS[g.name](g.angle) @ mats[q]
-    return mats, 1.0 - 2.0 * parity
+    mats = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+    for axis, angles in zip(spec.axes, fiducial_angles(spec, params).T):
+        mats = np.moveaxis(sc._ROTATIONS["r" + axis](angles), -1, 0) @ mats
+    sc._check_n(n)
+    signs, low = np.ones((n, n, 2)), list(range(n))   # signs[b, a]: a's (clear, set) pair
+    for a, b in map(sorted, spec.plan.tree_edges):
+        signs[b, a, 1], low[b] = -1.0, min(low[b], a)
+    diag = np.ones(2 ** n)
+    for b, lo in enumerate(low):
+        np.multiply(diag[:1 << b].reshape(-1, 1 << lo), sc.kron_factors(signs[b, lo:b])[:, None],
+                    out=diag[1 << b:2 << b].reshape(-1, 1 << lo))
+    return mats, diag
 
 
-def _fiducial_state(mats: list[np.ndarray], diag: np.ndarray) -> np.ndarray:
+def _fiducial_state(mats: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """U|0> = D (x)M_q|0>: the tensor product of the first columns of the M_q."""
-    return diag * sc.kron_factors(np.array(mats)[:, :, 0])
+    return diag * sc.kron_factors(mats[:, :, 0])
 
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
@@ -587,6 +591,9 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
     binomial CDF of d flips; the recommended tolerance is the smallest one
     whose average diagonal reaches each threshold.
     """
+    ns = tuple(ns)
+    if not ns:
+        raise ValueError("calibration needs at least one register width, got none")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     thresholds = tuple(float(t) for t in thresholds)

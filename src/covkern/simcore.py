@@ -15,7 +15,7 @@ Amplitudes stay exact; noise acts on the outcome distribution.
 The kernel routes keep only the Hamming weight of an outcome, and flips act
 on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
 so they push the (n+1)-bin weight histogram through the matrix
-``weight_transfer(n, noise)`` instead.
+``weight_transfer(n, noise)``, cached per width and noise, instead.
 
 ``kron_factors`` builds every Kronecker product of per-qubit length-2 factors
 in the package, among them each block of ``product_blocks`` that
@@ -31,6 +31,7 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -47,8 +48,8 @@ _ROTATIONS = {
         [[np.cos(t / 2), -np.sin(t / 2)],
          [np.sin(t / 2), np.cos(t / 2)]], dtype=complex),
     "rz": lambda t: np.array(
-        [[np.exp(-1j * t / 2), 0],
-         [0, np.exp(1j * t / 2)]], dtype=complex),
+        [[np.exp(-1j * t / 2), np.zeros_like(t)],
+         [np.zeros_like(t), np.exp(1j * t / 2)]], dtype=complex),
 }
 
 _weights_cache: dict[int, np.ndarray] = {}
@@ -321,6 +322,7 @@ def _binomial_law(k: int, p: float) -> np.ndarray:
     return np.array([math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(k + 1)])
 
 
+@functools.lru_cache(maxsize=128)
 def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
     """Column-stochastic (n+1) x (n+1) map from true to observed Hamming weight.
 
@@ -339,7 +341,9 @@ def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
                                   _binomial_law(w, 1.0 - noise.p10))
     lam = noise.depolarizing
     mix = (1.0 - lam) * np.eye(n + 1) + lam * _binomial_law(n, 0.5)[:, None]
-    return flips @ mix
+    transfer = flips @ mix
+    transfer.flags.writeable = False
+    return transfer
 
 
 @dataclass

@@ -182,6 +182,16 @@ def test_calibrate_writes_tables(tmp_path):
     assert rec_lines[1] == "2,0.8,0"
 
 
+def test_calibrate_without_register_widths_is_a_config_error(tmp_path, capsys):
+    # an empty n_values used to exit 0 with header-only tables, whose
+    # recommended.csv has no second line for a later step to read
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "c.json", {"out": str(out), "calibration": {"n_values": []}})
+    assert run(["calibrate", "--config", cfg]) == 2
+    assert "register width" in capsys.readouterr().err
+    assert not (out / "recommended.csv").exists()
+
+
 # ------------------------------------------------------- align / fit / predict
 
 def bell_files(tmp_path, samples=5, seed=1):

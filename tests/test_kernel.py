@@ -223,6 +223,91 @@ def test_assemblies_reject_non_finite_features(bad):
         kn.assemble_profiles(xs, spec, params, config)
 
 
+@pytest.mark.parametrize("params, message", [
+    (np.r_[np.zeros(4), np.nan, np.zeros(4)], "fiducial parameters must be finite"),
+    (np.r_[-np.inf, np.zeros(8)], "fiducial parameters must be finite"),
+    (np.zeros(8), "expected 9 fiducial parameters"),
+], ids=["nan", "inf", "short"])
+@pytest.mark.parametrize("config, noise", [
+    (kn.KernelConfig(), None),
+    (kn.KernelConfig(), sc.NoiseModel(p01=0.1, p10=0.05)),
+    (kn.KernelConfig(shots=100), sc.NoiseModel(p01=0.1, p10=0.05)),
+], ids=["exact", "noisy-exact", "sampled"])
+def test_every_route_rejects_bad_fiducial_parameters(params, message, config, noise):
+    # a NaN parameter once gave all-NaN exact and noisy matrices with
+    # RuntimeWarnings, failed inside numpy's multinomial when sampled, and
+    # made kernel_entry return nan
+    spec = fm.make_feature_map(fm.line_coupling(3), 3)
+    xs = np.random.default_rng(24).normal(size=(3, 3))
+    with pytest.raises(ValueError, match=message):
+        kn.assemble_matrix(xs, spec, params, config, noise)
+    with pytest.raises(ValueError, match=message):
+        kn.assemble_cross(xs[:2], xs, spec, params, config, noise)
+    with pytest.raises(ValueError, match=message):
+        kn.kernel_entry(spec, params, xs[0], xs[1], config, noise, seed=1)
+
+
+_ORACLE_CASES = [(n, coupling) for n in (1, 2, 3, 5, 8, 13)
+                 for coupling in ("line", "ring", "heavy-hex") if n >= 3 or coupling != "ring"]
+
+
+@pytest.mark.parametrize("axes", [("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")])
+@pytest.mark.parametrize("n, coupling", _ORACLE_CASES)
+def test_compiled_fiducial_is_the_fiducial_circuit(n, coupling, axes):
+    # the compile reads fiducial_angles, not the circuit: its state must be
+    # the circuit's, its fused matrices the circuit's rotations multiplied
+    # gate by gate, and its diagonal the +-1 parity of the CZ tree built
+    # index by index, bit for bit
+    spec = fm.make_feature_map(_COUPLINGS[coupling](n), n, axes=axes)
+    params = np.random.default_rng(n).uniform(-np.pi, np.pi, 3 * n)
+    params[::4] = 0.0
+    mats, diag = kn._compile_fiducial(spec, params)
+    circuit = fm.build_fiducial(spec, params)
+    np.testing.assert_allclose(kn._fiducial_state(mats, diag),
+                               sc.run_circuit(circuit).amplitudes, rtol=0, atol=1e-13)
+    fused = np.array([np.eye(2, dtype=complex)] * n)
+    idx = np.arange(2 ** n)
+    parity = np.zeros(2 ** n, dtype=idx.dtype)
+    for g in circuit.gates:
+        if g.name == "cz":
+            a, b = g.qubits
+            parity ^= (idx >> a) & (idx >> b) & 1
+        else:
+            fused[g.qubits[0]] = sc._ROTATIONS[g.name](g.angle) @ fused[g.qubits[0]]
+    assert mats.tobytes() == fused.tobytes()
+    assert diag.tobytes() == (1.0 - 2.0 * parity).tobytes()
+
+
+def test_assemblies_check_the_width_before_any_register_array(monkeypatch):
+    # a 25-qubit spec builds no Circuit on the kernel routes, so the compile's
+    # own width check must fail the call before any 2**25 array is allocated
+    n = sc.MAX_QUBITS + 1
+    spec = fm.make_feature_map(fm.line_coupling(n), n)
+    xs, params = np.zeros((2, n)), np.zeros(3 * n)
+    limit = 2 ** sc.MAX_QUBITS
+
+    def guard(module, name, size):
+        fn = getattr(module, name)
+
+        def guarded(*args, **kwargs):
+            assert size(*args) <= limit, f"{name} of a register wider than {sc.MAX_QUBITS}"
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, guarded)
+
+    guard(sc, "kron_factors", lambda pairs: 2 ** len(pairs))
+    guard(np, "concatenate", lambda arrays, *rest: sum(np.size(a) for a in arrays))
+    guard(np, "arange", lambda *args: max((abs(a) for a in args if isinstance(a, int)), default=0))
+    for name in ("empty", "zeros", "ones"):
+        guard(np, name, lambda shape, *rest: np.prod(shape))
+    for config, noise in ((kn.KernelConfig(), None),
+                          (kn.KernelConfig(shots=100), sc.NoiseModel(p01=0.1))):
+        with pytest.raises(ValueError, match=f"qubit count {n} outside supported range 1..24"):
+            kn.assemble_matrix(xs, spec, params, config, noise)
+        with pytest.raises(ValueError, match=f"qubit count {n} outside supported range 1..24"):
+            kn.assemble_cross(xs, xs, spec, params, config, noise)
+
+
 # (qubits, fiducial axes, noise, _TILE_AMPS or None to keep it): the first case
 # is the plain one; the others cover every embed axis with p01 != p10 plus
 # depolarizing, with tiles of 48 // 16 = 3 pairs, so 10 Gram pairs and 12

@@ -228,6 +228,16 @@ def test_weight_transfer_is_readout_noise_on_weight_histograms(n, p01, p10, depo
                                rtol=0, atol=1e-12)
 
 
+def test_weight_transfer_is_built_once_per_width_and_noise_and_read_only():
+    noise = sc.NoiseModel(p01=0.03, p10=0.05, depolarizing=0.02)
+    t = sc.weight_transfer(8, noise)
+    assert sc.weight_transfer(8, sc.NoiseModel(p01=0.03, p10=0.05, depolarizing=0.02)) is t
+    assert sc.weight_transfer(8, sc.NoiseModel(p01=0.03)) is not t
+    assert t.tobytes() == sc.weight_transfer.__wrapped__(8, noise).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        t[0, 0] = 0.0
+
+
 @pytest.mark.parametrize("start", [0, 1, 2])
 @pytest.mark.parametrize("n", [1, 3, 4, 5, 9])
 def test_apply_product_matches_kron_oracle(n, start):
