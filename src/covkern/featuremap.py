@@ -2,11 +2,11 @@
 
 A feature map is a fiducial state-preparation layer (three rotations per qubit
 followed by one CZ per spanning-tree edge) and a data-embedding layer (one
-rotation per qubit whose angle is a scaled feature value).  The spanning tree
-is chosen to minimize depth: every candidate root gets a breadth-first tree
-and the shallowest one wins, so CZ gates can be packed into few disjoint
-layers.  When the coupling graph has more qubits than the register needs, a
-connected subgraph is selected first, again by shallowest achievable tree.
+rotation per qubit whose angle is a scaled feature value).  One search picks
+the register and its tree: each start qubit's breadth-first walk proposes its
+first n qubits, each distinct register is scored by its shallowest
+breadth-first tree, and the first shallowest is walked in place from the root
+that scored it, so CZ gates pack into few disjoint layers.
 
 Kernel circuits are fiducial + embed(y) + embed(x)^-1 + fiducial^-1, which
 contain exactly 2*(n-1) CZ gates on n qubits.
@@ -15,10 +15,11 @@ contain exactly 2*(n-1) CZ gates on n qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .simcore import Circuit, GateOp, cz, rx, ry, rz
+from .simcore import Circuit, cz, rx, ry, rz
 
 _AXIS_GATE = {"x": rx, "y": ry, "z": rz}
 
@@ -167,13 +168,11 @@ def _bfs(adj, root, allowed=None):
 
 
 def _best_root(adj, vertices):
-    """Root giving the shallowest BFS tree; ties go to the lowest index."""
+    """(height, root) of the shallowest BFS tree over a connected register."""
     allowed = set(vertices)
     best = None
     for r in sorted(vertices):
-        order, _, level = _bfs(adj, r, allowed)
-        if len(order) != len(vertices):
-            raise ValueError("candidate register is not connected")
+        _, _, level = _bfs(adj, r, allowed)
         h = max(level.values())
         if best is None or h < best[0]:
             best = (h, r)
@@ -185,9 +184,9 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
 
     Candidate registers are the first n vertices visited by a breadth-first
     walk from each start qubit (the whole map, when it is connected and no
-    larger than the register); the candidate whose best tree is shallowest
-    wins, ties resolved by lowest start index.  Tree edges are packed greedily
-    into vertex-disjoint layers in discovery order.
+    larger than the register), each scored once by its best root (lowest on
+    ties); the first shallowest is walked in place from that root.  Tree edges
+    are packed greedily into vertex-disjoint layers in discovery order.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -195,37 +194,28 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
         raise ValueError(
             f"requested {n_qubits} qubits but the coupling map has {coupling.n_qubits}")
     adj = coupling.adjacency()
-    seen: dict[frozenset, tuple] = {}
+    scored: set[frozenset] = set()
+    best = None
     for start in range(coupling.n_qubits):
         walk, _, _ = _bfs(adj, start)
         if len(walk) < n_qubits:
             continue
-        key = frozenset(walk[:n_qubits])
-        if key not in seen:
-            # ties between equally shallow registers go to the lowest start
-            seen[key] = (start, tuple(sorted(key)))
-    if not seen:
+        register = frozenset(walk[:n_qubits])
+        if register in scored:
+            continue
+        scored.add(register)
+        height, root = _best_root(adj, register)
+        if best is None or height < best[0]:
+            best = (height, root, register)
+    if best is None:
         raise ValueError("no connected register of that size exists")
-    scored = []
-    for start, vertices in seen.values():
-        height, _ = _best_root(adj, vertices)
-        scored.append((height, start, vertices))
-    scored.sort()
-    chosen = scored[0][2]
+    _, root, register = best
 
-    phys_to_logical = {p: i for i, p in enumerate(chosen)}
-    sub_adj: list[list[int]] = [[] for _ in chosen]
-    chosen_set = set(chosen)
-    for p in chosen:
-        sub_adj[phys_to_logical[p]] = sorted(
-            phys_to_logical[q] for q in adj[p] if q in chosen_set)
-
-    if n_qubits == 1:
-        return EntanglerPlan(0, (), (), (0,), chosen)
-
-    _, root = _best_root(sub_adj, range(n_qubits))
-    order, parent, _ = _bfs(sub_adj, root)
-    tree_edges = tuple((parent[v], v) for v in order[1:])
+    chosen = tuple(sorted(register))
+    logical = {p: i for i, p in enumerate(chosen)}
+    walk, parent, _ = _bfs(adj, root, register)
+    order = tuple(logical[p] for p in walk)
+    tree_edges = tuple((logical[parent[p]], logical[p]) for p in walk[1:])
 
     layers: list[tuple[list, set]] = []
     for edge in tree_edges:
@@ -240,34 +230,27 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
             layers.append(([edge], set(edge)))
     packed = tuple(tuple(edges) for edges, _ in layers)
 
-    return EntanglerPlan(root, tree_edges, packed, tuple(order), chosen)
+    return EntanglerPlan(logical[root], tree_edges, packed, order, chosen)
 
 
 def assign_features(plan: EntanglerPlan, importance=None) -> tuple[int, ...]:
     """Map qubits to features, most important feature at the tree root.
 
-    ``importance`` lists feature indices from most to least important (default
-    0..n-1).  Remaining features spread outward from the root's register index
-    at offsets +1, -1, +2, -2, ... (right side first), skipping offsets that
-    fall outside the register.  Returns assignment[qubit] -> feature index.
+    ``importance`` lists integer feature indices from most to least important
+    (default 0..n-1).  The rest take register indices by distance from the root,
+    right side first: offsets +1, -1, +2, -2, ... that fall inside the
+    register.  Returns assignment[qubit] -> feature index.
     """
     n = plan.n_qubits
-    if importance is None:
-        importance = tuple(range(n))
-    importance = tuple(int(i) for i in importance)
+    importance = tuple(range(n)) if importance is None else tuple(importance)
+    if not all(isinstance(i, Integral) for i in importance):
+        raise ValueError(f"importance entries must be integers, got {importance}")
     if sorted(importance) != list(range(n)):
         raise ValueError("importance must be a permutation of feature indices")
-    positions = [plan.root]
-    step = 1
-    while len(positions) < n:
-        if plan.root + step < n:
-            positions.append(plan.root + step)
-        if plan.root - step >= 0 and len(positions) < n:
-            positions.append(plan.root - step)
-        step += 1
+    positions = sorted(range(n), key=lambda q: (abs(q - plan.root), q < plan.root))
     assignment = [0] * n
-    for rank, pos in enumerate(positions):
-        assignment[pos] = importance[rank]
+    for feature, pos in zip(importance, positions):
+        assignment[pos] = int(feature)
     return tuple(assignment)
 
 
@@ -288,6 +271,8 @@ class FeatureMapSpec:
     plan: EntanglerPlan
 
     def __post_init__(self):
+        if len(self.axes) != 3:
+            raise ValueError(f"need exactly three rotation axes, got {len(self.axes)}")
         for a in self.axes:
             if a not in _AXIS_GATE:
                 raise ValueError(f"unknown rotation axis {a!r}")
@@ -348,14 +333,15 @@ def embedding_angles(spec: FeatureMapSpec, xs) -> np.ndarray:
     return spec.angle_scale * xs[:, np.array(spec.assignment)]
 
 
+def product_rotation_circuit(angles, axis: str = "x") -> Circuit:
+    """One single-qubit rotation per coordinate, qubit q gets angles[q]."""
+    angles = np.asarray(angles, dtype=float)
+    return Circuit(angles.shape[0], [_AXIS_GATE[axis](q, float(a)) for q, a in enumerate(angles)])
+
+
 def build_embedding(spec: FeatureMapSpec, x) -> Circuit:
     """Data embedding of one feature vector: one rotation per qubit about the embed axis."""
-    angles = embedding_angles(spec, [x])[0]
-    circ = Circuit(spec.n_qubits)
-    gate = _AXIS_GATE[spec.embed_axis]
-    for q in range(spec.n_qubits):
-        circ.add(gate(q, float(angles[q])))
-    return circ
+    return product_rotation_circuit(embedding_angles(spec, [x])[0], spec.embed_axis)
 
 
 def build_kernel_circuit(spec: FeatureMapSpec, params, x, y) -> Circuit:

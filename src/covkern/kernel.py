@@ -413,11 +413,15 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     return full
 
 
+def _check_tolerance(config: KernelConfig, n_qubits: int) -> None:
+    if config.tolerance > n_qubits:
+        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {n_qubits}")
+
+
 def _exact_route(spec: FeatureMapSpec, config: KernelConfig, noise) -> bool:
     """Whether the noiseless exact tolerance-0 Gram product serves ``config``;
     a tolerance above the register width is a ValueError."""
-    if config.tolerance > spec.n_qubits:
-        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {spec.n_qubits}")
+    _check_tolerance(config, spec.n_qubits)
     noiseless = noise is None or noise.is_trivial()
     return noiseless and config.shots is None and config.tolerance == 0
 
@@ -439,9 +443,7 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
 
 
 def matrix_from_profiles(profiles: np.ndarray, config: KernelConfig) -> KernelMatrixEstimate:
-    n = profiles.shape[2] - 1
-    if config.tolerance > n:
-        raise ValueError(f"tolerance {config.tolerance} exceeds qubit count {n}")
+    _check_tolerance(config, profiles.shape[2] - 1)
     return KernelMatrixEstimate(np.array(profiles[:, :, config.tolerance]),
                                 config.tolerance, config.shots)
 
@@ -479,6 +481,7 @@ def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: Kerne
 def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
                  noise: sc.NoiseModel | None = None, seed=None) -> float:
     """Single kernel entry; mostly a readable reference for the batched paths."""
+    _check_tolerance(config, spec.n_qubits)
     circ = build_kernel_circuit(spec, params, x, y)
     dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
     if config.shots is None:
@@ -594,9 +597,15 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
     ns = tuple(ns)
     if not ns:
         raise ValueError("calibration needs at least one register width, got none")
+    if len(set(ns)) != len(ns):
+        raise ValueError(f"calibration register widths must be distinct, got {list(ns)}")
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     thresholds = tuple(float(t) for t in thresholds)
+    if not thresholds:
+        raise ValueError("calibration needs at least one threshold, got none")
+    if len(set(thresholds)) != len(thresholds):
+        raise ValueError(f"calibration thresholds must be distinct, got {list(thresholds)}")
     if any(not 0.0 < t <= 1.0 for t in thresholds):
         raise ValueError("thresholds must lie in (0, 1]")
     rows: list[tuple[int, int, float, float]] = []

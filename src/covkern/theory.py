@@ -26,8 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, sphere_points, unit_rows, write_table
+from .featuremap import product_rotation_circuit
 from .kernel import overlap_kernel_from_state
-from .simcore import Circuit, StateVector, run_circuit, rx, ry, rz
+from .simcore import Circuit, StateVector, run_circuit, rx
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +319,6 @@ def check_covariance(structure: CovariantStructure, class_circuits,
             if mag > tolerance:
                 report.orthogonality_violations.append((j, l, float(mag)))
     return report
-
-
-def product_rotation_circuit(angles, axis: str = "x") -> Circuit:
-    """One single-qubit rotation per coordinate, qubit q gets angles[q]."""
-    maker = {"x": rx, "y": ry, "z": rz}[axis]
-    angles = np.asarray(angles, dtype=float)
-    return Circuit(angles.shape[0], [maker(q, float(a)) for q, a in enumerate(angles)])
 
 
 def bell_structure() -> CovariantStructure:

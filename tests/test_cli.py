@@ -192,6 +192,23 @@ def test_calibrate_without_register_widths_is_a_config_error(tmp_path, capsys):
     assert not (out / "recommended.csv").exists()
 
 
+@pytest.mark.parametrize("calibration, match", [
+    ({"n_values": [3, 3], "thresholds": [0.9, 0.9]}, "widths must be distinct"),
+    ({"n_values": [3], "thresholds": [0.9, 0.9]}, "thresholds must be distinct"),
+    ({"n_values": [3], "thresholds": []}, "at least one threshold"),
+])
+def test_calibrate_with_repeated_or_no_thresholds_is_a_config_error(
+        tmp_path, capsys, calibration, match):
+    # repeats used to write every row twice and exit 0; no threshold wrote a
+    # header-only recommended.csv
+    out = tmp_path / "o"
+    cfg = write_config(tmp_path, "c.json", {"out": str(out), "noise": {"p01": 0.05},
+                                            "calibration": calibration})
+    assert run(["calibrate", "--config", cfg]) == 2
+    assert match in capsys.readouterr().err
+    assert not (out / "recommended.csv").exists()
+
+
 # ------------------------------------------------------- align / fit / predict
 
 def bell_files(tmp_path, samples=5, seed=1):

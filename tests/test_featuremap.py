@@ -192,6 +192,21 @@ def test_assignment_rejects_non_permutations():
         fm.assign_features(plan, importance=(0, 1))
 
 
+@pytest.mark.parametrize("importance", [(0, 1.7, 2), (0, 1.0, 2), (0, "1", 2), (0, np.nan, 2)])
+def test_assignment_rejects_non_integer_importance(importance):
+    # (0, 1.7, 2) was once truncated to (0, 1, 2)
+    plan = fm.build_entangler(fm.line_coupling(3), 3)
+    with pytest.raises(ValueError, match="importance entries must be integers"):
+        fm.assign_features(plan, importance=importance)
+
+
+def test_assignment_accepts_numpy_integer_importance():
+    plan = fm.build_entangler(fm.line_coupling(3), 3)
+    assignment = fm.assign_features(plan, importance=np.array([2, 0, 1]))
+    assert assignment == fm.assign_features(plan, importance=(2, 0, 1))
+    assert all(type(f) is int for f in assignment)
+
+
 # ---------------------------------------------------------------- circuits
 
 def test_feature_map_spec_counts():
@@ -201,6 +216,14 @@ def test_feature_map_spec_counts():
     assert spec.axes == ("z", "y", "x")
     with pytest.raises(ValueError):
         fm.FeatureMapSpec(2, ("z", "y", "w"), 1.0, (0, 1), spec.plan)
+
+
+@pytest.mark.parametrize("axes", [("z", "y"), ("z", "y", "x", "x"), ()])
+def test_feature_map_needs_exactly_three_axes(axes):
+    # two axes once failed later as an IndexError in the kernel routes, and a
+    # fourth was silently ignored
+    with pytest.raises(ValueError, match="exactly three rotation axes"):
+        fm.make_feature_map(fm.line_coupling(2), 2, axes=axes)
 
 
 def test_fiducial_at_zero_parameters_fixes_zero_state():
@@ -235,6 +258,18 @@ def test_embedding_uses_assignment_and_scale():
     circ = fm.build_embedding(spec, x)
     assert [g.name for g in circ.gates] == ["rx", "rx", "rx"]
     assert [g.qubits[0] for g in circ.gates] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("axes", [("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")])
+def test_embedding_is_the_product_rotation_circuit_of_its_angles(axes):
+    spec = fm.make_feature_map(fm.line_coupling(4), 4, importance=(1, 3, 0, 2), axes=axes,
+                               angle_scale=0.7)
+    x = np.array([0.5, -1.0, 0.25, 2.0])
+    angles = 0.7 * x[np.array(spec.assignment)]
+    gate = {"x": sc.rx, "y": sc.ry, "z": sc.rz}[axes[2]]
+    expected = sc.Circuit(4, [gate(q, float(a)) for q, a in enumerate(angles)])
+    assert fm.build_embedding(spec, x) == expected
+    assert fm.product_rotation_circuit(angles, axes[2]) == expected
 
 
 def test_embedding_rejects_short_feature_vector():

@@ -147,6 +147,20 @@ def test_kernel_entry_rejects_non_finite_features(bad):
         kn.kernel_entry(spec, np.zeros(6), np.zeros(2), np.array([bad, 0.1]), kn.KernelConfig())
 
 
+@pytest.mark.parametrize("shots", [None, 100])
+def test_kernel_entry_rejects_tolerance_above_register_like_the_batched_routes(shots):
+    # the oracle once returned the total mass (0.9999999999999999 at n=3, tolerance 5)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3)
+    params, xs = np.zeros(9), np.full((2, 3), 0.3)
+    config = kn.KernelConfig(tolerance=5, shots=shots)
+    message = "tolerance 5 exceeds qubit count 3"
+    for call in (lambda: kn.kernel_entry(spec, params, xs[0], xs[1], config),
+                 lambda: kn.assemble_matrix(xs, spec, params, config),
+                 lambda: kn.assemble_cross(xs, xs, spec, params, config)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("config, noise", [
     (kn.KernelConfig(), None),
     (kn.KernelConfig(shots=20), None),
@@ -1077,6 +1091,23 @@ def test_calibration_rejects_fewer_than_one_sample_before_any_work(samples, monk
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="samples"):
             kn.calibrate([4], sc.NoiseModel(p01=0.02), samples=samples)
+
+
+@pytest.mark.parametrize("ns, thresholds, match", [
+    ([3, 3], (0.9,), "widths must be distinct"),
+    ([3], (0.9, 0.9), "thresholds must be distinct"),
+    ([3], (), "at least one threshold"),
+])
+def test_calibration_rejects_repeated_or_missing_entries_before_any_work(
+        ns, thresholds, match, monkeypatch):
+    # repeats once computed a width twice and wrote duplicate recommendations;
+    # no threshold once wrote a header-only recommendation table
+    def no_work(*args, **kwargs):
+        raise AssertionError("calibrate assembled profiles")
+
+    monkeypatch.setattr(kn, "assemble_profiles", no_work)
+    with pytest.raises(ValueError, match=match):
+        kn.calibrate(ns, sc.NoiseModel(p01=0.05), thresholds=thresholds)
 
 
 def test_calibration_csv_export(tmp_path):
