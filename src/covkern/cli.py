@@ -93,6 +93,8 @@ _SPLIT = _Kind("number or null", lambda v: v is None or _NUMBER.test(v),
 _BOOLEAN = _Kind("boolean", lambda v: type(v) is bool)
 _STRING = _Kind("string", lambda v: type(v) is str)
 _PAIR = _list(_INTEGER, "[integer, integer]", length=2)
+_AXES = _list(_choice(*sc.AXES), "list of 3 of " + ", ".join(map(json.dumps, sc.AXES)),
+              length=3)
 _COUPLING = _Kind(
     '"line", "ring", a file path, {"edges": [[u, v], ...]} or {"heavy_hex": [rows, row_len]}',
     lambda v: type(v) is str or (type(v) is dict and len(v) == 1 and (
@@ -113,8 +115,7 @@ _SCHEMA: dict = {
            "quantum": (_BOOLEAN, True)},
     "feature_map": {"n_qubits": (_INTEGER, None), "coupling": (_COUPLING, "line"),
                     "use_importance": (_BOOLEAN, True), "standardize": (_BOOLEAN, False),
-                    "axes": (_list(_choice("x", "y", "z"), 'list of 3 of "x", "y", "z"', length=3),
-                             ("z", "y", "x")),
+                    "axes": (_AXES, fm.DEFAULT_AXES),
                     "angle_scale": (_NUMBER, None)},
     "kernel": {"tolerance": (_INTEGER, 0), "shots": (_SHOTS, None),
                "estimate_diagonal": (_BOOLEAN, True), "master_seed": (_SEED, None)},
@@ -134,8 +135,7 @@ _SCHEMA: dict = {
     ("dataset", "subspaces"): {"ambient_dim": (_INTEGER, _REQUIRED), "rotate": (_BOOLEAN, True),
                                "class_dims": (_list(_INTEGER, "list of integers"), _REQUIRED)},
     ("dataset", "covariant"): {"n_qubits": (_INTEGER, _REQUIRED), "step": (_NUMBER, _REQUIRED),
-                               "offsets": (_NUMBERS, _REQUIRED), "integer_range": (_PAIR, (-8, 8)),
-                               "axis": (_choice("x", "y", "z"), "x")},
+                               "offsets": (_NUMBERS, _REQUIRED), "integer_range": (_PAIR, (-8, 8))},
     ("dataset", "bell"): {},
     "baseline": {"kind": (_choice("rbf", "generalized_rbf"), "rbf")},
     ("baseline", "rbf"): {"gamma": (_NUMBER, 1.0)},
@@ -618,9 +618,8 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
         xs = rng.uniform(0.0, 1.0, (30, n))
         ys = rng.uniform(0.0, 1.0, (30, n))
         closed = th.cosine_product_kernel(xs, ys)
-        psi = np.zeros(2 ** n, dtype=complex)
-        psi[0] = 1.0
-        direct = kn.overlap_kernel_from_state(psi, 2.0 * np.pi * xs, 2.0 * np.pi * ys)
+        direct = kn.overlap_kernel_from_state(sc.zero_state(n).amplitudes, 2.0 * np.pi * xs,
+                                              2.0 * np.pi * ys)
         dev = float(np.max(np.abs(closed - direct)))
         rows.append((f"closed_form_n{n}", dev, 1e-10 - dev, "max dev <= 1e-10", dev <= 1e-10))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Integral
 
 import numpy as np
 
@@ -34,6 +35,16 @@ def sorted_unique(values) -> np.ndarray:
     keep = np.ones(ordered.shape, dtype=bool)
     keep[1:] = ordered[1:] != ordered[:-1]
     return ordered[keep]
+
+
+def check_importance(importance, n_features: int) -> tuple[int, ...]:
+    """``importance`` as ints, checked: integers, not bools, permuting 0..n_features-1."""
+    importance = tuple(importance)
+    if not all(isinstance(i, Integral) and not isinstance(i, bool) for i in importance):
+        raise ValueError(f"importance entries must be integers, got {importance}")
+    if sorted(importance) != list(range(n_features)):
+        raise ValueError(f"importance must permute the feature indices, got {importance}")
+    return tuple(map(int, importance))
 
 
 @dataclass
@@ -58,8 +69,7 @@ class Dataset:
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
         if self.importance:
-            if sorted(self.importance) != list(range(self.features.shape[1])):
-                raise ValueError("importance must permute the feature indices")
+            self.importance = check_importance(self.importance, self.features.shape[1])
 
     @property
     def n_samples(self) -> int:
@@ -129,11 +139,7 @@ def subspace_bases(spec: SubspaceSpec) -> list[np.ndarray]:
     rng = np.random.default_rng(spec.seed)
     total = sum(spec.class_dims)
     joint = np.linalg.qr(rng.standard_normal((spec.ambient_dim, total)))[0]
-    blocks = []
-    start = 0
-    for d in spec.class_dims:
-        blocks.append(np.arange(start, start + d))
-        start += d
+    blocks = np.split(np.arange(total), np.cumsum(spec.class_dims)[:-1])
     bases = []
     for c, cols in enumerate(blocks):
         if spec.rotate and c >= 1:
@@ -171,7 +177,6 @@ class CovariantSpec:
     offsets: tuple[float, ...]
     samples_per_class: int
     integer_range: tuple[int, int] = (-8, 8)
-    axis: str = "x"
     seed: int = 0
 
     def __post_init__(self):
@@ -186,8 +191,6 @@ class CovariantSpec:
         lo, hi = self.integer_range
         if lo > hi:
             raise ValueError("integer_range must be (low, high) with low <= high")
-        if self.axis not in ("x", "y", "z"):
-            raise ValueError("axis must be one of x, y, z")
         for a in range(len(self.offsets)):
             for b in range(a + 1, len(self.offsets)):
                 ratio = (self.offsets[a] - self.offsets[b]) / self.step

@@ -15,13 +15,13 @@ contain exactly 2*(n-1) CZ gates on n qubits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .simcore import Circuit, cz, rx, ry, rz
+from .data import check_importance
+from .simcore import Circuit, cz, rotation, rotation_axis
 
-_AXIS_GATE = {"x": rx, "y": ry, "z": rz}
+DEFAULT_AXES = ("z", "y", "x")   # the fiducial's three axes, the last also the embedding's
 
 
 @dataclass(frozen=True)
@@ -242,15 +242,11 @@ def assign_features(plan: EntanglerPlan, importance=None) -> tuple[int, ...]:
     register.  Returns assignment[qubit] -> feature index.
     """
     n = plan.n_qubits
-    importance = tuple(range(n)) if importance is None else tuple(importance)
-    if not all(isinstance(i, Integral) for i in importance):
-        raise ValueError(f"importance entries must be integers, got {importance}")
-    if sorted(importance) != list(range(n)):
-        raise ValueError("importance must be a permutation of feature indices")
+    importance = tuple(range(n)) if importance is None else check_importance(importance, n)
     positions = sorted(range(n), key=lambda q: (abs(q - plan.root), q < plan.root))
     assignment = [0] * n
     for feature, pos in zip(importance, positions):
-        assignment[pos] = int(feature)
+        assignment[pos] = feature
     return tuple(assignment)
 
 
@@ -274,8 +270,7 @@ class FeatureMapSpec:
         if len(self.axes) != 3:
             raise ValueError(f"need exactly three rotation axes, got {len(self.axes)}")
         for a in self.axes:
-            if a not in _AXIS_GATE:
-                raise ValueError(f"unknown rotation axis {a!r}")
+            rotation_axis(a)
         if len(self.assignment) != self.n_qubits:
             raise ValueError("assignment length must equal the qubit count")
 
@@ -289,7 +284,7 @@ class FeatureMapSpec:
 
 
 def make_feature_map(coupling: CouplingMap, n_qubits: int, importance=None,
-                     axes: tuple[str, str, str] = ("z", "y", "x"),
+                     axes: tuple[str, str, str] = DEFAULT_AXES,
                      angle_scale: float = 1.0) -> FeatureMapSpec:
     plan = build_entangler(coupling, n_qubits)
     assignment = assign_features(plan, importance)
@@ -309,15 +304,10 @@ def fiducial_angles(spec: FeatureMapSpec, params) -> np.ndarray:
 
 def build_fiducial(spec: FeatureMapSpec, params) -> Circuit:
     """Fiducial layer: three rotations per qubit, then the CZ tree once."""
-    angles = fiducial_angles(spec, params)
-    circ = Circuit(spec.n_qubits)
-    for q, row in enumerate(angles):
-        for axis, angle in zip(spec.axes, row):
-            circ.add(_AXIS_GATE[axis](q, float(angle)))
-    for layer in spec.plan.layers:
-        for a, b in layer:
-            circ.add(cz(a, b))
-    return circ
+    turns = [rotation(axis, q, float(angle)) for q, row in enumerate(fiducial_angles(spec, params))
+             for axis, angle in zip(spec.axes, row)]
+    ties = [cz(a, b) for layer in spec.plan.layers for a, b in layer]
+    return Circuit(spec.n_qubits, turns + ties)
 
 
 def embedding_angles(spec: FeatureMapSpec, xs) -> np.ndarray:
@@ -336,7 +326,7 @@ def embedding_angles(spec: FeatureMapSpec, xs) -> np.ndarray:
 def product_rotation_circuit(angles, axis: str = "x") -> Circuit:
     """One single-qubit rotation per coordinate, qubit q gets angles[q]."""
     angles = np.asarray(angles, dtype=float)
-    return Circuit(angles.shape[0], [_AXIS_GATE[axis](q, float(a)) for q, a in enumerate(angles)])
+    return Circuit(angles.shape[0], [rotation(axis, q, float(a)) for q, a in enumerate(angles)])
 
 
 def build_embedding(spec: FeatureMapSpec, x) -> Circuit:
@@ -351,10 +341,6 @@ def build_kernel_circuit(spec: FeatureMapSpec, params, x, y) -> Circuit:
     probability of the all-zeros outcome is the kernel value at zero
     tolerance.
     """
-    circ = Circuit(spec.n_qubits)
     fid = build_fiducial(spec, params)
-    circ.extend(fid.gates)
-    circ.extend(build_embedding(spec, y).gates)
-    circ.extend(build_embedding(spec, x).inverse().gates)
-    circ.extend(fid.inverse().gates)
-    return circ
+    return Circuit(spec.n_qubits, fid.gates + build_embedding(spec, y).gates
+                   + build_embedding(spec, x).inverse().gates + fid.inverse().gates)

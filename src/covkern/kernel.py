@@ -16,12 +16,13 @@ from the fiducial U = D (x)M_q, compiled once per call from its angles with no
 circuit (``_compile_fiducial``): M_q fuses qubit q's three rotations into one
 2x2 matrix and D is the +-1 diagonal of all the CZ gates.  The embedding
 layers collapse to one rotation per qubit about a shared axis, and such
-rotations are diagonal in one basis: R(a) = V RZ(a) V^dagger.  Let
-phi = (x)V^dagger psi be the fiducial state psi = U|0> in that basis.  Every
-Kronecker product of per-qubit length-2 factors (D's sign rows, psi as D times
-the product of the M_q's first columns, the profile route's diagonals and
-phase tables, and the Kronecker blocks of every product layer) comes from one
-in-place builder, ``simcore.kron_factors``.
+rotations are diagonal in one basis: R(a) = V RZ(a) V^dagger, both R and
+V^dagger read from the axis table ``simcore.AXES``.  Let phi = (x)V^dagger psi
+be the fiducial state psi = U|0> in that basis.  Every Kronecker product of
+per-qubit length-2 factors (D's sign rows, psi as D times the product of the
+M_q's first columns, the profile route's diagonals and phase tables, and the
+Kronecker blocks of every product layer) comes from one in-place builder,
+``simcore.kron_factors``.
 
 The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
 With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
@@ -138,11 +139,6 @@ class KernelMatrixEstimate:
 # compiled fiducial and the basis where the embedding is diagonal
 # ---------------------------------------------------------------------------
 
-# V^dagger per embedding axis, where R_axis(t) = V RZ(t) V^dagger
-_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_TO_Z_BASIS = {"x": _HADAMARD, "y": _HADAMARD @ np.diag([1, -1j]), "z": np.eye(2)}
-
-
 def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[np.ndarray, np.ndarray]:
     """The fiducial U = D (x)M_q from ``fiducial_angles``: the (n, 2, 2) stack
     of M_q, one stacked matmul per rotation, and D, doubled from one entry.
@@ -152,7 +148,8 @@ def _compile_fiducial(spec: FeatureMapSpec, params) -> tuple[np.ndarray, np.ndar
     n = spec.n_qubits
     mats = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
     for axis, angles in zip(spec.axes, fiducial_angles(spec, params).T):
-        mats = np.moveaxis(sc._ROTATIONS["r" + axis](angles), -1, 0) @ mats
+        rotate, _ = sc.AXES[axis]
+        mats = np.moveaxis(rotate(angles), -1, 0) @ mats
     sc._check_n(n)
     signs, low = np.ones((n, n, 2)), list(range(n))   # signs[b, a]: a's (clear, set) pair
     for a, b in map(sorted, spec.plan.tree_edges):
@@ -171,7 +168,8 @@ def _fiducial_state(mats: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
     """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
-    blocks = sc.product_blocks(n, [_TO_Z_BASIS[axis]] * n)
+    _, to_z = sc.rotation_axis(axis)
+    blocks = sc.product_blocks(n, [to_z] * n)
     cur = np.array(psi, dtype=complex).reshape(1, -1)   # a copy to overwrite
     return sc.product_into(cur, np.empty_like(cur), blocks)[0].reshape(-1)
 
@@ -208,8 +206,6 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
         raise ValueError("both angle sets need one column per qubit")
     if psi.shape[0] != 2 ** n:
         raise ValueError("state size does not match the number of angle columns")
-    if axis not in _TO_Z_BASIS:
-        raise ValueError(f"unknown rotation axis {axis!r}")
     psi = _to_z_basis(psi, n, axis)
     t = (psi.conj() * psi).real
     held = n + angles_a.shape[0] + (0 if symmetric else angles_b.shape[0])
@@ -252,7 +248,8 @@ def _embedding_layer(n: int, axis: str) -> tuple[np.ndarray, list[np.ndarray], n
     """(x)V on n qubits about ``axis`` in ZYZ form: its left phases, the
     Kronecker blocks of its RY layer and its right phases, built once per
     width and axis and shared read-only by every profile call."""
-    left, embed, right = _zyz(_TO_Z_BASIS[axis].conj().T)
+    _, to_z = sc.AXES[axis]
+    left, embed, right = _zyz(to_z.conj().T)
     blocks = sc.product_blocks(n, [embed] * n)
     for a in (left, right, *blocks):
         a.flags.writeable = False

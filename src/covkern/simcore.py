@@ -5,7 +5,9 @@ the least significant bit of the basis index, so basis index 5 on three qubits
 is the bitstring "101" (qubit 0 and qubit 2 set).  The gate set is deliberately
 small: RX, RY, RZ and CZ, which is enough for every circuit built elsewhere in
 the package and keeps inverses trivial (negate the rotation angles, reverse the
-gate order).
+gate order).  ``AXES`` is the package's one table of rotation axes: the gates,
+the feature map, both kernel routes and the CLI read it, and ``rotation_axis``
+turns an unknown axis into the same ValueError everywhere.
 
 Noise is modeled at readout only: an optional global depolarizing mix toward
 the uniform distribution followed by independent per-qubit bit flips with
@@ -40,17 +42,28 @@ import numpy as np
 MAX_QUBITS = 24
 _GROUP = 4  # qubits per Kronecker block in product_blocks
 
-_ROTATIONS = {
-    "rx": lambda t: np.array(
+_HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
+# the rotation axes: axis -> (R(t), stacked as (2, 2, *t.shape), and V^dagger,
+# with R(t) = V RZ(t) V^dagger), in the order the CLI offers them
+AXES = {
+    "x": (lambda t: np.array(
         [[np.cos(t / 2), -1j * np.sin(t / 2)],
-         [-1j * np.sin(t / 2), np.cos(t / 2)]], dtype=complex),
-    "ry": lambda t: np.array(
+         [-1j * np.sin(t / 2), np.cos(t / 2)]], dtype=complex), _HADAMARD),
+    "y": (lambda t: np.array(
         [[np.cos(t / 2), -np.sin(t / 2)],
-         [np.sin(t / 2), np.cos(t / 2)]], dtype=complex),
-    "rz": lambda t: np.array(
+         [np.sin(t / 2), np.cos(t / 2)]], dtype=complex), _HADAMARD @ np.diag([1, -1j])),
+    "z": (lambda t: np.array(
         [[np.exp(-1j * t / 2), np.zeros_like(t)],
-         [np.zeros_like(t), np.exp(1j * t / 2)]], dtype=complex),
+         [np.zeros_like(t), np.exp(1j * t / 2)]], dtype=complex), np.eye(2)),
 }
+
+
+def rotation_axis(axis: str):
+    """``AXES[axis]``, (R, V^dagger); any other axis is a ValueError."""
+    if not isinstance(axis, str) or axis not in AXES:
+        raise ValueError(f"unknown rotation axis {axis!r}")
+    return AXES[axis]
+
 
 _weights_cache: dict[int, np.ndarray] = {}
 
@@ -74,16 +87,13 @@ class GateOp:
         return GateOp(self.name, self.qubits, -self.angle)
 
 
-def rx(q: int, angle: float) -> GateOp:
-    return GateOp("rx", (q,), angle)
+def rotation(axis: str, q: int, angle: float) -> GateOp:
+    """The gate "r" + axis on qubit q, for an axis of ``AXES``."""
+    rotation_axis(axis)
+    return GateOp("r" + axis, (q,), angle)
 
 
-def ry(q: int, angle: float) -> GateOp:
-    return GateOp("ry", (q,), angle)
-
-
-def rz(q: int, angle: float) -> GateOp:
-    return GateOp("rz", (q,), angle)
+rx, ry, rz = (functools.partial(rotation, axis) for axis in "xyz")   # rx(q, angle), ...
 
 
 def cz(q1: int, q2: int) -> GateOp:
@@ -249,8 +259,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
             raise ValueError(f"gate on qubit {q} outside register of {n}")
     if gate.name == "cz":
         amps = _apply_cz(state.amplitudes, n, *gate.qubits)
-    elif gate.name in _ROTATIONS:
-        amps = _apply_rotation(state.amplitudes, n, gate.qubits[0], _ROTATIONS[gate.name](gate.angle))
+    elif gate.name[:1] == "r" and gate.name[1:] in AXES:
+        rotate, _ = AXES[gate.name[1:]]
+        amps = _apply_rotation(state.amplitudes, n, gate.qubits[0], rotate(gate.angle))
     else:
         raise ValueError(f"unknown gate {gate.name!r}")
     return StateVector(n, amps)

@@ -261,8 +261,11 @@ def generalized_rbf_matrix(xs, ys=None, gamma1: float = 1.0, sigma1: float = 1.0
                            gamma2: float = 0.0, sigma2: float = 1.0) -> np.ndarray:
     """Two-width mixture gamma1*exp(-r^2/(2 s1^2)) + gamma2*exp(-r^2/(2 s2^2)).
 
-    Each width must be positive with a positive finite float square.
+    Each weight must be finite and >= 0, not both 0, and each width positive
+    with a positive finite float square.
     """
+    if not (0.0 <= gamma1 < np.inf and 0.0 <= gamma2 < np.inf) or gamma1 == gamma2 == 0.0:
+        raise ValueError(f"weights must be finite, >= 0 and not both 0, got {gamma1!r}, {gamma2!r}")
     for sigma in (sigma1, sigma2):
         if not (sigma > 0 and 0.0 < float(sigma) * float(sigma) < np.inf):
             raise ValueError(f"widths must be positive with a positive finite square, "

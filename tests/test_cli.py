@@ -819,6 +819,19 @@ def test_generalized_rbf_width_without_a_finite_positive_square_is_a_config_erro
     assert "bad baseline section: widths must be positive" in err and "internal error" not in err
 
 
+@pytest.mark.parametrize("weights", [{"gamma1": -1}, {"gamma2": -0.5}, {"gamma1": 0}])
+def test_generalized_rbf_negative_or_all_zero_weight_is_a_config_error(tmp_path, capsys, weights):
+    # gamma1 = -1 once fitted a model with baseline_train_accuracy 0 and exited 0
+    train_path, _ = bell_files(tmp_path)
+    cfg = write_config(tmp_path, "fit.json", {
+        "out": str(tmp_path / "fit"), "train": train_path, "quantum": False,
+        "baseline": {"kind": "generalized_rbf"} | weights,
+    })
+    assert run(["fit", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "bad baseline section: weights must be finite" in err and "internal error" not in err
+
+
 # ------------------------------------------------------- boundary property
 
 _MISSING = object()   # the edge "key absent"
@@ -943,9 +956,11 @@ def test_readme_configs_and_key_table_match_the_schema():
         for name in cfg:
             if isinstance(cfg[name], dict):
                 cli._section(cfg, name)
+    labels = {}
     for section, keys in cli._SCHEMA.items():
         label = ("top level" if section is None else
                  section if isinstance(section, str) else f"{section[0]} ({section[1]})")
+        labels[label] = keys
         for key, (kind, default) in keys.items():
             row = f"| {label} | `{key}` | {kind.name} |"
             if default is cli._REQUIRED:
@@ -953,6 +968,12 @@ def test_readme_configs_and_key_table_match_the_schema():
             elif default is not None:
                 row += f" `{json.dumps(default)}` |"
             assert row in text, row
+    # and the other way: every row of the key table names a key of the schema
+    table = text.split("| section | key | JSON kind | default |\n")[1].split("\n\n")[0]
+    rows = re.findall(r"^\| ([^|]+) \| `(\w+)` \|", table, re.M)
+    for label, key in rows:
+        assert key in labels.get(label, {}), f"README row {label} | {key} is not in the schema"
+    assert len(rows) == sum(map(len, cli._SCHEMA.values()))   # no key has two rows
 
 
 # ------------------------------------------------------- installed script

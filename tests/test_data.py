@@ -29,6 +29,13 @@ def test_dataset_validation():
     np.testing.assert_array_equal(ds.classes(), [0, 1])
 
 
+@pytest.mark.parametrize("importance", [(True, 0), (1.0, 0)])
+def test_dataset_rejects_non_integer_importance(importance):
+    # a bool or a float entry once passed the permutation check as the int it equals
+    with pytest.raises(ValueError, match="importance entries must be integers"):
+        dt.Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), importance=importance)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_features(bad):
     feats = np.zeros((3, 2))
@@ -121,8 +128,6 @@ def test_covariant_spec_validation():
         dt.CovariantSpec(2, 0.1, (0.0,), 5)
     with pytest.raises(ValueError):
         dt.CovariantSpec(2, 0.1, (0.0, 0.5), 5, integer_range=(3, 1))
-    with pytest.raises(ValueError):
-        dt.CovariantSpec(2, 0.1, (0.0, 0.5), 5, axis="q")
     # offsets an exact step multiple apart collide on the same coset
     with pytest.raises(ValueError):
         dt.CovariantSpec(2, 0.1, (0.0, 0.3), 5)

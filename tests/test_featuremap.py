@@ -192,9 +192,10 @@ def test_assignment_rejects_non_permutations():
         fm.assign_features(plan, importance=(0, 1))
 
 
-@pytest.mark.parametrize("importance", [(0, 1.7, 2), (0, 1.0, 2), (0, "1", 2), (0, np.nan, 2)])
+@pytest.mark.parametrize("importance", [(0, 1.7, 2), (0, 1.0, 2), (0, "1", 2), (0, np.nan, 2),
+                                        (True, 0, 2), (np.True_, 0, 2)])
 def test_assignment_rejects_non_integer_importance(importance):
-    # (0, 1.7, 2) was once truncated to (0, 1, 2)
+    # (0, 1.7, 2) was once truncated to (0, 1, 2), and (True, 0, 2) read as (1, 0, 2)
     plan = fm.build_entangler(fm.line_coupling(3), 3)
     with pytest.raises(ValueError, match="importance entries must be integers"):
         fm.assign_features(plan, importance=importance)

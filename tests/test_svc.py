@@ -425,6 +425,16 @@ def test_generalized_rbf_matches_direct_formula():
     np.testing.assert_allclose(one, svc.rbf_matrix(xs, None, 2.0), atol=1e-12)
 
 
+@pytest.mark.parametrize("weights", [{"gamma1": -1.0}, {"gamma2": -0.5}, {"gamma1": 0.0},
+                                     {"gamma1": np.inf}, {"gamma2": np.nan}])
+def test_generalized_rbf_rejects_a_negative_infinite_or_all_zero_weight(weights):
+    # gamma1 = 0 with the default gamma2 = 0 leaves no mixture at all
+    with pytest.raises(ValueError, match="weights must be finite, >= 0 and not both 0"):
+        svc.generalized_rbf_matrix(np.zeros((2, 2)), **weights)
+    np.testing.assert_array_equal(svc.generalized_rbf_matrix(np.zeros((2, 2)), gamma1=0.0,
+                                                             gamma2=1.0), np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("width", ["sigma1", "sigma2"])
 @pytest.mark.parametrize("value", [1e300, 1e-300, np.float64(1e300), np.float64(1e-300),
                                    -1.0, np.inf, np.nan])
