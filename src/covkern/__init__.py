@@ -8,6 +8,8 @@ of the underlying theory.  The ``covkern`` console script drives end-to-end
 experiments from JSON configs.
 """
 
+from types import ModuleType as _ModuleType
+
 from .simcore import (
     Circuit,
     GateOp,
@@ -23,7 +25,6 @@ from .simcore import (
     ry,
     rz,
     sample_counts,
-    states_equal,
     weight_mass_profile,
     zero_state,
 )
@@ -72,7 +73,6 @@ from .align import (
     centered_alignment,
     geometric_difference,
     load_trace_csv,
-    rbf_gamma_search,
     save_trace_csv,
     target_matrix,
 )
@@ -80,7 +80,6 @@ from .svc import (
     BinarySVC,
     MulticlassSVC,
     accuracy,
-    decision_function,
     fit_binary,
     fit_multiclass,
     generalized_rbf_matrix,
@@ -110,10 +109,7 @@ from .theory import (
     CovariantStructure,
     bell_structure,
     check_covariance,
-    classical_subspace_moments,
     cosine_product_kernel,
-    cross_moment_analytic,
-    principal_angles,
     sphere_inner_moment,
     subspace_kernel_expectations,
     verify_delta_kernel,
@@ -121,4 +117,6 @@ from .theory import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the submodules binds their names here too; they are not exports.
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

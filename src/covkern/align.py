@@ -19,7 +19,6 @@ import numpy as np
 
 from .data import parse_records, read_table, sorted_unique, write_table
 from .kernel import KernelConfig, assemble_matrix, repair_psd, symmetric_eigh
-from .svc import rbf_matrix
 
 SPSA_GAIN_EXPONENT = 0.602
 SPSA_PERTURB_EXPONENT = 0.101
@@ -39,6 +38,9 @@ def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
     A matrix whose centered norm is at most 1e-12 of its own Frobenius norm
     is constant up to rounding, so its alignment is undefined.
     """
+    if np.shape(target) != np.shape(values):
+        raise ValueError(f"target and values must have the same shape, "
+                         f"got {np.shape(target)} and {np.shape(values)}")
     ct = center_matrix(target)
     cv = center_matrix(values)
     nt = np.linalg.norm(ct)
@@ -77,6 +79,8 @@ class SPSAConfig:
             raise ValueError("c must be nonzero: it sets the perturbation size")
         if not self.stability > -1:
             raise ValueError(f"stability must exceed -1, got {self.stability!r}")
+        if self.iterations < 0:
+            raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
 
     def gains(self, k: int) -> tuple[float, float]:
         a_k = self.a / (k + 1 + self.stability) ** SPSA_GAIN_EXPONENT
@@ -178,6 +182,9 @@ def geometric_difference(classical: np.ndarray, quantum: np.ndarray,
     Both inputs must be PSD (repair first if estimated); the default
     regularizer is 1e-8 * trace(K_c) / m.
     """
+    if np.shape(classical) != np.shape(quantum):
+        raise ValueError(f"classical and quantum must have the same shape, "
+                         f"got {np.shape(classical)} and {np.shape(quantum)}")
     wq, vq = _psd_eigh(quantum, "quantum")
     wc, vc = _psd_eigh(classical, "classical")
     m = wc.shape[0]
@@ -192,23 +199,3 @@ def geometric_difference(classical: np.ndarray, quantum: np.ndarray,
     sandwich = (sandwich + sandwich.T) / 2.0
     top = float(np.linalg.eigvalsh(sandwich)[-1])
     return float(np.sqrt(max(top, 0.0)))
-
-
-def rbf_gamma_search(xs: np.ndarray, quantum: np.ndarray, gammas=None,
-                     regularizer: float | None = None):
-    """Pick the RBF width minimizing the geometric difference to a quantum kernel.
-
-    Returns (best_gamma, best_difference, table) where table rows are
-    (gamma, difference).  Ties keep the first (smallest) gamma.
-    """
-    if gammas is None:
-        gammas = np.logspace(-3.0, 3.0, 25)
-    table = []
-    best = None
-    for gamma in gammas:
-        diff = geometric_difference(rbf_matrix(xs, None, float(gamma)), quantum,
-                                    regularizer)
-        table.append((float(gamma), diff))
-        if best is None or diff < best[1]:
-            best = (float(gamma), diff)
-    return best[0], best[1], table

@@ -68,6 +68,7 @@ class Dataset:
             raise ValueError("features must be finite (found NaN or inf)")
         if self.labels.shape != (self.features.shape[0],):
             raise ValueError("labels must be one per feature row")
+        self.importance = tuple(self.importance)
         if self.importance:
             self.importance = check_importance(self.importance, self.features.shape[1])
 

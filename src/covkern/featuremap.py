@@ -271,6 +271,8 @@ class FeatureMapSpec:
             raise ValueError(f"need exactly three rotation axes, got {len(self.axes)}")
         for a in self.axes:
             rotation_axis(a)
+        if not np.isfinite(self.angle_scale):
+            raise ValueError(f"angle_scale must be finite, got {self.angle_scale!r}")
         if len(self.assignment) != self.n_qubits:
             raise ValueError("assignment length must equal the qubit count")
 

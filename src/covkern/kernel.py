@@ -120,10 +120,18 @@ class KernelConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        _require_int("tolerance", self.tolerance)
         if self.tolerance < 0:
             raise ValueError("tolerance must be >= 0")
-        if self.shots is not None and self.shots <= 0:
-            raise ValueError("shots must be positive when given")
+        if self.shots is not None:
+            _require_int("shots", self.shots)
+            if self.shots <= 0:
+                raise ValueError("shots must be positive when given")
+
+
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -498,8 +506,11 @@ def symmetric_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending eigenvalues and eigenvectors of a finite matrix's symmetric part,
     and m * eps * max|lambda|, the accuracy of a symmetric eigensolver (Golub &
     Van Loan, Matrix Computations, 4th ed., 8.1): an eigenvalue within it cannot
-    be told from zero.  Raises ValueError for a NaN or infinite entry."""
+    be told from zero.  Raises ValueError for a non-square matrix or a NaN or
+    infinite entry."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise ValueError(f"values must be a square matrix, got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("matrix must be finite (found NaN or inf)")
     w, v = np.linalg.eigh((values + values.T) / 2.0)

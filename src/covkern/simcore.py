@@ -448,11 +448,3 @@ def weight_histograms(squares: np.ndarray, layers) -> np.ndarray:
     for layer in layers:
         hist = matmul_rows(hist.reshape(-1, layer.shape[0]), layer)
     return hist.reshape(squares.shape[0], -1)
-
-
-def states_equal(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """Equality up to a global phase."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    inner = np.vdot(a.amplitudes, b.amplitudes)
-    return bool(abs(abs(inner) - 1.0) <= tol)

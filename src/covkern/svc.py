@@ -144,11 +144,6 @@ def dual_objective(kernel: np.ndarray, labels: np.ndarray, alpha: np.ndarray) ->
     return float(alpha.sum() - 0.5 * q @ np.asarray(kernel, dtype=float) @ q)
 
 
-def decision_function(model: BinarySVC, kernel_rows: np.ndarray) -> np.ndarray:
-    """Signed decision values; rows index evaluation points, columns the train set."""
-    return np.asarray(kernel_rows, dtype=float) @ model.coef + model.bias
-
-
 @dataclass
 class MulticlassSVC:
     """One-vs-one ensemble over a shared training set.
@@ -252,8 +247,8 @@ def _sq_dists(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
 
 def rbf_matrix(xs, ys=None, gamma: float = 1.0) -> np.ndarray:
     """exp(-gamma * squared distance)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     return np.exp(-gamma * _sq_dists(xs, ys))
 
 

@@ -4,9 +4,6 @@ Contents:
 
 * Monte-Carlo estimate of the second moment of a sphere-uniform point against
   a fixed direction (equals 1/d in dimension d).
-* Principal angles between subspaces, aligned bases, and the classical
-  cross-subspace second moment (sum of squared principal-angle cosines over
-  the dimension product).
 * The product-cosine closed form for the fidelity kernel with a product R_X
   embedding on the all-zeros state, and the five-case expectation table that
   compares same-subspace kernel mass against four cross-subspace layouts.
@@ -25,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, sphere_points, unit_rows, write_table
+from .data import Dataset, unit_rows, write_table
 from .featuremap import product_rotation_circuit
 from .kernel import overlap_kernel_from_state
 from .simcore import Circuit, StateVector, run_circuit, rx
@@ -62,82 +59,6 @@ def sphere_inner_moment(dim: int, trials: int, seed: int = 0) -> tuple[float, fl
     u = rng.standard_normal(dim)
     u /= np.linalg.norm(u)
     return _mc_mean(lambda count: (unit_rows(count, dim, rng) @ u) ** 2, trials, 1_000_000)
-
-
-# ---------------------------------------------------------------------------
-# principal angles
-# ---------------------------------------------------------------------------
-
-def _check_orthonormal(basis: np.ndarray, name: str) -> np.ndarray:
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim != 2 or basis.shape[0] < basis.shape[1]:
-        raise ValueError(f"{name} must be a tall matrix of basis columns")
-    gram = basis.T @ basis
-    if not np.allclose(gram, np.eye(basis.shape[1]), atol=1e-8):
-        raise ValueError(f"{name} columns are not orthonormal (rank-deficient or unnormalized)")
-    return basis
-
-
-def principal_angles(basis_u: np.ndarray, basis_v: np.ndarray) -> np.ndarray:
-    """Canonical angles, nondecreasing, via singular values of U^T V."""
-    u = _check_orthonormal(basis_u, "basis_u")
-    v = _check_orthonormal(basis_v, "basis_v")
-    if u.shape[0] != v.shape[0]:
-        raise ValueError("bases must share the ambient dimension")
-    sig = np.linalg.svd(u.T @ v, compute_uv=False)
-    return np.arccos(np.clip(sig, 0.0, 1.0))
-
-
-def aligned_bases(basis_u: np.ndarray, basis_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate each basis so that cross inner products are diagonal.
-
-    After alignment, column i of one basis is orthogonal to column j of the
-    other whenever i != j, and the diagonal entries are the angle cosines.
-    """
-    u = _check_orthonormal(basis_u, "basis_u")
-    v = _check_orthonormal(basis_v, "basis_v")
-    a, _, bt = np.linalg.svd(u.T @ v)
-    return u @ a, v @ bt.T
-
-
-def cross_orthogonality_defect(basis_u: np.ndarray, basis_v: np.ndarray) -> float:
-    """Max |<u_i, v_j>| over i != j after alignment; zero in exact arithmetic."""
-    au, av = aligned_bases(basis_u, basis_v)
-    cross = np.abs(au.T @ av)
-    np.fill_diagonal(cross, 0.0)
-    return float(cross.max()) if cross.size else 0.0
-
-
-def cross_moment_analytic(basis_u: np.ndarray, basis_v: np.ndarray) -> float:
-    """E[<x, y>^2] for sphere-uniform x in U, y in V: sum cos^2(theta)/(d_u*d_v)."""
-    angles = principal_angles(basis_u, basis_v)
-    d_u = np.asarray(basis_u).shape[1]
-    d_v = np.asarray(basis_v).shape[1]
-    return float(np.sum(np.cos(angles) ** 2) / (d_u * d_v))
-
-
-def classical_subspace_moments(basis_u: np.ndarray, basis_v: np.ndarray,
-                               trials: int, seed: int = 0):
-    """MC (within, cross) second moments with standard errors.
-
-    Within is E[<x, x'>^2] for two points of U (exact value 1/dim U); cross
-    pairs a point of U with a point of V.  Returns a dict with the two MC
-    estimates and the analytic values they should match.
-    """
-    u = _check_orthonormal(basis_u, "basis_u")
-    v = _check_orthonormal(basis_v, "basis_v")
-    rng = np.random.default_rng(seed)
-    xs = sphere_points(u, trials, rng)
-    xs2 = sphere_points(u, trials, rng)
-    ys = sphere_points(v, trials, rng)
-    within = np.sum(xs * xs2, axis=1) ** 2
-    cross = np.sum(xs * ys, axis=1) ** 2
-    return {
-        "within": (float(within.mean()), float(within.std(ddof=1) / np.sqrt(trials))),
-        "cross": (float(cross.mean()), float(cross.std(ddof=1) / np.sqrt(trials))),
-        "within_analytic": 1.0 / u.shape[1],
-        "cross_analytic": cross_moment_analytic(u, v),
-    }
 
 
 # ---------------------------------------------------------------------------

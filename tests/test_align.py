@@ -8,7 +8,6 @@ from covkern import align as al
 from covkern import data as dt
 from covkern import featuremap as fm
 from covkern import kernel as kn
-from covkern.svc import rbf_matrix
 
 
 def random_symmetric(m, seed):
@@ -205,16 +204,3 @@ def test_geometric_difference_rejects_non_finite_input(bad):
         al.geometric_difference(values, np.eye(3))
     with pytest.raises(ValueError, match="finite"):
         al.geometric_difference(np.eye(3), values)
-
-
-def test_rbf_gamma_search_table_and_tie_break():
-    rng = np.random.default_rng(10)
-    xs = rng.normal(size=(8, 3))
-    quantum = rbf_matrix(xs, None, 0.7)
-    gammas = (0.05, 0.7, 4.0)
-    best_gamma, best_diff, table = al.rbf_gamma_search(xs, quantum, gammas)
-    assert [g for g, _ in table] == list(gammas)
-    for g, diff in table:
-        assert diff == pytest.approx(
-            al.geometric_difference(rbf_matrix(xs, None, g), quantum), rel=1e-12)
-    assert (best_gamma, best_diff) == min(table, key=lambda row: row[1])

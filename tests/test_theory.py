@@ -1,4 +1,4 @@
-"""Structural math checks: moments, principal angles, closed forms, covariance."""
+"""Structural math checks: moments, closed forms, covariance."""
 
 import numpy as np
 import pytest
@@ -28,72 +28,6 @@ def test_sphere_moment_validation():
         th.sphere_inner_moment(0, 100)
     with pytest.raises(ValueError):
         th.sphere_inner_moment(3, 1)
-
-
-# ------------------------------------------------------- principal angles
-
-def orthonormal(ambient, dim, seed):
-    rng = np.random.default_rng(seed)
-    return np.linalg.qr(rng.normal(size=(ambient, dim)))[0]
-
-
-def test_principal_angles_known_cases():
-    e1 = np.array([[1.0], [0.0], [0.0]])
-    e2 = np.array([[0.0], [1.0], [0.0]])
-    np.testing.assert_allclose(th.principal_angles(e1, e1), [0.0], atol=1e-12)
-    np.testing.assert_allclose(th.principal_angles(e1, e2), [np.pi / 2], atol=1e-12)
-    t = 0.7
-    tilted = np.array([[np.cos(t)], [np.sin(t)], [0.0]])
-    np.testing.assert_allclose(th.principal_angles(e1, tilted), [t], atol=1e-12)
-    # order within a pair of planes: angles come out nondecreasing
-    u = orthonormal(6, 2, 1)
-    v = orthonormal(6, 2, 2)
-    angles = th.principal_angles(u, v)
-    assert np.all(np.diff(angles) >= -1e-12)
-    np.testing.assert_allclose(angles, th.principal_angles(v, u), atol=1e-10)
-
-
-def test_principal_angles_validation():
-    good = orthonormal(5, 2, 3)
-    with pytest.raises(ValueError):
-        th.principal_angles(good * 2.0, good)
-    with pytest.raises(ValueError):
-        th.principal_angles(good, orthonormal(6, 2, 4))
-    with pytest.raises(ValueError):
-        th.principal_angles(np.ones((2, 3)), good)
-
-
-def test_aligned_bases_diagonalize_cross_products():
-    u = orthonormal(8, 3, 5)
-    v = orthonormal(8, 3, 6)
-    au, av = th.aligned_bases(u, v)
-    cross = au.T @ av
-    off = cross - np.diag(np.diag(cross))
-    assert np.abs(off).max() < 1e-10
-    np.testing.assert_allclose(np.diag(cross), np.cos(th.principal_angles(u, v)),
-                               atol=1e-10)
-    # alignment is a basis change, not a subspace change
-    np.testing.assert_allclose(au @ au.T, u @ u.T, atol=1e-10)
-    np.testing.assert_allclose(av @ av.T, v @ v.T, atol=1e-10)
-    assert th.cross_orthogonality_defect(u, v) < 1e-10
-
-
-def test_cross_moment_analytic_limits():
-    u = orthonormal(6, 2, 7)
-    v_orth = np.linalg.qr(np.hstack([u, orthonormal(6, 2, 8)]))[0][:, 2:]
-    assert th.cross_moment_analytic(u, v_orth) == pytest.approx(0.0, abs=1e-12)
-    assert th.cross_moment_analytic(u, u) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_classical_moments_match_analytic_values():
-    u = orthonormal(7, 2, 9)
-    v = orthonormal(7, 3, 10)
-    out = th.classical_subspace_moments(u, v, trials=60_000, seed=11)
-    w_mean, w_se = out["within"]
-    c_mean, c_se = out["cross"]
-    assert out["within_analytic"] == pytest.approx(0.5)
-    assert abs(w_mean - out["within_analytic"]) < 5.0 * w_se
-    assert abs(c_mean - out["cross_analytic"]) < 5.0 * c_se
 
 
 # ------------------------------------------------------- closed form
