@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import parse_records, read_table, sorted_unique, write_table
-from .kernel import KernelConfig, assemble_matrix, repair_psd, symmetric_eigh
+from .kernel import KernelConfig, _require_int, assemble_matrix, repair_psd, symmetric_eigh
 
 SPSA_GAIN_EXPONENT = 0.602
 SPSA_PERTURB_EXPONENT = 0.101
@@ -41,6 +41,9 @@ def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
     if np.shape(target) != np.shape(values):
         raise ValueError(f"target and values must have the same shape, "
                          f"got {np.shape(target)} and {np.shape(values)}")
+    if np.ndim(values) != 2 or np.shape(values)[0] != np.shape(values)[1]:
+        raise ValueError(f"target and values must be square matrices, got shape "
+                         f"{np.shape(values)}")
     ct = center_matrix(target)
     cv = center_matrix(values)
     nt = np.linalg.norm(ct)
@@ -75,12 +78,17 @@ class SPSAConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("a", "c", "stability"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.c == 0:
             raise ValueError("c must be nonzero: it sets the perturbation size")
         if not self.stability > -1:
             raise ValueError(f"stability must exceed -1, got {self.stability!r}")
-        if self.iterations < 0:
-            raise ValueError(f"iterations must be >= 0, got {self.iterations!r}")
+        for name in ("iterations", "seed"):
+            _require_int(name, getattr(self, name))
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     def gains(self, k: int) -> tuple[float, float]:
         a_k = self.a / (k + 1 + self.stability) ** SPSA_GAIN_EXPONENT

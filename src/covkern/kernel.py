@@ -62,13 +62,18 @@ product layers ping-pong between, about 1 MB whatever the number of pairs
 (at least two rows when folded: a one-pair tile runs its row twice, so that
 the stacked matmul stays on BLAS's matrix-matrix routine).
 The per-sample phase tables, E(b) for column samples and conj(E(a)) * phi
-for row samples, are built with ``simcore.kron_factors`` one block of at
-most ``max(1, _TILE_AMPS // 2**n)`` samples at a time, so the two held at
-once take at most another 1 MB.  A matrix row's pairs share a and run over
-consecutive b, so a tile is written with one multiply per run.  Only the
-Hamming weight of an outcome matters: the finished tile is squared into the
-spare buffer's float view and summed into weight bins by one row matmul per
-4-qubit group (``simcore.weight_histograms``).  Readout noise is then one
+for row samples, are built with ``simcore.kron_factors`` in blocks of at
+most ``max(1, _TILE_AMPS // 2**n)`` samples, one block per side held at a
+time, so the two take at most another 1 MB.  The pairs are walked
+block-major: by column block, then row block, then in stream order (row by
+row), and tiles are consecutive chunks of that walk whose histograms go back
+to the pairs' stream positions.  So each column block is built once and
+each row block once per column block, however many blocks a side spans.
+Within a block pair a row's pairs share a and run over consecutive b, so a
+tile is written with one multiply per run.  Only the Hamming weight of an
+outcome matters: the finished tile is squared into the spare buffer's float
+view and summed into weight bins by one row matmul per 4-qubit group
+(``simcore.weight_histograms``).  Readout noise is then one
 (n+1) x (n+1) matrix (``simcore.weight_transfer``, one per width and noise)
 applied to each pair's weight histogram, and shots are one multinomial per
 matrix row over its pairs' n+1 weight bins.  A pair's numbers come out the
@@ -127,6 +132,9 @@ class KernelConfig:
             _require_int("shots", self.shots)
             if self.shots <= 0:
                 raise ValueError("shots must be positive when given")
+        _require_int("master_seed", self.master_seed)
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
 
 
 def _require_int(name: str, value) -> None:
@@ -365,12 +373,16 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
             return np.multiply(e.T, times, order="C")
         return lambda k: block(k - k % per)[k % per:]
 
-    # a row of pairs runs over consecutive j, so each run of a tile that
-    # shares i and one block of E(b) is one multiply: E(b_j) * conj(E(a_i)) * phi,
-    # with conj(E(a)) = E(-a)
+    # the walk is block-major, so each column block of E(b) is built once and
+    # each row block once per column block; the sort is stable, so within a
+    # block pair the pairs keep their stream order, row by row, and each run of
+    # a tile that shares i and one block of E(b) is one multiply:
+    # E(b_j) * conj(E(a_i)) * phi, with conj(E(a)) = E(-a)
+    walk = np.lexsort((rows_a // per, rows_b // per))
+    walk_a, walk_b = rows_a[walk], rows_b[walk]
     rows_e, rows_conj = phase_rows(angles_b, 1.0), phase_rows(-angles_a, phi)
-    new_run = ((np.diff(rows_a, prepend=-1) != 0) | (np.diff(rows_b, prepend=-1) != 1)
-               | (rows_b % per == 0))
+    new_run = ((np.diff(walk_a, prepend=-1) != 0) | (np.diff(walk_b, prepend=-1) != 1)
+               | (walk_b % per == 0))
     new_run[::tile] = True   # and every tile starts one
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
@@ -379,7 +391,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
         cur, spare = (buf[:u * 2 ** n].reshape(u, -1) for buf in amps)
         starts = np.flatnonzero(new_run[lo:hi]).tolist()
         for r0, r1 in zip(starts, [*starts[1:], t]):
-            np.multiply(rows_e(rows_b[lo + r0])[:r1 - r0], rows_conj(rows_a[lo + r0])[0],
+            np.multiply(rows_e(walk_b[lo + r0])[:r1 - r0], rows_conj(walk_a[lo + r0])[0],
                         out=cur[r0:r1])
         if fold:
             cur[t:] = cur[:1]   # a one-pair tile feeds its row twice, as matmul_rows does
@@ -392,7 +404,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
             cur *= mid
             cur, spare = sc.product_into(cur, spare, undo_fid)
         squares = np.square(cur[:t].view(float), out=spare[:t].view(float))
-        out[lo:hi] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
+        out[walk[lo:hi]] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)
     else:
@@ -506,11 +518,12 @@ def symmetric_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending eigenvalues and eigenvectors of a finite matrix's symmetric part,
     and m * eps * max|lambda|, the accuracy of a symmetric eigensolver (Golub &
     Van Loan, Matrix Computations, 4th ed., 8.1): an eigenvalue within it cannot
-    be told from zero.  Raises ValueError for a non-square matrix or a NaN or
-    infinite entry."""
+    be told from zero.  Raises ValueError for a matrix that is not square or
+    has no rows, or a NaN or infinite entry."""
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise ValueError(f"values must be a square matrix, got shape {values.shape}")
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+        raise ValueError(f"values must be a square matrix with at least one row, "
+                         f"got shape {values.shape}")
     if not np.isfinite(values).all():
         raise ValueError("matrix must be finite (found NaN or inf)")
     w, v = np.linalg.eigh((values + values.T) / 2.0)

@@ -241,6 +241,8 @@ def accuracy(y_true, y_pred) -> float:
 def _sq_dists(xs: np.ndarray, ys: np.ndarray | None) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     ys = xs if ys is None else np.asarray(ys, dtype=float)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite (found NaN or inf)")
     d = xs[:, None, :] - ys[None, :, :]
     return np.sum(d * d, axis=2)
 

@@ -1,15 +1,18 @@
-"""The demos run to the end as scripts.
+"""The demos run to the end as scripts, and the README's Python blocks run in
+order, so the package's declared top level cannot drift from the document.
 
 ``subspace_pipeline.py`` is left out: it takes about 12 s, and acceptance
 criterion 08 runs the same pipeline at a larger size.
 """
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 
 @pytest.mark.parametrize("name", ["bell_covariant", "bft_calibration",
@@ -21,3 +24,15 @@ def test_demo_runs(name, capsys):
     assert "BROKEN" not in printed
     if name == "theory_checks":
         assert "(ok)" in printed
+
+
+def test_readme_python_blocks_run_in_order(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out.startswith("test accuracy:")
+    m = len(namespace["train"].labels)
+    assert namespace["k_train"].values.shape == (m, m)

@@ -723,6 +723,37 @@ def test_profile_phase_tables_stay_within_the_tile_budget(monkeypatch):
     assert peak(n + 1, 40, fold_bytes=2 * stack) - peak(n + 1, 40) >= 2 * stack
 
 
+def test_profile_phase_tables_are_built_once_per_column_block(monkeypatch):
+    # at n=10 a block holds 32 samples, so a 40 x 90 cross block spans 2 row
+    # and 3 column blocks; the block-major walk builds each column block
+    # once and each row block once per column block, where a row-by-row walk
+    # rebuilds every column block for every row
+    n, m_a, m_b, per = 10, 40, 90, 32
+    assert kn._TILE_AMPS // 2 ** n == per
+    rng = np.random.default_rng(48)
+    spec = fm.make_feature_map(fm.line_coupling(n), n, angle_scale=2.0)
+    params = rng.uniform(-np.pi, np.pi, 3 * n)
+    rows, cols = rng.normal(size=(m_a, n)), rng.normal(size=(m_b, n))
+    tables, kron = [], sc.kron_factors
+
+    def recording_kron(pairs):
+        pairs = np.asarray(pairs)
+        if pairs.ndim == 3 and pairs.shape[:2] == (n, 2):   # a block of samples' phase tables
+            tables.append(pairs[:, 0].T.copy())
+        return kron(pairs)
+
+    monkeypatch.setattr(sc, "kron_factors", recording_kron)
+    kn.assemble_cross(rows, cols, spec, params, kn.KernelConfig(), sc.NoiseModel(p01=0.03))
+    # a block's first factors are exp(-i x / 2) of its samples x, E(b) for
+    # columns and E(-a) for rows
+    factors = np.exp(-0.5j * fm.embedding_angles(spec, cols))
+    col_builds = [sum(t.shape == factors[lo:lo + per].shape
+                      and np.array_equal(t, factors[lo:lo + per]) for t in tables)
+                  for lo in range(0, m_b, per)]
+    assert col_builds == [1, 1, 1]
+    assert len(tables) == 3 + 3 * 2
+
+
 def test_matrix_from_profiles_slices_one_tolerance():
     rng = np.random.default_rng(31)
     spec = fm.make_feature_map(fm.line_coupling(2), 2)
