@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import parse_records, read_table, sorted_unique, write_table
-from .kernel import KernelConfig, _require_int, assemble_matrix, repair_psd, symmetric_eigh
+from .data import _require_int, parse_records, read_table, sorted_unique, write_table
+from .kernel import KernelConfig, assemble_matrix, repair_psd, symmetric_eigh
 
 SPSA_GAIN_EXPONENT = 0.602
 SPSA_PERTURB_EXPONENT = 0.101
@@ -117,6 +117,9 @@ def alignment_loss(xs, labels, spec, params, config: KernelConfig, noise=None,
                    target: np.ndarray | None = None) -> float:
     """1 - alignment(target, PSD-repaired kernel); degenerate kernels score 1."""
     kt = target_matrix(labels) if target is None else target
+    if kt.shape[:1] != np.shape(xs)[:1]:
+        raise ValueError(f"labels must hold one label per row of xs, got {kt.shape[0]} "
+                         f"for shape {np.shape(xs)}")
     estimate = assemble_matrix(xs, spec, params, config, noise)
     repaired = repair_psd(estimate)
     try:

@@ -37,6 +37,11 @@ def sorted_unique(values) -> np.ndarray:
     return ordered[keep]
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def check_importance(importance, n_features: int) -> tuple[int, ...]:
     """``importance`` as ints, checked: integers, not bools, permuting 0..n_features-1."""
     importance = tuple(importance)

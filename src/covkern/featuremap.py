@@ -33,7 +33,7 @@ class CouplingMap:
 
     def __post_init__(self):
         if self.n_qubits < 1:
-            raise ValueError("coupling map needs at least one qubit")
+            raise ValueError(f"n_qubits must be at least 1, got {self.n_qubits}")
         seen = set()
         for u, v in self.edges:
             if u == v:

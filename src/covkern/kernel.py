@@ -98,7 +98,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import simcore as sc
-from .data import parse_records, read_table, write_table
+from .data import _require_int, parse_records, read_table, write_table
 # build_fiducial stays importable here: benchmarks/tracing.py wraps it by this name
 from .featuremap import (FeatureMapSpec, build_fiducial, build_kernel_circuit,
                          embedding_angles, fiducial_angles, line_coupling, make_feature_map)
@@ -135,11 +135,6 @@ class KernelConfig:
         _require_int("master_seed", self.master_seed)
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed!r}")
-
-
-def _require_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 @dataclass
@@ -514,16 +509,21 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
 # positive semidefinite repair and diagnostics
 # ---------------------------------------------------------------------------
 
+def _square(values) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
+        raise ValueError(f"values must be a square matrix with at least one row, "
+                         f"got shape {values.shape}")
+    return values
+
+
 def symmetric_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Ascending eigenvalues and eigenvectors of a finite matrix's symmetric part,
     and m * eps * max|lambda|, the accuracy of a symmetric eigensolver (Golub &
     Van Loan, Matrix Computations, 4th ed., 8.1): an eigenvalue within it cannot
     be told from zero.  Raises ValueError for a matrix that is not square or
     has no rows, or a NaN or infinite entry."""
-    values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
-        raise ValueError(f"values must be a square matrix with at least one row, "
-                         f"got shape {values.shape}")
+    values = _square(values)
     if not np.isfinite(values).all():
         raise ValueError("matrix must be finite (found NaN or inf)")
     w, v = np.linalg.eigh((values + values.T) / 2.0)
@@ -571,7 +571,7 @@ def psd_distance(values: np.ndarray) -> float:
 
 
 def average_diagonal(values: np.ndarray) -> float:
-    return float(np.mean(np.diag(values)))
+    return float(np.mean(_square(values).diagonal()))
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +620,9 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
         raise ValueError("calibration needs at least one register width, got none")
     if len(set(ns)) != len(ns):
         raise ValueError(f"calibration register widths must be distinct, got {list(ns)}")
+    for n in ns:
+        _require_int("each register width in ns", n)
+    _require_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     thresholds = tuple(float(t) for t in thresholds)

@@ -6,8 +6,10 @@ box-constrained dual with an equality constraint, updated two coordinates at
 a time, stopping as before when the maximal KKT violation gap drops below
 tolerance.  The working sets are kept incrementally: each step rewrites only
 the two entries whose coefficients moved, and every scan runs into buffers
-allocated once per fit.  Multiclass is one-vs-one with majority voting; ties
-fall back to summed absolute decision values, then to the lowest class index.
+allocated once per fit.  The second-order denominators depend on the kernel
+alone, so each fit tabulates them once, an m x m table read one row per step.
+Multiclass is one-vs-one with majority voting; ties fall back to summed
+absolute decision values, then to the lowest class index.
 
 Classical baseline kernels (RBF and a two-width generalized RBF) and a small
 stratified-CV grid search live here too, so quantum and classical models run
@@ -21,7 +23,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .data import parse_labels, parse_records, read_table, sorted_unique, write_table
+from .data import _require_int, parse_labels, parse_records, read_table, sorted_unique, write_table
 
 
 @dataclass
@@ -47,7 +49,8 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
     and j the low-set t maximising b_t^2 / a_t, with b_t its violation
     against i and a_t = K_ii + K_tt - 2 K_it.  The stopping rule is
     unchanged: the maximal violating gap within ``tol``, so every training
-    point meets its optimality condition to within ``tol``.
+    point meets its optimality condition to within ``tol``.  The a_t rows
+    are tabulated once per fit, one m x m float64 table beside ``kernel``.
     """
     kernel = np.asarray(kernel, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -66,6 +69,9 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         raise ValueError("tol must be positive")
     if max_iter is None:
         max_iter = 200 * m + 10_000
+    _require_int("max_iter", max_iter)
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
 
     # The up set holds the t whose alpha_t * y_t can grow, the low set those
     # where it can shrink.  Each is a penalty row, 0 on the set and -inf (up)
@@ -81,8 +87,15 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
     alpha = [0.0] * m
     # -y * gradient of 1/2 a'Qa - sum(a), which is y - kernel @ coef
     neg_yg = y.copy()
-    diag = kernel.diagonal().copy()
-    scan, b, quad = np.empty(m), np.empty(m), np.empty(m)
+    # quad[i, t] = max(K_ii + K_tt - 2 K_it, 1e-12), a_t when i is the maximal
+    # violator: added, subtracted and floored in that order, so each row equals
+    # the one-row computation bit for bit.  It depends on the kernel alone, so
+    # it is built once per fit, in place, with 2 K as its one transient.
+    diag = kernel.diagonal()
+    quad = np.add.outer(diag, diag)
+    quad -= 2.0 * kernel
+    np.maximum(quad, 1e-12, out=quad)
+    scan, b = np.empty(m), np.empty(m)
     it = 0
     gap = np.inf
     while it < max_iter:
@@ -96,17 +109,12 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         if gap <= tol:
             break
         # j maximises b_t^2 / a_t, the dual gain of an unclipped step on (i, t)
-        k_i = kernel[i]
-        np.add(diag, diag[i], out=quad)
-        np.multiply(k_i, 2.0, out=scan)
-        np.subtract(quad, scan, out=quad)
-        np.maximum(quad, 1e-12, out=quad)
         np.maximum(b, 0.0, out=scan)   # gap > tol > 0, so some t has b_t > 0
         np.multiply(scan, scan, out=scan)
-        np.divide(scan, quad, out=scan)
+        np.divide(scan, quad[i], out=scan)
         j = int(scan.argmax())
         y_i, y_j, a_i, a_j = ys[i], ys[j], alpha[i], alpha[j]
-        step = min(b.item(j) / quad.item(j),
+        step = min(b.item(j) / quad.item(i, j),
                    (c - a_i) if y_i > 0 else a_i,
                    a_j if y_j > 0 else (c - a_j))
         # clamped: when a cap binds, alpha + (c - alpha) can round past c
@@ -116,7 +124,7 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
             below_c, above_0 = alpha[t] < c_hi, alpha[t] > 1e-12
             up_pen[t] = 0.0 if (below_c if y_t > 0 else above_0) else -np.inf
             low_pen[t] = 0.0 if (above_0 if y_t > 0 else below_c) else np.inf
-        np.subtract(k_i, kernel[j], out=scan)   # rows: kernel is symmetric
+        np.subtract(kernel[i], kernel[j], out=scan)   # rows: kernel is symmetric
         np.multiply(scan, step, out=scan)
         np.subtract(neg_yg, scan, out=neg_yg)
         it += 1
@@ -201,9 +209,11 @@ def fit_multiclass(kernel: np.ndarray, labels, c: float = 1.0,
 
 def pairwise_decisions(model: MulticlassSVC, kernel_cross: np.ndarray) -> np.ndarray:
     kernel_cross = np.asarray(kernel_cross, dtype=float)
-    if kernel_cross.shape[1] != model.n_train:
-        raise ValueError(
-            f"cross kernel has {kernel_cross.shape[1]} columns, model expects {model.n_train}")
+    if kernel_cross.ndim != 2 or kernel_cross.shape[1] != model.n_train:
+        raise ValueError(f"kernel_cross must be 2-D with the model's {model.n_train} columns, "
+                         f"got shape {kernel_cross.shape}")
+    if not np.isfinite(kernel_cross).all():
+        raise ValueError("kernel_cross must be finite (found NaN or inf)")
     return kernel_cross @ model.coefs.T + model.biases
 
 
@@ -231,6 +241,8 @@ def accuracy(y_true, y_pred) -> float:
     y_pred = np.asarray(y_pred)
     if y_true.shape != y_pred.shape:
         raise ValueError("label arrays must have matching shapes")
+    if y_true.size == 0:
+        raise ValueError("y_true and y_pred must hold at least one label")
     return float(np.mean(y_true == y_pred))
 
 
@@ -277,6 +289,7 @@ def generalized_rbf_matrix(xs, ys=None, gamma1: float = 1.0, sigma1: float = 1.0
 
 def stratified_folds(labels, n_folds: int, seed: int = 0) -> np.ndarray:
     """Fold id per sample; each class is shuffled then dealt round-robin."""
+    _require_int("n_folds", n_folds)
     if n_folds < 2:
         raise ValueError(f"n_folds must be at least 2, got {n_folds}")
     labels = np.asarray(labels)
@@ -315,6 +328,8 @@ def grid_search(candidates, labels, c: float = 1.0, n_folds: int = 5,
         results.append((params, mean))
         if best is None or mean > best[1]:
             best = (pos, mean)
+    if best is None:
+        raise ValueError("candidates must hold at least one (params, matrix) pair")
     return results[best[0]][0], results
 
 

@@ -2,6 +2,7 @@
 with an exception that names the argument, and the package's top level holds
 the README quick start's names and its submodules."""
 
+import functools
 import types
 
 import numpy as np
@@ -12,6 +13,7 @@ from covkern import align as al
 from covkern import data as dt
 from covkern import featuremap as fm
 from covkern import kernel as kn
+from covkern import simcore as sc
 from covkern import svc
 
 QUICK_START = ["KernelConfig", "NoiseModel", "SPSAConfig", "accuracy", "align_kernel",
@@ -27,6 +29,26 @@ def _feature_map(angle_scale):
 
 def _dataset(importance):
     return dt.Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), importance=importance)
+
+
+def _assemble(call, tolerance):
+    spec = _feature_map(2.0)
+    return call(np.zeros((2, 2)), spec, np.zeros(spec.n_params),
+                kn.KernelConfig(tolerance=tolerance))
+
+
+def _align(labels):
+    spec = _feature_map(2.0)
+    return al.align_kernel(np.zeros((2, 2)), labels, spec, np.zeros(spec.n_params),
+                           al.SPSAConfig(iterations=0), kn.KernelConfig())
+
+
+def _grid_search(candidates=((None, np.eye(4)),), n_folds=2):
+    return svc.grid_search(candidates, np.array([0, 0, 1, 1]), n_folds=n_folds)
+
+
+def _predict(kernel_cross):
+    return svc.predict(svc.fit_multiclass(np.eye(2), [0, 1]), kernel_cross)
 
 
 # (entry point, argument, bad value, call, exception type, message fragment)
@@ -73,7 +95,47 @@ BAD_INPUT = [
      "values must be a square matrix"),
     ("psd_project", "values", np.zeros((0, 0)), kn.psd_project, ValueError,
      "values must be a square matrix with at least one row"),
+    ("grid_search", "candidates", [], _grid_search, ValueError,
+     "candidates must hold at least one"),
+    ("grid_search", "n_folds", 2.5, lambda v: _grid_search(n_folds=v), TypeError,
+     "n_folds must be an int"),
+    ("fit_binary", "max_iter", -1,
+     lambda v: svc.fit_binary(np.eye(2), np.array([1.0, -1.0]), max_iter=v), ValueError,
+     "max_iter must be at least 1"),
+    ("accuracy", "y_true", [], lambda v: svc.accuracy(v, v), ValueError,
+     "y_true and y_pred must hold at least one label"),
+    ("predict", "kernel_cross", np.array([[np.nan, 0.0]]), _predict, ValueError,
+     "kernel_cross must be finite"),
+    ("average_diagonal", "values", np.zeros((0, 0)), kn.average_diagonal, ValueError,
+     "values must be a square matrix with at least one row"),
+    ("calibrate", "samples", 2.5, lambda v: kn.calibrate([2], sc.NoiseModel(), samples=v),
+     TypeError, "samples must be an int"),
+    ("calibrate", "ns", 2.5, lambda v: kn.calibrate([v], sc.NoiseModel()), TypeError,
+     "each register width in ns must be an int"),
+    ("NoiseModel", "p01", 1.5, lambda v: sc.NoiseModel(p01=v), ValueError, "p01=1.5 outside"),
+    ("align_kernel", "labels", [0, 1, 1], _align, ValueError,
+     "labels must hold one label per row of xs"),
+    ("assemble_matrix", "tolerance", 5, lambda v: _assemble(kn.assemble_matrix, v),
+     ValueError, "tolerance 5 exceeds qubit count"),
+    ("assemble_cross", "tolerance", 5,
+     lambda v: _assemble(functools.partial(kn.assemble_cross, np.zeros((1, 2))), v),
+     ValueError, "tolerance 5 exceeds qubit count"),
+    ("bell_pair_dataset", "samples_per_class", 0, dt.bell_pair_dataset, ValueError,
+     "samples_per_class must be positive"),
+    ("fit_multiclass", "kernel", np.array([[1.0, np.nan], [np.nan, 1.0]]),
+     lambda v: svc.fit_multiclass(v, [0, 1]), ValueError, "kernel must be finite"),
+    ("line_coupling", "n_qubits", 0, fm.line_coupling, ValueError,
+     "n_qubits must be at least 1"),
+    ("repair_psd", "values", np.ones((2, 3)),
+     lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v, 0, None)), ValueError,
+     "values must be a square matrix"),
+    ("split_dataset", "train_fraction", 1.5,
+     lambda v: dt.split_dataset(dt.bell_pair_dataset(2), v), ValueError,
+     "train_fraction must lie strictly between"),
 ]
+
+# top-level callables with no BAD_INPUT row, each with the reason it has none
+EXEMPT: dict[str, str] = {}
 
 
 def _row_id(row):
@@ -89,6 +151,14 @@ def test_bad_input_fails_in_the_entry_points_checker(entry, argument, value, cal
     assert argument in fragment
     with pytest.raises(error, match=fragment):
         call(value)
+
+
+def test_every_top_level_callable_has_a_bad_input_row_or_a_stated_exemption():
+    rows = {row[0] for row in BAD_INPUT}
+    for name in covkern.__all__:
+        assert callable(getattr(covkern, name)), name
+        assert (name in rows) != (name in EXEMPT), name
+    assert set(EXEMPT) <= set(covkern.__all__) and all(EXEMPT.values())
 
 
 def test_dataset_reads_a_numpy_importance_as_a_tuple_of_ints():

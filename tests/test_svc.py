@@ -1,5 +1,7 @@
 """SMO solver against a scipy dual oracle, one-vs-one voting, grid search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -216,6 +218,20 @@ def test_smo_keeps_alpha_inside_the_box_exactly(seed):
     c = float(rng.uniform(0.5, 10.0))
     alpha = svc.fit_binary(kernel, y, c=c).coef * y
     assert alpha.min() >= 0.0 and alpha.max() <= c
+
+
+def test_fit_binary_holds_one_curvature_table_and_one_transient():
+    # the m x m table of a_t rows plus, while it is built, one operand of its
+    # size: 16 m^2 bytes, and O(m) for the working rows
+    _, y, kernel = separable_problem(4, m=300)
+    m = y.shape[0]
+    tracemalloc.start()
+    try:
+        svc.fit_binary(kernel, y, c=1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * m * m + 256 * m
 
 
 def test_binary_separable_train_accuracy():
