@@ -220,6 +220,7 @@ def gen_covariant(spec: CovariantSpec) -> Dataset:
 
 def bell_pair_dataset(samples_per_class: int, seed: int = 0) -> Dataset:
     """Two-feature angles: class 0 at (t, -t), class 1 at (u, pi - u)."""
+    _require_int("samples_per_class", samples_per_class)
     if samples_per_class < 1:
         raise ValueError("samples_per_class must be positive")
     rng = np.random.default_rng(seed)

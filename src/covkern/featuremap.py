@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import check_importance
+from .data import _require_int, check_importance
 from .simcore import Circuit, cz, rotation, rotation_axis
 
 DEFAULT_AXES = ("z", "y", "x")   # the fiducial's three axes, the last also the embedding's
@@ -63,10 +63,12 @@ def coupling_from_edges(edges) -> CouplingMap:
 
 
 def line_coupling(n: int) -> CouplingMap:
+    _require_int("n", n)
     return CouplingMap(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
 def ring_coupling(n: int) -> CouplingMap:
+    _require_int("n", n)
     if n < 3:
         raise ValueError("a ring needs at least three qubits")
     return CouplingMap(n, tuple(sorted([(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])))
@@ -78,6 +80,8 @@ def heavy_hex_coupling(rows: int, row_len: int) -> CouplingMap:
     Bridges sit every fourth column, offset by two on alternating row pairs,
     which reproduces the degree <= 3 texture of heavy-hex devices.
     """
+    _require_int("rows", rows)
+    _require_int("row_len", row_len)
     if rows < 1 or row_len < 3:
         raise ValueError("need rows >= 1 and row_len >= 3")
     edges = []

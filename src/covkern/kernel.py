@@ -500,9 +500,7 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
         return sc.hamming_mass(dist, spec.n_qubits, config.tolerance)
     counts = sc.sample_counts(dist, spec.n_qubits, config.shots,
                               seed if seed is not None else (config.master_seed,))
-    hits = sum(c for bits, c in counts.counts.items()
-               if bits.count("1") <= config.tolerance)
-    return hits / config.shots
+    return sc.hamming_mass(counts, spec.n_qubits, config.tolerance) / config.shots
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +580,13 @@ def average_diagonal(values: np.ndarray) -> float:
 class CalibrationReport:
     """Sweep of average diagonal and PSD distance over tolerance and width.
 
-    ``rows`` holds (n_qubits, tolerance, avg_diagonal, psd_distance) tuples;
-    ``recommended[(n, threshold)]`` is the smallest tolerance whose average
-    diagonal reaches the threshold, or None when no tolerance does.
+    ``rows`` holds (n_qubits, tolerance, avg_diagonal, psd_distance) tuples,
+    tolerances ascending within a width; ``recommended_tolerance`` reads its
+    pick for each calibrated threshold off them.
     """
 
-    noise: sc.NoiseModel
-    shots: int | None
     thresholds: tuple[float, ...]
     rows: list[tuple[int, int, float, float]]
-    recommended: dict[tuple[int, float], int | None]
 
     def avg_diagonal(self, n: int, tolerance: int) -> float:
         for rn, rd, avg, _ in self.rows:
@@ -600,7 +595,14 @@ class CalibrationReport:
         raise KeyError(f"no calibration row for n={n}, tolerance={tolerance}")
 
     def recommended_tolerance(self, n: int, threshold: float) -> int | None:
-        return self.recommended[(n, float(threshold))]
+        """The smallest tolerance of width n whose average diagonal reaches
+        ``threshold``, or None when none does.  KeyError for a width or a
+        threshold that was not calibrated."""
+        t = float(threshold)
+        avgs = [(d, avg) for rn, d, avg, _ in self.rows if rn == n]
+        if not avgs or t not in self.thresholds:
+            raise KeyError(f"no calibration for n={n}, threshold={threshold}")
+        return next((d for d, avg in avgs if avg >= t), None)
 
 
 def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
@@ -633,7 +635,6 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
     if any(not 0.0 < t <= 1.0 for t in thresholds):
         raise ValueError("thresholds must lie in (0, 1]")
     rows: list[tuple[int, int, float, float]] = []
-    recommended: dict[tuple[int, float], int | None] = {}
     for n in ns:
         rng = np.random.default_rng((seed, n))
         xs = rng.uniform(0.0, 1.0, size=(samples, n))
@@ -641,16 +642,10 @@ def calibrate(ns, noise: sc.NoiseModel, shots: int | None = None,
         spec = make_feature_map(line_coupling(n), n, angle_scale=angle_scale)
         config = KernelConfig(tolerance=0, shots=shots, master_seed=seed + 1000 * n)
         profiles = assemble_profiles(xs, spec, params, config, noise)
-        avgs = []
         for d in range(n + 1):
             values = profiles[:, :, d]
-            avg = average_diagonal(values)
-            avgs.append(avg)
-            rows.append((n, d, avg, psd_distance(values)))
-        for t in thresholds:
-            hit = next((d for d, avg in enumerate(avgs) if avg >= t), None)
-            recommended[(n, t)] = hit
-    return CalibrationReport(noise, shots, thresholds, rows, recommended)
+            rows.append((n, d, average_diagonal(values), psd_distance(values)))
+    return CalibrationReport(thresholds, rows)
 
 
 # ---------------------------------------------------------------------------

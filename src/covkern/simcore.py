@@ -13,7 +13,8 @@ Noise is modeled at readout only: an optional global depolarizing mix toward
 the uniform distribution followed by independent per-qubit bit flips with
 asymmetric rates p01 (read 1 given true 0) and p10 (read 0 given true 1).
 Amplitudes stay exact; noise acts on the outcome distribution.
-``apply_readout_noise`` is the per-outcome reference over all 2**n outcomes.
+``apply_readout_noise`` is the per-outcome reference over all 2**n outcomes,
+and ``sample_counts`` draws shots from it as one count per outcome index.
 The kernel routes keep only the Hamming weight of an outcome, and flips act
 on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
 so they push the (n+1)-bin weight histogram through the matrix
@@ -357,18 +358,9 @@ def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
     return transfer
 
 
-@dataclass
-class ShotCounts:
-    n_qubits: int
-    shots: int
-    counts: dict[str, int]
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> ShotCounts:
-    """Draw shot counts from an outcome distribution, deterministically by seed."""
+def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> np.ndarray:
+    """Shot counts drawn from an outcome distribution, deterministically by seed:
+    one per outcome index, qubit 0 the low bit, so the 2**n counts sum to ``shots``."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if dist.shape[0] != 2 ** n:
@@ -376,10 +368,7 @@ def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> ShotCounts:
     total = dist.sum()
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"distribution sums to {total}, not 1")
-    draws = np.random.default_rng(seed).multinomial(shots, dist / total)
-    hits = np.nonzero(draws)[0]
-    counts = {format(int(i), f"0{n}b"): int(draws[i]) for i in hits}
-    return ShotCounts(n, shots, counts)
+    return np.random.default_rng(seed).multinomial(shots, dist / total)
 
 
 def hamming_weights(n: int) -> np.ndarray:
@@ -392,7 +381,7 @@ def hamming_weights(n: int) -> np.ndarray:
 
 
 def hamming_mass(dist: np.ndarray, n: int, max_weight: int) -> float:
-    """Total probability mass on outcomes with Hamming weight <= max_weight."""
+    """Sum of ``dist`` (probabilities or shot counts) over outcomes of weight <= max_weight."""
     if dist.shape[-1] != 2 ** n:
         raise ValueError("distribution length does not match qubit count")
     if max_weight < 0:

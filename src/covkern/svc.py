@@ -35,10 +35,6 @@ class BinarySVC:
     iterations: int
     kkt_gap: float
 
-    @property
-    def support(self) -> np.ndarray:
-        return np.flatnonzero(np.abs(self.coef) > 1e-12)
-
 
 def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
                tol: float = 1e-3, max_iter: int | None = None) -> BinarySVC:
@@ -63,8 +59,8 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         raise ValueError("binary labels must be -1 or +1")
     if not ((y > 0).any() and (y < 0).any()):
         raise ValueError("need both classes present to fit")
-    if not c > 0:
-        raise ValueError("c must be positive")
+    if not 0 < c < np.inf:
+        raise ValueError(f"c must be positive and finite, got {c!r}")
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter is None:
@@ -186,25 +182,19 @@ def fit_multiclass(kernel: np.ndarray, labels, c: float = 1.0,
     classes = sorted_unique(labels)
     if classes.shape[0] < 2:
         raise ValueError("need at least two classes")
-    pair_classes = []
-    coefs = []
-    biases = []
-    iterations = []
-    kkt_gaps = []
-    for a in range(classes.shape[0]):
-        for b in range(a + 1, classes.shape[0]):
-            idx = np.flatnonzero((labels == classes[a]) | (labels == classes[b]))
-            y = np.where(labels[idx] == classes[a], 1.0, -1.0)
-            sub = fit_binary(kernel[np.ix_(idx, idx)], y, c=c, tol=tol)
-            full = np.zeros(m)
-            full[idx] = sub.coef
-            pair_classes.append((a, b))
-            coefs.append(full)
-            biases.append(sub.bias)
-            iterations.append(sub.iterations)
-            kkt_gaps.append(sub.kkt_gap)
-    return MulticlassSVC(classes, np.array(pair_classes), np.array(coefs),
-                         np.array(biases), float(c), iterations, kkt_gaps)
+    pair_classes = np.array(list(combinations(range(classes.shape[0]), 2)))
+    coefs = np.zeros((pair_classes.shape[0], m))
+    biases = np.empty(pair_classes.shape[0])
+    iterations, kkt_gaps = [], []
+    for p, (a, b) in enumerate(pair_classes.tolist()):
+        idx = np.flatnonzero((labels == classes[a]) | (labels == classes[b]))
+        y = np.where(labels[idx] == classes[a], 1.0, -1.0)
+        sub = fit_binary(kernel[np.ix_(idx, idx)], y, c=c, tol=tol)
+        coefs[p, idx] = sub.coef
+        biases[p] = sub.bias
+        iterations.append(sub.iterations)
+        kkt_gaps.append(sub.kkt_gap)
+    return MulticlassSVC(classes, pair_classes, coefs, biases, float(c), iterations, kkt_gaps)
 
 
 def pairwise_decisions(model: MulticlassSVC, kernel_cross: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 with an exception that names the argument, and the package's top level holds
 the README quick start's names and its submodules."""
 
+import dataclasses
 import functools
 import types
 
@@ -43,8 +44,8 @@ def _align(labels):
                            al.SPSAConfig(iterations=0), kn.KernelConfig())
 
 
-def _grid_search(candidates=((None, np.eye(4)),), n_folds=2):
-    return svc.grid_search(candidates, np.array([0, 0, 1, 1]), n_folds=n_folds)
+def _grid_search(candidates=((None, np.eye(4)),), n_folds=2, c=1.0):
+    return svc.grid_search(candidates, np.array([0, 0, 1, 1]), c=c, n_folds=n_folds)
 
 
 def _predict(kernel_cross):
@@ -99,6 +100,8 @@ BAD_INPUT = [
      "candidates must hold at least one"),
     ("grid_search", "n_folds", 2.5, lambda v: _grid_search(n_folds=v), TypeError,
      "n_folds must be an int"),
+    ("grid_search", "c", np.inf, lambda v: _grid_search(c=v), ValueError,
+     "c must be positive and finite"),
     ("fit_binary", "max_iter", -1,
      lambda v: svc.fit_binary(np.eye(2), np.array([1.0, -1.0]), max_iter=v), ValueError,
      "max_iter must be at least 1"),
@@ -122,10 +125,20 @@ BAD_INPUT = [
      ValueError, "tolerance 5 exceeds qubit count"),
     ("bell_pair_dataset", "samples_per_class", 0, dt.bell_pair_dataset, ValueError,
      "samples_per_class must be positive"),
+    ("bell_pair_dataset", "samples_per_class", 2.5, dt.bell_pair_dataset, TypeError,
+     "samples_per_class must be an int"),
     ("fit_multiclass", "kernel", np.array([[1.0, np.nan], [np.nan, 1.0]]),
      lambda v: svc.fit_multiclass(v, [0, 1]), ValueError, "kernel must be finite"),
+    ("fit_multiclass", "c", np.inf,
+     lambda v: svc.fit_multiclass(np.ones((4, 4)), [0, 0, 1, 1], c=v), ValueError,
+     "c must be positive and finite"),
     ("line_coupling", "n_qubits", 0, fm.line_coupling, ValueError,
      "n_qubits must be at least 1"),
+    ("line_coupling", "n", 2.5, fm.line_coupling, TypeError, "n must be an int"),
+    ("line_coupling", "n", True, fm.line_coupling, TypeError, "n must be an int"),
+    ("ring_coupling", "n", 3.0, fm.ring_coupling, TypeError, "n must be an int"),
+    ("heavy_hex_coupling", "row_len", True, lambda v: fm.heavy_hex_coupling(2, v), TypeError,
+     "row_len must be an int"),
     ("repair_psd", "values", np.ones((2, 3)),
      lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v, 0, None)), ValueError,
      "values must be a square matrix"),
@@ -174,7 +187,9 @@ def test_all_lists_resolvable_non_module_names_only():
         assert isinstance(getattr(covkern, name), types.ModuleType), name
     deleted = {"rbf_gamma_search", "classical_subspace_moments", "cross_orthogonality_defect",
                "aligned_bases", "cross_moment_analytic", "principal_angles", "states_equal",
-               "decision_function"}
+               "decision_function", "ShotCounts"}
     assert not deleted & set(covkern.__all__)
     assert not any(hasattr(module, name) for name in deleted
                    for module in (covkern, al, covkern.theory, covkern.simcore, svc))
+    assert not hasattr(svc.BinarySVC, "support")
+    assert [f.name for f in dataclasses.fields(kn.CalibrationReport)] == ["thresholds", "rows"]

@@ -935,6 +935,26 @@ def test_kernel_entry_sampled_seed_control():
     assert 0.0 <= a <= 1.0
 
 
+@pytest.mark.parametrize("seed", [(1, 2), (3,), 17])
+def test_sampled_kernel_entry_is_the_share_of_draws_within_tolerance(seed):
+    # the draw holds one count per outcome index, qubit 0 the low bit; the
+    # entry is the share of shots whose outcome has at most d set bits
+    n, shots = 3, 500
+    spec = fm.make_feature_map(fm.line_coupling(n), n)
+    rng = np.random.default_rng(31)
+    params = rng.uniform(0.0, 2 * np.pi, size=spec.n_params)
+    x, y = rng.normal(size=n), rng.normal(size=n)
+    noise = sc.NoiseModel(p01=0.1, p10=0.05)
+    dist = sc.outcome_distribution(
+        sc.run_circuit(fm.build_kernel_circuit(spec, params, x, y)), noise)
+    draws = sc.sample_counts(dist, n, shots, seed)
+    weights = [bin(k).count("1") for k in range(2 ** n)]
+    for d in range(n + 1):
+        share = sum(c for c, w in zip(draws.tolist(), weights) if w <= d) / shots
+        cfg = kn.KernelConfig(tolerance=d, shots=shots)
+        assert kn.kernel_entry(spec, params, x, y, cfg, noise, seed=seed) == share
+
+
 # ------------------------------------------------------- PSD repair
 
 def test_psd_projection_of_exchange_matrix():
@@ -1105,6 +1125,15 @@ def test_calibration_threshold_validation_and_lookup():
     report = kn.calibrate([4], noise)
     with pytest.raises(KeyError):
         report.avg_diagonal(5, 0)
+
+
+def test_recommended_tolerance_rejects_an_uncalibrated_width_or_threshold():
+    report = kn.calibrate([4], sc.NoiseModel(p01=0.02), thresholds=(0.9, 0.99))
+    assert report.recommended_tolerance(4, 0.9) == 0
+    assert report.recommended_tolerance(4, 0.99) == 1
+    for n, threshold in ((5, 0.9), (3, 0.9), (4, 0.95), (4, 0.5)):
+        with pytest.raises(KeyError):
+            report.recommended_tolerance(n, threshold)
 
 
 @pytest.mark.parametrize("samples", [0, -3])
