@@ -33,7 +33,7 @@ def main():
           f"({'ok' if ok else 'BROKEN'})")
 
     train, test = dt.split_dataset(ds, 0.5, seed=0)
-    psi = structure.fiducial.amplitudes
+    psi = structure.fiducial
     k_train = kn.overlap_kernel_from_state(psi, train.features)
     k_test = kn.overlap_kernel_from_state(psi, test.features, train.features)
     model = svc.fit_multiclass(k_train, train.labels, c=1.0)

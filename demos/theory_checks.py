@@ -32,8 +32,7 @@ def main():
     rng = np.random.default_rng(5)
     xs = rng.uniform(0.0, 1.0, (6, 4))
     closed = th.cosine_product_kernel(xs, xs)
-    direct = kn.overlap_kernel_from_state(
-        sc.zero_state(4).amplitudes, 2.0 * np.pi * xs)
+    direct = kn.overlap_kernel_from_state(sc.zero_state(4), 2.0 * np.pi * xs)
     print(f"  max |difference| over a 6x6 Gram: {np.abs(closed - direct).max():.2e}")
 
     structure = th.bell_structure()

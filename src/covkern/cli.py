@@ -618,8 +618,7 @@ def cmd_verify(cfg: dict, top: dict, out: str, seed: int) -> _Result:
         xs = rng.uniform(0.0, 1.0, (30, n))
         ys = rng.uniform(0.0, 1.0, (30, n))
         closed = th.cosine_product_kernel(xs, ys)
-        direct = kn.overlap_kernel_from_state(sc.zero_state(n).amplitudes, 2.0 * np.pi * xs,
-                                              2.0 * np.pi * ys)
+        direct = kn.overlap_kernel_from_state(sc.zero_state(n), 2.0 * np.pi * xs, 2.0 * np.pi * ys)
         dev = float(np.max(np.abs(closed - direct)))
         rows.append((f"closed_form_n{n}", dev, 1e-10 - dev, "max dev <= 1e-10", dev <= 1e-10))
 

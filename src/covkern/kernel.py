@@ -140,8 +140,6 @@ class KernelConfig:
 @dataclass
 class KernelMatrixEstimate:
     values: np.ndarray
-    tolerance: int
-    shots: int | None
     psd_projected: bool = False
     min_eigenvalue_before: float | None = None
 
@@ -311,7 +309,9 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
 
     Wider registers replace passes 2 to 4 by both layers whole and one
     diagonal multiply between them.  ``out`` holds the pairs' weight
-    histograms, noise applied, until their cumulative sums replace them.
+    histograms, noise applied, until their cumulative sums replace them; an
+    exact profile's entry at d = n, the whole mass, is then raised to 1 where
+    it rounds below it (not set: a lower entry may round above 1).
 
     Shots draw from one RNG stream per matrix row, so assembly order and
     tiling cannot change sampled results, a leading block of rows or columns
@@ -402,6 +402,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
         out[walk[lo:hi]] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)
+        np.maximum(out[:, n], 1.0, out=out[:, n])
     else:
         key = np.random.SeedSequence((config.master_seed, tag)).generate_state(2, np.uint64)
         bitgen = np.random.Philox(key=key)
@@ -448,7 +449,8 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     """Kernel values at every tolerance at once: (m, m, n+1) cumulative masses.
 
     ``profiles[i, j, d]`` is the kernel estimate between samples i and j at
-    tolerance d.  Sampled entries use one multinomial draw per (i, j), so all
+    tolerance d; the entry at d = n, which accepts every outcome, is never
+    below 1.  Sampled entries use one multinomial draw per (i, j), so all
     tolerances of an entry come from the same counts.
     """
     return _pair_profiles(spec, params, embedding_angles(spec, xs), None, config, noise)
@@ -456,8 +458,7 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
 
 def matrix_from_profiles(profiles: np.ndarray, config: KernelConfig) -> KernelMatrixEstimate:
     _check_tolerance(config, profiles.shape[2] - 1)
-    return KernelMatrixEstimate(np.array(profiles[:, :, config.tolerance]),
-                                config.tolerance, config.shots)
+    return KernelMatrixEstimate(np.array(profiles[:, :, config.tolerance]))
 
 
 def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
@@ -477,7 +478,7 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     values = (values + values.T) / 2.0
     if not config.estimate_diagonal:
         np.fill_diagonal(values, 1.0)
-    return KernelMatrixEstimate(values, 0, None)
+    return KernelMatrixEstimate(values)
 
 
 def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: KernelConfig,
@@ -497,10 +498,10 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
     circ = build_kernel_circuit(spec, params, x, y)
     dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
     if config.shots is None:
-        return sc.hamming_mass(dist, spec.n_qubits, config.tolerance)
+        return float(sc.weight_mass_profile(dist, spec.n_qubits)[config.tolerance])
     counts = sc.sample_counts(dist, spec.n_qubits, config.shots,
                               seed if seed is not None else (config.master_seed,))
-    return sc.hamming_mass(counts, spec.n_qubits, config.tolerance) / config.shots
+    return float(sc.weight_mass_profile(counts, spec.n_qubits)[config.tolerance]) / config.shots
 
 
 # ---------------------------------------------------------------------------

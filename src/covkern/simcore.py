@@ -1,10 +1,10 @@
 """Exact statevector simulation with synthetic readout noise.
 
-Amplitudes are stored as a dense complex vector of length 2**n with qubit 0 as
-the least significant bit of the basis index, so basis index 5 on three qubits
-is the bitstring "101" (qubit 0 and qubit 2 set).  The gate set is deliberately
-small: RX, RY, RZ and CZ, which is enough for every circuit built elsewhere in
-the package and keeps inverses trivial (negate the rotation angles, reverse the
+A state is a plain 1-D complex array of 2**n amplitudes with qubit 0 as the
+least significant bit of the basis index, so basis index 5 on three qubits
+is the bitstring "101" (qubit 0 and qubit 2 set).  The gate set is small:
+RX, RY, RZ and CZ, which is enough for every circuit built elsewhere in the
+package and keeps inverses trivial (negate the rotation angles, reverse the
 gate order).  ``AXES`` is the package's one table of rotation axes: the gates,
 the feature map, both kernel routes and the CLI read it, and ``rotation_axis``
 turns an unknown axis into the same ValueError everywhere.
@@ -28,8 +28,8 @@ start group on when the caller folds the lower ones into other work);
 ``_apply_rotation`` and ``run_circuit`` stay the gate-by-gate reference.
 ``weight_histograms`` sums a batch's squared amplitudes into Hamming-weight
 bins the same way, one row matmul per group by a one-hot map of
-``weight_layers``; the ``bincount`` of ``weight_mass_profile`` stays the
-reference.
+``weight_layers``; the ``bincount`` of ``weight_mass_profile`` is the one
+Hamming-mass reference, which ``kernel.kernel_entry`` reads as well.
 """
 
 from __future__ import annotations
@@ -64,9 +64,6 @@ def rotation_axis(axis: str):
     if not isinstance(axis, str) or axis not in AXES:
         raise ValueError(f"unknown rotation axis {axis!r}")
     return AXES[axis]
-
-
-_weights_cache: dict[int, np.ndarray] = {}
 
 
 def _check_n(n: int) -> None:
@@ -134,20 +131,20 @@ class Circuit:
         return sum(1 for g in self.gates if g.name == name)
 
 
-@dataclass
-class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def zero_state(n: int) -> StateVector:
+def zero_state(n: int) -> np.ndarray:
     _check_n(n)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[0] = 1.0
-    return StateVector(n, amps)
+    return amps
+
+
+def _state_qubits(amps: np.ndarray, name: str = "amps") -> int:
+    """n of a 1-D array of 2**n amplitudes, n >= 1; else a ValueError naming it."""
+    n = np.shape(amps)[0].bit_length() - 1 if np.ndim(amps) == 1 else 0
+    if n < 1 or np.shape(amps) != (2 ** n,):
+        raise ValueError(f"{name} must be a 1-D array of 2**n amplitudes, n >= 1; "
+                         f"got shape {np.shape(amps)}")
+    return n
 
 
 def _apply_rotation(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
@@ -252,28 +249,26 @@ def _apply_cz(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate and return a new state (the input is not mutated)."""
-    n = state.n_qubits
+def apply_gate(amps: np.ndarray, gate: GateOp) -> np.ndarray:
+    """Apply one gate and return the new amplitudes (the input is not mutated)."""
+    amps = np.asarray(amps)
+    n = _state_qubits(amps)
     for q in gate.qubits:
         if not 0 <= q < n:
             raise ValueError(f"gate on qubit {q} outside register of {n}")
     if gate.name == "cz":
-        amps = _apply_cz(state.amplitudes, n, *gate.qubits)
-    elif gate.name[:1] == "r" and gate.name[1:] in AXES:
+        return _apply_cz(amps, n, *gate.qubits)
+    if gate.name[:1] == "r" and gate.name[1:] in AXES:
         rotate, _ = AXES[gate.name[1:]]
-        amps = _apply_rotation(state.amplitudes, n, gate.qubits[0], rotate(gate.angle))
-    else:
-        raise ValueError(f"unknown gate {gate.name!r}")
-    return StateVector(n, amps)
+        return _apply_rotation(amps, n, gate.qubits[0], rotate(gate.angle))
+    raise ValueError(f"unknown gate {gate.name!r}")
 
 
-def run_circuit(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run a circuit from |0...0> (or a copy of a caller-supplied initial state)."""
-    if initial is not None and initial.n_qubits != circuit.n_qubits:
+def run_circuit(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """Run a circuit from |0...0> or from a copy of ``initial``: always a new array."""
+    if initial is not None and _state_qubits(initial, "initial") != circuit.n_qubits:
         raise ValueError("initial state size does not match circuit register")
-    state = zero_state(circuit.n_qubits) if initial is None else StateVector(
-        circuit.n_qubits, initial.amplitudes.copy())
+    state = zero_state(circuit.n_qubits) if initial is None else np.array(initial, dtype=complex)
     for gate in circuit.gates:
         state = apply_gate(state, gate)
     return state
@@ -322,12 +317,13 @@ def apply_readout_noise(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndar
     return out if batched else out[0]
 
 
-def outcome_distribution(state: StateVector, noise: NoiseModel | None = None) -> np.ndarray:
-    """Measurement distribution over all 2**n outcomes, noise included."""
-    probs = np.abs(state.amplitudes) ** 2
+def outcome_distribution(amps: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+    """Measurement distribution over all 2**n outcomes of a state, noise included."""
+    n = _state_qubits(amps)
+    probs = np.abs(amps) ** 2
     if noise is None or noise.is_trivial():
         return probs
-    return apply_readout_noise(probs, state.n_qubits, noise)
+    return apply_readout_noise(probs, n, noise)
 
 
 def _binomial_law(k: int, p: float) -> np.ndarray:
@@ -371,27 +367,19 @@ def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, dist / total)
 
 
+@functools.lru_cache(maxsize=None)
 def hamming_weights(n: int) -> np.ndarray:
-    """Hamming weight of every basis index on n qubits (cached)."""
+    """Hamming weight of every basis index on n qubits, cached per width and
+    shared read-only."""
     _check_n(n)
-    if n not in _weights_cache:
-        idx = np.arange(2 ** n, dtype=np.uint32)
-        _weights_cache[n] = np.bitwise_count(idx).astype(np.int64)
-    return _weights_cache[n]
-
-
-def hamming_mass(dist: np.ndarray, n: int, max_weight: int) -> float:
-    """Sum of ``dist`` (probabilities or shot counts) over outcomes of weight <= max_weight."""
-    if dist.shape[-1] != 2 ** n:
-        raise ValueError("distribution length does not match qubit count")
-    if max_weight < 0:
-        return 0.0
-    mask = hamming_weights(n) <= max_weight
-    return float(dist[..., mask].sum(axis=-1))
+    weights = np.bitwise_count(np.arange(2 ** n, dtype=np.uint32)).astype(np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
-    """Cumulative mass at each Hamming weight 0..n; last entry is the total.
+    """Cumulative mass at each Hamming weight 0..n of probabilities or shot
+    counts; entry d is the mass of outcomes of weight <= d, the last the total.
 
     One ``bincount`` over (row, weight) bins for any leading shape, so a
     row's profile does not depend on how many rows are batched with it.

@@ -10,10 +10,10 @@ Contents:
   The independent layouts draw y uniformly on the sphere of the joint span:
   that is the law of a uniform point of a Haar-random subspace of the span.
 * Group-structure checks: a container for subgroup generators, coset
-  representatives and a fiducial state, and a checker for invariance,
-  membership, and cross-coset orthogonality.  A two-qubit maximally-entangled
-  construction ships as the worked example; its kernel is exactly the class
-  indicator.
+  representatives and a fiducial state's amplitude array, and a checker for
+  invariance, membership, and cross-coset orthogonality.  A two-qubit
+  maximally-entangled construction ships as the worked example; its kernel
+  is exactly the class indicator.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 from .data import Dataset, unit_rows, write_table
 from .featuremap import product_rotation_circuit
 from .kernel import overlap_kernel_from_state
-from .simcore import Circuit, StateVector, run_circuit, rx
+from .simcore import Circuit, _state_qubits, run_circuit, rx
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +175,20 @@ def save_expectation_csv(rows: list[ExpectationRow], path) -> None:
 class CovariantStructure:
     """Subgroup generators, coset representatives, and the fiducial state.
 
-    Generators and representatives are circuits on the fiducial's qubit
-    count.  The fiducial must be phase-invariant under every generator, which
-    ``check_covariance`` tests along with coset membership of sampled
-    embeddings and cross-coset orthogonality.
+    Generators and representatives are circuits on the n qubits of the
+    fiducial's 2**n amplitudes.  The fiducial must be phase-invariant under
+    every generator, which ``check_covariance`` tests along with coset
+    membership of sampled embeddings and cross-coset orthogonality.
     """
 
-    fiducial: StateVector
+    fiducial: np.ndarray
     generators: tuple[Circuit, ...]
     cosets: tuple[Circuit, ...]
 
     def __post_init__(self):
+        n = _state_qubits(self.fiducial, "fiducial")
         for circ in (*self.generators, *self.cosets):
-            if circ.n_qubits != self.fiducial.n_qubits:
+            if circ.n_qubits != n:
                 raise ValueError("all circuits must act on the fiducial's qubits")
 
 
@@ -202,10 +203,6 @@ class CovarianceReport:
     def passed(self) -> bool:
         return not (self.invariance_violations or self.membership_violations
                     or self.orthogonality_violations)
-
-
-def _overlap(state_a: StateVector, state_b: StateVector) -> complex:
-    return complex(np.vdot(state_a.amplitudes, state_b.amplitudes))
 
 
 def check_covariance(structure: CovariantStructure, class_circuits,
@@ -223,20 +220,20 @@ def check_covariance(structure: CovariantStructure, class_circuits,
     report = CovarianceReport(tolerance)
     psi = structure.fiducial
     for g, gen in enumerate(structure.generators):
-        dev = abs(abs(_overlap(psi, run_circuit(gen, psi))) - 1.0)
+        dev = abs(abs(np.vdot(psi, run_circuit(gen, psi))) - 1.0)
         if dev > tolerance:
             report.invariance_violations.append((g, float(dev)))
     coset_states = [run_circuit(rep, psi) for rep in structure.cosets]
     for c, circuits in enumerate(class_circuits):
         for s, circ in enumerate(circuits):
-            if circ.n_qubits != psi.n_qubits:
+            if 2 ** circ.n_qubits != psi.shape[0]:
                 raise ValueError("sampled circuit acts on the wrong qubit count")
-            dev = abs(abs(_overlap(coset_states[c], run_circuit(circ, psi))) - 1.0)
+            dev = abs(abs(np.vdot(coset_states[c], run_circuit(circ, psi))) - 1.0)
             if dev > tolerance:
                 report.membership_violations.append((c, s, float(dev)))
     for j in range(len(coset_states)):
         for l in range(j + 1, len(coset_states)):
-            mag = abs(_overlap(coset_states[j], coset_states[l]))
+            mag = abs(np.vdot(coset_states[j], coset_states[l]))
             if mag > tolerance:
                 report.orthogonality_violations.append((j, l, float(mag)))
     return report
@@ -250,9 +247,8 @@ def bell_structure() -> CovariantStructure:
     representative is an X half-turn on qubit 1, so class angle pairs
     (u, pi - u) decompose as representative times subgroup element.
     """
-    amps = np.zeros(4, dtype=complex)
-    amps[0] = amps[3] = 1.0 / np.sqrt(2.0)
-    psi = StateVector(2, amps)
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
     generators = tuple(Circuit(2, [rx(0, t), rx(1, -t)]) for t in (0.9, 2.4))
     cosets = (Circuit(2, []), Circuit(2, [rx(1, np.pi)]))
     return CovariantStructure(psi, generators, cosets)
@@ -268,7 +264,7 @@ def class_circuits_from_dataset(dataset: Dataset, axis: str = "x",
     return out
 
 
-def verify_delta_kernel(dataset: Dataset, fiducial: StateVector, axis: str = "x",
+def verify_delta_kernel(dataset: Dataset, fiducial: np.ndarray, axis: str = "x",
                         angle_scale: float = 1.0, tolerance: float = 1e-9):
     """Max deviation of the kernel matrix from the exact class indicator.
 
@@ -276,7 +272,7 @@ def verify_delta_kernel(dataset: Dataset, fiducial: StateVector, axis: str = "x"
     fiducial amplitudes with the product rotation embedding.
     """
     angles = angle_scale * dataset.features
-    matrix = overlap_kernel_from_state(fiducial.amplitudes, angles, axis=axis)
+    matrix = overlap_kernel_from_state(fiducial, angles, axis=axis)
     target = (dataset.labels[:, None] == dataset.labels[None, :]).astype(float)
     dev = float(np.max(np.abs(matrix - target)))
     return dev, dev <= tolerance

@@ -81,7 +81,7 @@ def test_criterion_03_closed_form():
             closed = th.cosine_product_kernel(x[None, :], y[None, :])[0, 0]
             circ = th.product_rotation_circuit(2.0 * np.pi * x)
             circ.extend(th.product_rotation_circuit(2.0 * np.pi * y).inverse().gates)
-            amps = sc.run_circuit(circ).amplitudes
+            amps = sc.run_circuit(circ)
             direct = float(np.abs(amps[0]) ** 2)
             worst = max(worst, abs(closed - direct))
     ok = worst <= 1e-10
@@ -155,7 +155,7 @@ def test_criterion_06_class_indicator_kernel():
     ds = dt.bell_pair_dataset(20, seed=106)
     dev, dev_ok = th.verify_delta_kernel(ds, structure.fiducial)
     train, test = dt.split_dataset(ds, 0.5, seed=0)
-    psi = structure.fiducial.amplitudes
+    psi = structure.fiducial
     k_train = kn.overlap_kernel_from_state(psi, train.features)
     k_test = kn.overlap_kernel_from_state(psi, test.features, train.features)
     model = svc.fit_multiclass(k_train, train.labels, c=1.0)

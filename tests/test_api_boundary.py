@@ -140,8 +140,22 @@ BAD_INPUT = [
     ("heavy_hex_coupling", "row_len", True, lambda v: fm.heavy_hex_coupling(2, v), TypeError,
      "row_len must be an int"),
     ("repair_psd", "values", np.ones((2, 3)),
-     lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v, 0, None)), ValueError,
+     lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v)), ValueError,
      "values must be a square matrix"),
+    ("apply_gate", "amps", np.ones(3), lambda v: sc.apply_gate(v, sc.rx(0, 0.1)), ValueError,
+     "amps must be a 1-D array of 2"),
+    ("apply_gate", "amps", np.ones(1), lambda v: sc.apply_gate(v, sc.rx(0, 0.1)), ValueError,
+     "amps must be a 1-D array of 2"),
+    ("apply_gate", "amps", np.ones((2, 2)), lambda v: sc.apply_gate(v, sc.rx(0, 0.1)),
+     ValueError, "amps must be a 1-D array of 2"),
+    ("run_circuit", "initial", np.ones(6), lambda v: sc.run_circuit(sc.Circuit(2), v),
+     ValueError, "initial must be a 1-D array of 2"),
+    ("run_circuit", "initial", np.ones((4, 1)), lambda v: sc.run_circuit(sc.Circuit(2), v),
+     ValueError, "initial must be a 1-D array of 2"),
+    ("outcome_distribution", "amps", np.ones(0), sc.outcome_distribution, ValueError,
+     "amps must be a 1-D array of 2"),
+    ("outcome_distribution", "amps", np.ones((1, 4)), sc.outcome_distribution, ValueError,
+     "amps must be a 1-D array of 2"),
     ("split_dataset", "train_fraction", 1.5,
      lambda v: dt.split_dataset(dt.bell_pair_dataset(2), v), ValueError,
      "train_fraction must lie strictly between"),
@@ -187,9 +201,12 @@ def test_all_lists_resolvable_non_module_names_only():
         assert isinstance(getattr(covkern, name), types.ModuleType), name
     deleted = {"rbf_gamma_search", "classical_subspace_moments", "cross_orthogonality_defect",
                "aligned_bases", "cross_moment_analytic", "principal_angles", "states_equal",
-               "decision_function", "ShotCounts"}
+               "decision_function", "ShotCounts", "StateVector", "hamming_mass",
+               "_weights_cache"}
     assert not deleted & set(covkern.__all__)
     assert not any(hasattr(module, name) for name in deleted
                    for module in (covkern, al, covkern.theory, covkern.simcore, svc))
     assert not hasattr(svc.BinarySVC, "support")
     assert [f.name for f in dataclasses.fields(kn.CalibrationReport)] == ["thresholds", "rows"]
+    assert [f.name for f in dataclasses.fields(kn.KernelMatrixEstimate)] == [
+        "values", "psd_projected", "min_eigenvalue_before"]

@@ -232,7 +232,7 @@ def test_fiducial_at_zero_parameters_fixes_zero_state():
     spec = fm.make_feature_map(fm.line_coupling(4), 4)
     circ = fm.build_fiducial(spec, np.zeros(12))
     state = sc.run_circuit(circ)
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(state[0]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fiducial_rejects_wrong_parameter_count():
@@ -292,7 +292,7 @@ def test_kernel_circuit_identical_inputs_return_to_zero():
     params = rng.uniform(-np.pi, np.pi, 12)
     x = rng.normal(size=4)
     state = sc.run_circuit(fm.build_kernel_circuit(spec, params, x, x))
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-10)
+    assert abs(state[0]) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kernel_circuit_value_is_symmetric_in_arguments():
@@ -300,6 +300,6 @@ def test_kernel_circuit_value_is_symmetric_in_arguments():
     spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=1.3)
     params = rng.uniform(-np.pi, np.pi, 9)
     x, y = rng.normal(size=3), rng.normal(size=3)
-    pxy = abs(sc.run_circuit(fm.build_kernel_circuit(spec, params, x, y)).amplitudes[0]) ** 2
-    pyx = abs(sc.run_circuit(fm.build_kernel_circuit(spec, params, y, x)).amplitudes[0]) ** 2
+    pxy = abs(sc.run_circuit(fm.build_kernel_circuit(spec, params, x, y))[0]) ** 2
+    pyx = abs(sc.run_circuit(fm.build_kernel_circuit(spec, params, y, x))[0]) ** 2
     assert pxy == pytest.approx(pyx, abs=1e-12)

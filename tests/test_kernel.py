@@ -113,7 +113,6 @@ def test_assemble_matrix_fast_path_matches_entry_circuits():
     xs = rng.normal(size=(4, 3))
     config = kn.KernelConfig()
     est = kn.assemble_matrix(xs, spec, params, config)
-    assert est.tolerance == 0 and est.shots is None
     for i in range(4):
         for j in range(4):
             ref = kn.kernel_entry(spec, params, xs[i], xs[j], config)
@@ -275,7 +274,7 @@ def test_compiled_fiducial_is_the_fiducial_circuit(n, coupling, axes):
     mats, diag = kn._compile_fiducial(spec, params)
     circuit = fm.build_fiducial(spec, params)
     np.testing.assert_allclose(kn._fiducial_state(mats, diag),
-                               sc.run_circuit(circuit).amplitudes, rtol=0, atol=1e-13)
+                               sc.run_circuit(circuit), rtol=0, atol=1e-13)
     fused = np.array([np.eye(2, dtype=complex)] * n)
     idx = np.arange(2 ** n)
     parity = np.zeros(2 ** n, dtype=idx.dtype)
@@ -764,7 +763,6 @@ def test_matrix_from_profiles_slices_one_tolerance():
     for d in (0, 1, 2):
         est = kn.matrix_from_profiles(prof, kn.KernelConfig(tolerance=d))
         np.testing.assert_array_equal(est.values, prof[:, :, d])
-        assert est.tolerance == d
     with pytest.raises(ValueError):
         kn.matrix_from_profiles(prof, kn.KernelConfig(tolerance=3))
 
@@ -935,11 +933,15 @@ def test_kernel_entry_sampled_seed_control():
     assert 0.0 <= a <= 1.0
 
 
-@pytest.mark.parametrize("seed", [(1, 2), (3,), 17])
-def test_sampled_kernel_entry_is_the_share_of_draws_within_tolerance(seed):
+@pytest.mark.parametrize("seed, shots", [pytest.param((1, 2), 500, id="seed0"),
+                                         pytest.param((3,), 500, id="seed1"),
+                                         pytest.param(17, 500, id="17"),
+                                         pytest.param(None, None, id="exact")])
+def test_sampled_kernel_entry_is_the_share_of_draws_within_tolerance(seed, shots):
     # the draw holds one count per outcome index, qubit 0 the low bit; the
-    # entry is the share of shots whose outcome has at most d set bits
-    n, shots = 3, 500
+    # entry is the share of shots whose outcome has at most d set bits, and
+    # without shots the mass of the exact distribution on those outcomes
+    n = 3
     spec = fm.make_feature_map(fm.line_coupling(n), n)
     rng = np.random.default_rng(31)
     params = rng.uniform(0.0, 2 * np.pi, size=spec.n_params)
@@ -947,12 +949,16 @@ def test_sampled_kernel_entry_is_the_share_of_draws_within_tolerance(seed):
     noise = sc.NoiseModel(p01=0.1, p10=0.05)
     dist = sc.outcome_distribution(
         sc.run_circuit(fm.build_kernel_circuit(spec, params, x, y)), noise)
-    draws = sc.sample_counts(dist, n, shots, seed)
+    draws = dist if shots is None else sc.sample_counts(dist, n, shots, seed)
     weights = [bin(k).count("1") for k in range(2 ** n)]
     for d in range(n + 1):
-        share = sum(c for c, w in zip(draws.tolist(), weights) if w <= d) / shots
+        within = sum(c for c, w in zip(draws.tolist(), weights) if w <= d)
         cfg = kn.KernelConfig(tolerance=d, shots=shots)
-        assert kn.kernel_entry(spec, params, x, y, cfg, noise, seed=seed) == share
+        got = kn.kernel_entry(spec, params, x, y, cfg, noise, seed=seed)
+        if shots is None:
+            assert got == pytest.approx(within, rel=0, abs=1e-15)
+        else:
+            assert got == within / shots
 
 
 # ------------------------------------------------------- PSD repair
@@ -997,7 +1003,7 @@ def test_psd_projection_rejects_non_finite_matrix(bad):
     with pytest.raises(ValueError, match="finite"):
         kn.psd_project(values)
     with pytest.raises(ValueError, match="finite"):
-        kn.repair_psd(kn.KernelMatrixEstimate(values, 0, None))
+        kn.repair_psd(kn.KernelMatrixEstimate(values))
 
 
 def test_psd_distance_rejects_zero_matrix():
@@ -1006,20 +1012,20 @@ def test_psd_distance_rejects_zero_matrix():
 
 
 def test_repair_records_projection_metadata():
-    est = kn.KernelMatrixEstimate(np.array([[1.0, 2.0], [2.0, 1.0]]), 0, None)
+    est = kn.KernelMatrixEstimate(np.array([[1.0, 2.0], [2.0, 1.0]]))
     repaired = kn.repair_psd(est)
     assert repaired.psd_projected
     assert repaired.min_eigenvalue_before == pytest.approx(-1.0, abs=1e-12)
     assert np.linalg.eigvalsh(repaired.values).min() >= -1e-9
     # a PSD matrix comes back unchanged and is not reported as projected
-    kept = kn.repair_psd(kn.KernelMatrixEstimate(np.eye(3), 0, None))
+    kept = kn.repair_psd(kn.KernelMatrixEstimate(np.eye(3)))
     assert not kept.psd_projected
     assert kept.min_eigenvalue_before == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_array_equal(kept.values, np.eye(3))
 
 
 def test_repair_of_a_psd_matrix_keeps_its_array():
-    est = kn.KernelMatrixEstimate(np.eye(3), 0, None)
+    est = kn.KernelMatrixEstimate(np.eye(3))
     assert kn.repair_psd(est).values is est.values
     assert kn.psd_project(est.values)[0] is est.values
 
@@ -1097,12 +1103,15 @@ def test_average_diagonal():
 
 def test_calibration_matches_binomial_oracle_exactly():
     noise = sc.NoiseModel(p01=0.02)
-    report = kn.calibrate([4, 8], noise, thresholds=(0.9,))
+    report = kn.calibrate([4, 8], noise, thresholds=(0.9, 1.0))
     for n in (4, 8):
         for d in range(n + 1):
             cdf = sum(math.comb(n, k) * 0.02 ** k * 0.98 ** (n - k)
                       for k in range(d + 1))
             assert report.avg_diagonal(n, d) == pytest.approx(cdf, abs=1e-12)
+        # tolerance n accepts every outcome and the noise keeps the mass
+        assert report.avg_diagonal(n, n) == 1.0
+        assert report.recommended_tolerance(n, 1.0) == n
     assert report.recommended_tolerance(4, 0.9) == 0
     assert report.recommended_tolerance(8, 0.9) == 1
 

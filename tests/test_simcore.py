@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covkern import kernel as kn
 from covkern import simcore as sc
 
 
@@ -44,18 +45,17 @@ def full_unitary(n, gates):
 
 def test_zero_state_is_basis_vector():
     st = sc.zero_state(3)
-    assert st.n_qubits == 3
-    assert st.amplitudes[0] == 1.0
-    assert np.all(st.amplitudes[1:] == 0.0)
-    assert st.norm() == pytest.approx(1.0)
+    assert st.shape == (8,) and st.dtype == complex
+    assert st[0] == 1.0
+    assert np.all(st[1:] == 0.0)
 
 
 def test_qubit_index_is_least_significant_bit():
     # rx on qubit 0 must populate index 1, on qubit 1 index 2
     st = sc.apply_gate(sc.zero_state(2), sc.rx(0, np.pi))
-    assert abs(st.amplitudes[1]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(st[1]) == pytest.approx(1.0, abs=1e-12)
     st = sc.apply_gate(sc.zero_state(2), sc.rx(1, np.pi))
-    assert abs(st.amplitudes[2]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(st[2]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_gates_match_matrix_oracle():
@@ -68,17 +68,19 @@ def test_single_gates_match_matrix_oracle():
         gate = sc.GateOp(name, (q,), angle)
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         amps /= np.linalg.norm(amps)
-        out = sc.apply_gate(sc.StateVector(n, amps.copy()), gate)
+        out = sc.apply_gate(amps, gate)
         expect = full_unitary(n, [gate]) @ amps
-        np.testing.assert_allclose(out.amplitudes, expect, atol=1e-12)
+        np.testing.assert_allclose(out, expect, atol=1e-12)
 
 
 def test_cz_flips_only_the_11_component():
     amps = np.arange(1, 5, dtype=complex)
     amps /= np.linalg.norm(amps)
-    out = sc.apply_gate(sc.StateVector(2, amps.copy()), sc.cz(0, 1))
+    before = amps.copy()
+    out = sc.apply_gate(amps, sc.cz(0, 1))
     expect = amps * np.array([1, 1, 1, -1])
-    np.testing.assert_allclose(out.amplitudes, expect, atol=1e-15)
+    np.testing.assert_allclose(out, expect, atol=1e-15)
+    np.testing.assert_array_equal(amps, before)
 
 
 def test_run_circuit_matches_dense_oracle():
@@ -96,8 +98,8 @@ def test_run_circuit_matches_dense_oracle():
                 circ.add(maker(int(rng.integers(0, n)), float(rng.uniform(-3, 3))))
         out = sc.run_circuit(circ)
         expect = full_unitary(n, circ.gates)[:, 0]
-        np.testing.assert_allclose(out.amplitudes, expect, atol=1e-11)
-        assert out.norm() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(out, expect, atol=1e-11)
+        assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_circuit_inverse_undoes_itself():
@@ -107,7 +109,18 @@ def test_circuit_inverse_undoes_itself():
         circ.add(sc.rx(int(rng.integers(3)), float(rng.uniform(-3, 3))))
         circ.add(sc.cz(0, 1 + int(rng.integers(2))))
     state = sc.run_circuit(circ.inverse(), sc.run_circuit(circ))
-    assert abs(state.amplitudes[0]) == pytest.approx(1.0, abs=1e-10)
+    assert abs(state[0]) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_run_circuit_returns_a_new_array_even_for_an_empty_circuit():
+    # the identity coset of theory.bell_structure is an empty circuit
+    psi = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
+    for circ in (sc.Circuit(2), sc.Circuit(2, [sc.rx(0, 0.3)])):
+        out = sc.run_circuit(circ, psi)
+        assert not np.shares_memory(out, psi)
+        out[:] = 0.0
+        assert psi[0] == psi[3] == 1.0 / np.sqrt(2.0)
+    np.testing.assert_array_equal(sc.run_circuit(sc.Circuit(2), psi), psi)
 
 
 def test_gate_inverse_negates_rotation_angle_only():
@@ -139,7 +152,7 @@ def test_outcome_distribution_is_amplitude_square():
     rng = np.random.default_rng(5)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    dist = sc.outcome_distribution(sc.StateVector(3, amps))
+    dist = sc.outcome_distribution(amps)
     np.testing.assert_allclose(dist, np.abs(amps) ** 2, atol=1e-14)
     assert dist.sum() == pytest.approx(1.0)
 
@@ -202,7 +215,7 @@ def test_binomial_cdf_of_identity_circuit_under_flips():
         for d in range(n + 1):
             cdf = sum(math.comb(n, k) * p01 ** k * (1 - p01) ** (n - k)
                       for k in range(d + 1))
-            assert sc.hamming_mass(noisy, n, d) == pytest.approx(cdf, abs=1e-12)
+            assert sc.weight_mass_profile(noisy, n)[d] == pytest.approx(cdf, abs=1e-12)
 
 
 _rates = st.floats(0.0, 1.0, allow_nan=False)
@@ -302,13 +315,28 @@ def test_hamming_weights_match_bit_counting():
         assert w[idx] == bin(idx).count("1")
 
 
+def test_cached_tables_are_read_only():
+    # an in-place edit by one caller would corrupt every later lookup
+    left, blocks, right = kn._embedding_layer(3, "y")
+    tables = [sc.hamming_weights(3), sc.weight_transfer(3, sc.NoiseModel(p01=0.1)),
+              left, blocks[0], right]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table.flat[0] = 0
+    assert sc.hamming_weights(3) is tables[0]
+    np.testing.assert_array_equal(sc.hamming_weights(3), [0, 1, 1, 2, 1, 2, 2, 3])
+
+
 def test_hamming_mass_edge_cases():
+    # weight_mass_profile is the Hamming-mass reference: the weight-0 mass is
+    # the zero string's alone, the last entry the total, and a distribution
+    # of the wrong length for the width is rejected
     dist = np.full(8, 1 / 8)
-    assert sc.hamming_mass(dist, 3, -1) == 0.0
-    assert sc.hamming_mass(dist, 3, 3) == pytest.approx(1.0)
-    assert sc.hamming_mass(dist, 3, 0) == pytest.approx(1 / 8)
+    prof = sc.weight_mass_profile(dist, 3)
+    assert prof[0] == 1 / 8
+    assert prof[3] == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        sc.hamming_mass(dist, 2, 1)
+        sc.weight_mass_profile(dist, 2)
 
 
 def test_weight_mass_profile_is_cumulative_and_batched():
@@ -318,8 +346,9 @@ def test_weight_mass_profile_is_cumulative_and_batched():
     assert prof.shape == (5,)
     assert np.all(np.diff(prof) >= -1e-15)
     assert prof[-1] == pytest.approx(1.0)
+    weights = np.array([bin(k).count("1") for k in range(16)])
     for d in range(5):
-        assert prof[d] == pytest.approx(sc.hamming_mass(dist, 4, d), abs=1e-12)
+        assert prof[d] == pytest.approx(dist[weights <= d].sum(), abs=1e-12)
     batch = rng.dirichlet(np.ones(16), size=7)
     batched = sc.weight_mass_profile(batch, 4)
     assert batched.shape == (7, 5)

@@ -5,7 +5,7 @@ import pytest
 
 from covkern import data as dt
 from covkern import theory as th
-from covkern.simcore import Circuit, StateVector, run_circuit, rx, zero_state
+from covkern.simcore import Circuit, run_circuit, rx, zero_state
 
 
 # ------------------------------------------------------- sphere moments
@@ -39,7 +39,7 @@ def test_cosine_product_kernel_matches_statevector():
         ys = rng.uniform(-1.0, 1.0, (5, n))
         closed = th.cosine_product_kernel(xs, ys, angle_scale=scale)
         from covkern.kernel import overlap_kernel_from_state
-        psi = zero_state(n).amplitudes
+        psi = zero_state(n)
         direct = overlap_kernel_from_state(psi, scale * xs, scale * ys)
         np.testing.assert_allclose(closed, direct, atol=1e-12)
     square = th.cosine_product_kernel(xs)
