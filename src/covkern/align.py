@@ -44,6 +44,8 @@ def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
     if np.ndim(values) != 2 or np.shape(values)[0] != np.shape(values)[1]:
         raise ValueError(f"target and values must be square matrices, got shape "
                          f"{np.shape(values)}")
+    if not (np.isfinite(target).all() and np.isfinite(values).all()):
+        raise ValueError("target and values must be finite")
     ct = center_matrix(target)
     cv = center_matrix(values)
     nt = np.linalg.norm(ct)
@@ -56,6 +58,8 @@ def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
 def target_matrix(labels, kind: str = "zero_one") -> np.ndarray:
     """Ideal class kernel: 1 for same-class pairs and either 0 or -1/(C-1) otherwise."""
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
     same = labels[:, None] == labels[None, :]
     if kind == "zero_one":
         return same.astype(float)

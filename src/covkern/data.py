@@ -130,6 +130,10 @@ class SubspaceSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("ambient_dim", self.ambient_dim),
+                            ("samples_per_class", self.samples_per_class),
+                            *(("each entry of class_dims", d) for d in self.class_dims)):
+            _require_int(name, value)
         if not self.class_dims:
             raise ValueError("class_dims must name at least one class")
         if any(d < 1 for d in self.class_dims):
@@ -186,12 +190,18 @@ class CovariantSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name, value in (("n_qubits", self.n_qubits),
+                            ("samples_per_class", self.samples_per_class),
+                            *(("each bound of integer_range", b) for b in self.integer_range)):
+            _require_int(name, value)
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
-        if self.step == 0.0:
-            raise ValueError("step must be nonzero")
+        if not np.isfinite(self.step) or self.step == 0.0:
+            raise ValueError(f"step must be finite and nonzero, got {self.step!r}")
         if len(self.offsets) < 2:
             raise ValueError("need offsets for at least two classes")
+        if not np.isfinite(self.offsets).all():
+            raise ValueError(f"offsets must be finite, got {self.offsets!r}")
         if self.samples_per_class < 1:
             raise ValueError("samples_per_class must be positive")
         lo, hi = self.integer_range

@@ -178,7 +178,7 @@ def _fiducial_state(mats: np.ndarray, diag: np.ndarray) -> np.ndarray:
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
     """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
     _, to_z = sc.rotation_axis(axis)
-    blocks = sc.product_blocks(n, [to_z] * n)
+    blocks = sc.product_blocks([to_z] * n)
     cur = np.array(psi, dtype=complex).reshape(1, -1)   # a copy to overwrite
     return sc.product_into(cur, np.empty_like(cur), blocks)[0].reshape(-1)
 
@@ -213,7 +213,10 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
     angles_b = angles_a if symmetric else np.atleast_2d(np.asarray(angles_b, dtype=float))
     if angles_b.shape[1] != n:
         raise ValueError("both angle sets need one column per qubit")
-    if psi.shape[0] != 2 ** n:
+    for name, angles in (("angles_a", angles_a), ("angles_b", angles_b)):
+        if not np.isfinite(angles).all():
+            raise ValueError(f"{name} must be finite")
+    if sc._state_qubits(psi, "psi") != n:
         raise ValueError("state size does not match the number of angle columns")
     psi = _to_z_basis(psi, n, axis)
     t = (psi.conj() * psi).real
@@ -259,7 +262,7 @@ def _embedding_layer(n: int, axis: str) -> tuple[np.ndarray, list[np.ndarray], n
     width and axis and shared read-only by every profile call."""
     _, to_z = sc.AXES[axis]
     left, embed, right = _zyz(to_z.conj().T)
-    blocks = sc.product_blocks(n, [embed] * n)
+    blocks = sc.product_blocks([embed] * n)
     for a in (left, right, *blocks):
         a.flags.writeable = False
     return left, blocks, right
@@ -344,7 +347,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
     phi *= sc.kron_factors([right] * n)
     mid = fid_diag * sc.kron_factors(undo_right * left)
-    undo_fid = sc.product_blocks(n, undo_ry)
+    undo_fid = sc.product_blocks(undo_ry)
     s = to_embed[0].shape[0]
     fold = 2 ** n * 32 * s <= _FOLD_BYTES   # the stack: 2**n / s blocks of (2s)**2 floats
     if fold:
@@ -457,6 +460,11 @@ def assemble_profiles(xs, spec: FeatureMapSpec, params, config: KernelConfig,
 
 
 def matrix_from_profiles(profiles: np.ndarray, config: KernelConfig) -> KernelMatrixEstimate:
+    """The kernel matrix at ``config.tolerance`` of (m, m, n+1) profiles."""
+    profiles = np.asarray(profiles)
+    if profiles.ndim != 3 or profiles.shape[0] != profiles.shape[1] or profiles.shape[2] < 2:
+        raise ValueError(f"profiles must be an (m, m, n+1) array, n >= 1, "
+                         f"got shape {profiles.shape}")
     _check_tolerance(config, profiles.shape[2] - 1)
     return KernelMatrixEstimate(np.array(profiles[:, :, config.tolerance]))
 
@@ -498,10 +506,10 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
     circ = build_kernel_circuit(spec, params, x, y)
     dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
     if config.shots is None:
-        return float(sc.weight_mass_profile(dist, spec.n_qubits)[config.tolerance])
-    counts = sc.sample_counts(dist, spec.n_qubits, config.shots,
+        return float(sc.weight_mass_profile(dist)[config.tolerance])
+    counts = sc.sample_counts(dist, config.shots,
                               seed if seed is not None else (config.master_seed,))
-    return float(sc.weight_mass_profile(counts, spec.n_qubits)[config.tolerance]) / config.shots
+    return float(sc.weight_mass_profile(counts)[config.tolerance]) / config.shots
 
 
 # ---------------------------------------------------------------------------

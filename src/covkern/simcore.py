@@ -2,30 +2,30 @@
 
 A state is a plain 1-D complex array of 2**n amplitudes with qubit 0 as the
 least significant bit of the basis index, so basis index 5 on three qubits
-is the bitstring "101" (qubit 0 and qubit 2 set).  The gate set is small:
-RX, RY, RZ and CZ, which is enough for every circuit built elsewhere in the
-package and keeps inverses trivial (negate the rotation angles, reverse the
-gate order).  ``AXES`` is the package's one table of rotation axes: the gates,
-the feature map, both kernel routes and the CLI read it, and ``rotation_axis``
-turns an unknown axis into the same ValueError everywhere.
+is the bitstring "101" (qubit 0 and qubit 2 set); every function reads n
+from the array's last axis (``_state_qubits``).  The gate set is RX, RY, RZ
+and CZ, which keeps inverses trivial (negate the rotation angles, reverse
+the gate order).  ``AXES`` is the package's one table of rotation axes: the
+gates, the feature map, both kernel routes and the CLI read it, and
+``rotation_axis`` turns an unknown axis into the same ValueError everywhere.
 
 Noise is modeled at readout only: an optional global depolarizing mix toward
 the uniform distribution followed by independent per-qubit bit flips with
 asymmetric rates p01 (read 1 given true 0) and p10 (read 0 given true 1).
-Amplitudes stay exact; noise acts on the outcome distribution.
-``apply_readout_noise`` is the per-outcome reference over all 2**n outcomes,
-and ``sample_counts`` draws shots from it as one count per outcome index.
-The kernel routes keep only the Hamming weight of an outcome, and flips act
-on the weight alone (true weight w reads as Bin(n - w, p01) + Bin(w, 1 - p10)),
-so they push the (n+1)-bin weight histogram through the matrix
-``weight_transfer(n, noise)``, cached per width and noise, instead.
+Amplitudes stay exact; noise acts on the outcome distribution.  The
+reference is ``run_circuit``, ``apply_readout_noise`` over all 2**n outcomes
+and ``sample_counts`` (one count per outcome index), with one single-qubit
+kernel, ``_apply_rotation``, for every gate rotation and each qubit's flip
+matrix, on a state or on each row of a batch.  The kernel routes keep only
+an outcome's Hamming weight, on which flips act alone (true weight w reads
+as Bin(n - w, p01) + Bin(w, 1 - p10)), so they push the (n+1)-bin weight
+histogram through ``weight_transfer(n, noise)``, cached per width and noise.
 
 ``kron_factors`` builds every Kronecker product of per-qubit length-2 factors
 in the package, among them each block of ``product_blocks`` that
 ``product_into`` applies, ``_GROUP`` qubits at a time, to a batch of states
 held as the rows of two caller-held buffers (every group, or those from a
-start group on when the caller folds the lower ones into other work);
-``_apply_rotation`` and ``run_circuit`` stay the gate-by-gate reference.
+start group on when the caller folds the lower ones into other work).
 ``weight_histograms`` sums a batch's squared amplitudes into Hamming-weight
 bins the same way, one row matmul per group by a one-hot map of
 ``weight_layers``; the ``bincount`` of ``weight_mass_profile`` is the one
@@ -138,21 +138,24 @@ def zero_state(n: int) -> np.ndarray:
     return amps
 
 
-def _state_qubits(amps: np.ndarray, name: str = "amps") -> int:
-    """n of a 1-D array of 2**n amplitudes, n >= 1; else a ValueError naming it."""
-    n = np.shape(amps)[0].bit_length() - 1 if np.ndim(amps) == 1 else 0
-    if n < 1 or np.shape(amps) != (2 ** n,):
-        raise ValueError(f"{name} must be a 1-D array of 2**n amplitudes, n >= 1; "
-                         f"got shape {np.shape(amps)}")
+def _state_qubits(amps, name: str = "amps", batched: bool = False) -> int:
+    """n of a 1-D array-like of 2**n entries, n >= 1, or with ``batched`` of
+    rows of them along its last axis; else a ValueError naming it."""
+    shape = np.shape(amps)
+    n = shape[-1].bit_length() - 1 if len(shape) == 1 or batched and shape else 0
+    if n < 1 or shape[-1] != 2 ** n:
+        what = "an array of rows" if batched else "a 1-D array"
+        raise ValueError(f"{name} must be {what} of 2**n entries, n >= 1; got shape {shape}")
     return n
 
 
-def _apply_rotation(amps: np.ndarray, n: int, q: int, mat: np.ndarray) -> np.ndarray:
-    # qubit q lives on axis n-1-q of the (2,)*n view
-    view = amps.reshape((2,) * n)
-    moved = np.moveaxis(view, n - 1 - q, 0)
-    out = np.tensordot(mat, moved, axes=([1], [0]))
-    return np.moveaxis(out, 0, n - 1 - q).reshape(-1)
+def _apply_rotation(amps: np.ndarray, q: int, mat: np.ndarray) -> np.ndarray:
+    """The 2x2 ``mat`` on qubit q of every state along the last axis of amps:
+    qubit q sits on axis ndim - 1 + n - 1 - q of the (*lead, 2, ..., 2) view."""
+    n = amps.shape[-1].bit_length() - 1
+    axis = amps.ndim - 1 + n - 1 - q
+    view = amps.reshape(amps.shape[:-1] + (2,) * n)
+    return np.moveaxis(np.tensordot(mat, view, axes=([1], [axis])), 0, axis).reshape(amps.shape)
 
 
 def kron_factors(pairs) -> np.ndarray:
@@ -173,10 +176,10 @@ def kron_factors(pairs) -> np.ndarray:
     return out
 
 
-def product_blocks(n: int, mats) -> list[np.ndarray]:
+def product_blocks(mats) -> list[np.ndarray]:
     """Kronecker blocks of mats[n-1] (x) ... (x) mats[0], ``_GROUP`` qubits each.
 
-    ``mats[q]`` is the 2x2 matrix on qubit q.  Block g is
+    ``mats[q]`` is the 2x2 matrix on qubit q of n = len(mats).  Block g is
     mats[hi-1] (x) ... (x) mats[lo] for the qubits lo..hi-1 of group g
     (lo = g * _GROUP), at most 16 x 16: column c is the ``kron_factors`` of
     each qubit's column for its bit of c.  One ``kron_factors`` call builds
@@ -185,6 +188,7 @@ def product_blocks(n: int, mats) -> list[np.ndarray]:
     its blocks once and hands them to ``product_into`` each time.
     """
     mats = np.asarray(mats)
+    n = mats.shape[0]
     groups = -(-n // _GROUP)
     pad = np.broadcast_to(np.eye(2, dtype=mats.dtype), (groups * _GROUP - n, 2, 2))
     per = np.concatenate([mats, pad]).reshape(groups, _GROUP, 2, 2).transpose(1, 2, 0, 3)
@@ -240,15 +244,6 @@ def product_into(cur: np.ndarray, spare: np.ndarray, blocks,
     return cur, spare
 
 
-def _apply_cz(amps: np.ndarray, n: int, q1: int, q2: int) -> np.ndarray:
-    out = amps.copy().reshape((2,) * n)
-    idx = [slice(None)] * n
-    idx[n - 1 - q1] = 1
-    idx[n - 1 - q2] = 1
-    out[tuple(idx)] *= -1
-    return out.reshape(-1)
-
-
 def apply_gate(amps: np.ndarray, gate: GateOp) -> np.ndarray:
     """Apply one gate and return the new amplitudes (the input is not mutated)."""
     amps = np.asarray(amps)
@@ -257,10 +252,11 @@ def apply_gate(amps: np.ndarray, gate: GateOp) -> np.ndarray:
         if not 0 <= q < n:
             raise ValueError(f"gate on qubit {q} outside register of {n}")
     if gate.name == "cz":
-        return _apply_cz(amps, n, *gate.qubits)
+        both = (1 << gate.qubits[0]) | (1 << gate.qubits[1])
+        return np.where((np.arange(amps.size) & both) == both, -amps, amps)
     if gate.name[:1] == "r" and gate.name[1:] in AXES:
         rotate, _ = AXES[gate.name[1:]]
-        return _apply_rotation(amps, n, gate.qubits[0], rotate(gate.angle))
+        return _apply_rotation(amps, gate.qubits[0], rotate(gate.angle))
     raise ValueError(f"unknown gate {gate.name!r}")
 
 
@@ -297,33 +293,27 @@ class NoiseModel:
         return self.p01 == 0.0 and self.p10 == 0.0 and self.depolarizing == 0.0
 
 
-def apply_readout_noise(probs: np.ndarray, n: int, noise: NoiseModel) -> np.ndarray:
-    """Push an exact outcome distribution through the noise model."""
-    p = probs
+def apply_readout_noise(probs, noise: NoiseModel) -> np.ndarray:
+    """Push exact outcome distributions, each along the last axis of ``probs``,
+    through the noise model: one ``_apply_rotation`` of the flip matrix per qubit."""
+    p = probs = np.asarray(probs)
+    n = _state_qubits(probs, "probs", batched=True)
     if noise.depolarizing > 0.0:
         p = (1.0 - noise.depolarizing) * p + noise.depolarizing / p.shape[-1]
     if noise.p01 == 0.0 and noise.p10 == 0.0:
         return np.array(p, copy=True) if p is probs else p
     # column = true bit, row = observed bit
-    t = np.array([[1.0 - noise.p01, noise.p10],
-                  [noise.p01, 1.0 - noise.p10]])
-    batched = p.ndim == 2
-    lead = p.shape[0] if batched else 1
-    out = p.reshape((lead,) + (2,) * n)
+    flips = np.array([[1.0 - noise.p01, noise.p10], [noise.p01, 1.0 - noise.p10]])
     for q in range(n):
-        axis = 1 + n - 1 - q
-        out = np.moveaxis(np.tensordot(t, out, axes=([1], [axis])), 0, axis)
-    out = out.reshape(lead, -1)
-    return out if batched else out[0]
+        p = _apply_rotation(p, q, flips)
+    return p
 
 
-def outcome_distribution(amps: np.ndarray, noise: NoiseModel | None = None) -> np.ndarray:
+def outcome_distribution(amps, noise: NoiseModel | None = None) -> np.ndarray:
     """Measurement distribution over all 2**n outcomes of a state, noise included."""
-    n = _state_qubits(amps)
+    _state_qubits(amps)
     probs = np.abs(amps) ** 2
-    if noise is None or noise.is_trivial():
-        return probs
-    return apply_readout_noise(probs, n, noise)
+    return probs if noise is None or noise.is_trivial() else apply_readout_noise(probs, noise)
 
 
 def _binomial_law(k: int, p: float) -> np.ndarray:
@@ -354,13 +344,13 @@ def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
     return transfer
 
 
-def sample_counts(dist: np.ndarray, n: int, shots: int, seed) -> np.ndarray:
+def sample_counts(dist, shots: int, seed) -> np.ndarray:
     """Shot counts drawn from an outcome distribution, deterministically by seed:
     one per outcome index, qubit 0 the low bit, so the 2**n counts sum to ``shots``."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if dist.shape[0] != 2 ** n:
-        raise ValueError("distribution length does not match qubit count")
+    dist = np.asarray(dist)
+    _state_qubits(dist, "dist")
     total = dist.sum()
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"distribution sums to {total}, not 1")
@@ -377,15 +367,15 @@ def hamming_weights(n: int) -> np.ndarray:
     return weights
 
 
-def weight_mass_profile(dist: np.ndarray, n: int) -> np.ndarray:
+def weight_mass_profile(dist) -> np.ndarray:
     """Cumulative mass at each Hamming weight 0..n of probabilities or shot
     counts; entry d is the mass of outcomes of weight <= d, the last the total.
 
     One ``bincount`` over (row, weight) bins for any leading shape, so a
     row's profile does not depend on how many rows are batched with it.
     """
-    if dist.shape[-1] != 2 ** n:
-        raise ValueError("distribution length does not match qubit count")
+    dist = np.asarray(dist)
+    n = _state_qubits(dist, "dist", batched=True)
     rows = dist.reshape(-1, 2 ** n)
     bins = np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)
     per = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))

@@ -156,6 +156,47 @@ BAD_INPUT = [
      "amps must be a 1-D array of 2"),
     ("outcome_distribution", "amps", np.ones((1, 4)), sc.outcome_distribution, ValueError,
      "amps must be a 1-D array of 2"),
+    ("apply_readout_noise", "probs", np.ones((3, 5)),
+     lambda v: sc.apply_readout_noise(v, sc.NoiseModel(p01=0.1)), ValueError,
+     "probs must be an array of rows of 2"),
+    ("weight_mass_profile", "dist", np.ones(6), sc.weight_mass_profile, ValueError,
+     "dist must be an array of rows of 2"),
+    ("sample_counts", "dist", np.full(3, 1 / 3), lambda v: sc.sample_counts(v, 10, 0),
+     ValueError, "dist must be a 1-D array of 2"),
+    ("sample_counts", "dist", np.full((2, 2), 0.5), lambda v: sc.sample_counts(v, 10, 0),
+     ValueError, "dist must be a 1-D array of 2"),
+    ("overlap_kernel_from_state", "psi", np.ones((4, 1)),
+     lambda v: kn.overlap_kernel_from_state(v, np.zeros((1, 2))), ValueError,
+     "psi must be a 1-D array of 2"),
+    ("overlap_kernel_from_state", "angles_a", np.array([[np.nan, 0.0]]),
+     lambda v: kn.overlap_kernel_from_state(sc.zero_state(2), v), ValueError,
+     "angles_a must be finite"),
+    ("overlap_kernel_from_state", "angles_b", np.array([[0.0, np.inf]]),
+     lambda v: kn.overlap_kernel_from_state(sc.zero_state(2), np.zeros((1, 2)), v),
+     ValueError, "angles_b must be finite"),
+    ("matrix_from_profiles", "profiles", np.ones((2, 2)),
+     lambda v: kn.matrix_from_profiles(v, kn.KernelConfig()), ValueError,
+     r"profiles must be an \(m, m, n\+1\) array"),
+    ("target_matrix", "labels", np.zeros((2, 2)), al.target_matrix, ValueError,
+     "labels must be 1-D"),
+    ("centered_alignment", "values", np.array([[np.nan, 0.0], [0.0, 1.0]]),
+     lambda v: al.centered_alignment(np.eye(2), v), ValueError,
+     "target and values must be finite"),
+    ("SubspaceSpec", "samples_per_class", 2.5, lambda v: dt.SubspaceSpec(4, (1, 1), v),
+     TypeError, "samples_per_class must be an int"),
+    ("SubspaceSpec", "class_dims", (1, 1.5), lambda v: dt.SubspaceSpec(4, v, 2), TypeError,
+     "each entry of class_dims must be an int"),
+    ("SubspaceSpec", "ambient_dim", 4.0, lambda v: dt.SubspaceSpec(v, (1, 1), 2), TypeError,
+     "ambient_dim must be an int"),
+    ("CovariantSpec", "integer_range", (-1.5, 2),
+     lambda v: dt.CovariantSpec(2, 0.1, (0.0, 0.05), 3, integer_range=v), TypeError,
+     "each bound of integer_range must be an int"),
+    ("CovariantSpec", "n_qubits", 2.0, lambda v: dt.CovariantSpec(v, 0.1, (0.0, 0.05), 3),
+     TypeError, "n_qubits must be an int"),
+    ("CovariantSpec", "step", np.nan, lambda v: dt.CovariantSpec(2, v, (0.0, 0.05), 3),
+     ValueError, "step must be finite"),
+    ("CovariantSpec", "offsets", (0.0, np.nan), lambda v: dt.CovariantSpec(2, 0.1, v, 3),
+     ValueError, "offsets must be finite"),
     ("split_dataset", "train_fraction", 1.5,
      lambda v: dt.split_dataset(dt.bell_pair_dataset(2), v), ValueError,
      "train_fraction must lie strictly between"),
@@ -202,7 +243,7 @@ def test_all_lists_resolvable_non_module_names_only():
     deleted = {"rbf_gamma_search", "classical_subspace_moments", "cross_orthogonality_defect",
                "aligned_bases", "cross_moment_analytic", "principal_angles", "states_equal",
                "decision_function", "ShotCounts", "StateVector", "hamming_mass",
-               "_weights_cache"}
+               "_weights_cache", "_apply_cz"}
     assert not deleted & set(covkern.__all__)
     assert not any(hasattr(module, name) for name in deleted
                    for module in (covkern, al, covkern.theory, covkern.simcore, svc))

@@ -343,7 +343,7 @@ def test_noisy_exact_entries_match_circuit_distribution(monkeypatch):
         def oracle(x, y):
             circ = fm.build_kernel_circuit(spec, params, x, y)
             dist = sc.outcome_distribution(sc.run_circuit(circ), noise)
-            return sc.weight_mass_profile(dist, n)
+            return sc.weight_mass_profile(dist)
 
         for d in (0, 1, n):
             est = kn.assemble_matrix(xs, spec, params, kn.KernelConfig(tolerance=d), noise)
@@ -949,7 +949,7 @@ def test_sampled_kernel_entry_is_the_share_of_draws_within_tolerance(seed, shots
     noise = sc.NoiseModel(p01=0.1, p10=0.05)
     dist = sc.outcome_distribution(
         sc.run_circuit(fm.build_kernel_circuit(spec, params, x, y)), noise)
-    draws = dist if shots is None else sc.sample_counts(dist, n, shots, seed)
+    draws = dist if shots is None else sc.sample_counts(dist, shots, seed)
     weights = [bin(k).count("1") for k in range(2 ** n)]
     for d in range(n + 1):
         within = sum(c for c, w in zip(draws.tolist(), weights) if w <= d)

@@ -1,5 +1,6 @@
 """Statevector engine checks against independently built matrix oracles."""
 
+import inspect
 import math
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_readout_noise_matches_enumeration_oracle():
     for n in (1, 2, 3):
         probs = rng.dirichlet(np.ones(2 ** n))
         noise = sc.NoiseModel(p01=0.07, p10=0.02)
-        got = sc.apply_readout_noise(probs, n, noise)
+        got = sc.apply_readout_noise(probs, noise)
         np.testing.assert_allclose(got, readout_oracle(probs, n, 0.07, 0.02), atol=1e-12)
         assert got.sum() == pytest.approx(1.0)
 
@@ -186,7 +187,7 @@ def test_readout_noise_matches_enumeration_oracle():
 def test_depolarizing_mixes_toward_uniform():
     probs = np.array([1.0, 0.0, 0.0, 0.0])
     noise = sc.NoiseModel(depolarizing=0.4)
-    got = sc.apply_readout_noise(probs, 2, noise)
+    got = sc.apply_readout_noise(probs, noise)
     np.testing.assert_allclose(got, 0.6 * probs + 0.4 / 4, atol=1e-14)
 
 
@@ -194,8 +195,30 @@ def test_trivial_noise_is_identity():
     noise = sc.NoiseModel()
     assert noise.is_trivial()
     probs = np.array([0.25, 0.75])
-    np.testing.assert_allclose(sc.apply_readout_noise(probs, 1, noise), probs)
+    np.testing.assert_allclose(sc.apply_readout_noise(probs, noise), probs)
     assert not sc.NoiseModel(p01=0.01).is_trivial()
+
+
+def test_reference_functions_read_the_width_from_their_arrays():
+    # no reference function takes a width beside its array, each accepts an
+    # array-like, and every row of a batch reads through the noise as alone
+    for fn in (sc.apply_readout_noise, sc.sample_counts, sc.weight_mass_profile,
+               sc.product_blocks):
+        assert "n" not in inspect.signature(fn).parameters, fn.__name__
+    noise = sc.NoiseModel(p01=0.04, p10=0.09, depolarizing=0.03)
+    batch = np.random.default_rng(3).dirichlet(np.ones(8), size=(2, 3))
+    noisy = sc.apply_readout_noise(batch, noise)
+    assert noisy.shape == batch.shape
+    for row, probs in zip(noisy.reshape(-1, 8), batch.reshape(-1, 8)):
+        np.testing.assert_allclose(row, sc.apply_readout_noise(probs, noise), rtol=0, atol=1e-15)
+    probs = batch[0, 0]
+    np.testing.assert_array_equal(sc.apply_readout_noise(probs.tolist(), noise),
+                                  sc.apply_readout_noise(probs, noise))
+    np.testing.assert_array_equal(sc.weight_mass_profile(probs.tolist()),
+                                  sc.weight_mass_profile(probs))
+    np.testing.assert_array_equal(sc.sample_counts(probs.tolist(), 50, 1),
+                                  sc.sample_counts(probs, 50, 1))
+    np.testing.assert_allclose(sc.outcome_distribution([0.6, 0.8j]), [0.36, 0.64], atol=1e-15)
 
 
 def test_noise_probabilities_validated():
@@ -211,11 +234,11 @@ def test_binomial_cdf_of_identity_circuit_under_flips():
     for n in (3, 6, 10):
         dist = np.zeros(2 ** n)
         dist[0] = 1.0
-        noisy = sc.apply_readout_noise(dist, n, sc.NoiseModel(p01=p01))
+        noisy = sc.apply_readout_noise(dist, sc.NoiseModel(p01=p01))
         for d in range(n + 1):
             cdf = sum(math.comb(n, k) * p01 ** k * (1 - p01) ** (n - k)
                       for k in range(d + 1))
-            assert sc.weight_mass_profile(noisy, n)[d] == pytest.approx(cdf, abs=1e-12)
+            assert sc.weight_mass_profile(noisy)[d] == pytest.approx(cdf, abs=1e-12)
 
 
 _rates = st.floats(0.0, 1.0, allow_nan=False)
@@ -234,10 +257,10 @@ def test_weight_transfer_is_readout_noise_on_weight_histograms(n, p01, p10, depo
     p = np.random.default_rng(seed).dirichlet(np.full(2 ** n, 0.3))
 
     def histogram(dist):
-        return np.diff(sc.weight_mass_profile(dist, n), prepend=0.0)
+        return np.diff(sc.weight_mass_profile(dist), prepend=0.0)
 
     np.testing.assert_allclose(t @ histogram(p),
-                               histogram(sc.apply_readout_noise(p, n, noise)),
+                               histogram(sc.apply_readout_noise(p, noise)),
                                rtol=0, atol=1e-12)
 
 
@@ -263,7 +286,7 @@ def test_apply_product_matches_kron_oracle(n, start):
     dense = np.eye(1, dtype=complex)
     for q in reversed(range(n)):
         dense = np.kron(dense, mats[q] if q >= 4 * start else np.eye(2))
-    blocks = sc.product_blocks(n, mats)
+    blocks = sc.product_blocks(mats)
     assert [b.shape[0] for b in blocks] == [2 ** min(4, n - lo) for lo in range(0, n, 4)]
     cur = states.copy()
     got, _ = sc.product_into(cur, np.empty_like(cur), blocks, start=start)
@@ -276,7 +299,7 @@ def test_product_blocks_match_kron_oracle(n, complex_factors):
     # block g is np.kron(mats[hi-1], ..., mats[lo]) over its group's qubits
     rng = np.random.default_rng(n)
     mats = rng.normal(size=(n, 2, 2)) + complex_factors * 1j * rng.normal(size=(n, 2, 2))
-    blocks = sc.product_blocks(n, list(mats))
+    blocks = sc.product_blocks(list(mats))
     assert len(blocks) == -(-n // 4)
     for block, lo in zip(blocks, range(0, n, 4)):
         dense = np.eye(1)
@@ -303,7 +326,7 @@ def test_weight_layers_match_bincount_oracle_and_do_not_depend_on_batch(n, noisy
     assert hist.shape == (7, n + 1)
     got = np.cumsum(hist @ sc.weight_transfer(n, noise).T, axis=1)
     probs = (states.conj() * states).real
-    want = sc.weight_mass_profile(sc.apply_readout_noise(probs, n, noise), n)
+    want = sc.weight_mass_profile(sc.apply_readout_noise(probs, noise))
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
     for lo, hi in ((0, 1), (2, 4), (4, 7), (6, 7), (1, 4)):
         np.testing.assert_array_equal(sc.weight_histograms(squares[lo:hi], layers), hist[lo:hi])
@@ -330,19 +353,19 @@ def test_cached_tables_are_read_only():
 def test_hamming_mass_edge_cases():
     # weight_mass_profile is the Hamming-mass reference: the weight-0 mass is
     # the zero string's alone, the last entry the total, and a distribution
-    # of the wrong length for the width is rejected
+    # whose length is not a power of two is rejected
     dist = np.full(8, 1 / 8)
-    prof = sc.weight_mass_profile(dist, 3)
+    prof = sc.weight_mass_profile(dist)
     assert prof[0] == 1 / 8
     assert prof[3] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        sc.weight_mass_profile(dist, 2)
+    with pytest.raises(ValueError, match="dist must be an array of rows of 2"):
+        sc.weight_mass_profile(np.full(6, 1 / 6))
 
 
 def test_weight_mass_profile_is_cumulative_and_batched():
     rng = np.random.default_rng(23)
     dist = rng.dirichlet(np.ones(16))
-    prof = sc.weight_mass_profile(dist, 4)
+    prof = sc.weight_mass_profile(dist)
     assert prof.shape == (5,)
     assert np.all(np.diff(prof) >= -1e-15)
     assert prof[-1] == pytest.approx(1.0)
@@ -350,17 +373,17 @@ def test_weight_mass_profile_is_cumulative_and_batched():
     for d in range(5):
         assert prof[d] == pytest.approx(dist[weights <= d].sum(), abs=1e-12)
     batch = rng.dirichlet(np.ones(16), size=7)
-    batched = sc.weight_mass_profile(batch, 4)
+    batched = sc.weight_mass_profile(batch)
     assert batched.shape == (7, 5)
     for row, row_dist in zip(batched, batch):
-        np.testing.assert_allclose(row, sc.weight_mass_profile(row_dist, 4), atol=1e-12)
+        np.testing.assert_allclose(row, sc.weight_mass_profile(row_dist), atol=1e-12)
 
 
 def test_sample_counts_deterministic_and_complete():
     dist = np.array([0.5, 0.25, 0.125, 0.125])
-    a = sc.sample_counts(dist, 2, 1000, seed=(9, 0, 1, 2))
-    b = sc.sample_counts(dist, 2, 1000, seed=(9, 0, 1, 2))
-    c = sc.sample_counts(dist, 2, 1000, seed=(9, 0, 1, 3))
+    a = sc.sample_counts(dist, 1000, seed=(9, 0, 1, 2))
+    b = sc.sample_counts(dist, 1000, seed=(9, 0, 1, 2))
+    c = sc.sample_counts(dist, 1000, seed=(9, 0, 1, 3))
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
     assert a.shape == (4,) and a.sum() == 1000
@@ -369,15 +392,15 @@ def test_sample_counts_deterministic_and_complete():
 def test_sample_counts_concentrates_on_distribution():
     dist = np.array([0.7, 0.1, 0.1, 0.1])
     shots = 200_000
-    freq = sc.sample_counts(dist, 2, shots, seed=42)[0] / shots
+    freq = sc.sample_counts(dist, shots, seed=42)[0] / shots
     # 5 sigma band, sigma = sqrt(p(1-p)/shots) ~ 0.001
     assert abs(freq - 0.7) < 5 * math.sqrt(0.7 * 0.3 / shots)
 
 
 def test_sample_counts_input_validation():
     with pytest.raises(ValueError):
-        sc.sample_counts(np.array([0.5, 0.5]), 1, 0, seed=1)
+        sc.sample_counts(np.array([0.5, 0.5]), 0, seed=1)
+    with pytest.raises(ValueError, match="dist must be a 1-D array of 2"):
+        sc.sample_counts(np.full(3, 1 / 3), 10, seed=1)
     with pytest.raises(ValueError):
-        sc.sample_counts(np.array([0.5, 0.5]), 2, 10, seed=1)
-    with pytest.raises(ValueError):
-        sc.sample_counts(np.array([0.9, 0.3]), 1, 10, seed=1)
+        sc.sample_counts(np.array([0.9, 0.3]), 10, seed=1)
