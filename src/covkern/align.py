@@ -2,8 +2,9 @@
 
 Alignment is the Frobenius cosine between feature-centered matrices.  Because
 centering kills any constant shift (K plus a multiple of the all-ones matrix
-centers to the same thing), the 0/1 class target and the +1 / -1/(C-1) variant
-give identical alignment values; both are provided.
+centers to the same thing), any positive scaling of the 0/1 class target plus
+a constant, the +1 / -1/(C-1) target among them, gives the same alignment, so
+only the 0/1 target is provided.
 
 The fiducial parameters are trained by simultaneous-perturbation stochastic
 approximation (SPSA): two loss probes along a random +-1 direction per
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _require_int, parse_records, read_table, sorted_unique, write_table
+from .data import _require_int, parse_records, read_table, write_table
 from .kernel import KernelConfig, assemble_matrix, repair_psd, symmetric_eigh
 
 SPSA_GAIN_EXPONENT = 0.602
@@ -27,6 +28,8 @@ SPSA_PERTURB_EXPONENT = 0.101
 def center_matrix(values: np.ndarray) -> np.ndarray:
     """Double-center: subtract row means, column means, add back the grand mean."""
     values = np.asarray(values, dtype=float)
+    if values.ndim != 2:
+        raise ValueError(f"values must be a 2-D matrix, got shape {values.shape}")
     row = values.mean(axis=1, keepdims=True)
     col = values.mean(axis=0, keepdims=True)
     return values - row - col + values.mean()
@@ -55,20 +58,12 @@ def centered_alignment(target: np.ndarray, values: np.ndarray) -> float:
     return float(np.sum(ct * cv) / (nt * nv))
 
 
-def target_matrix(labels, kind: str = "zero_one") -> np.ndarray:
-    """Ideal class kernel: 1 for same-class pairs and either 0 or -1/(C-1) otherwise."""
+def target_matrix(labels) -> np.ndarray:
+    """Ideal class kernel: 1 for same-class pairs and 0 otherwise."""
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    same = labels[:, None] == labels[None, :]
-    if kind == "zero_one":
-        return same.astype(float)
-    if kind == "shifted":
-        n_classes = len(sorted_unique(labels))
-        if n_classes < 2:
-            raise ValueError("shifted target needs at least two classes")
-        return np.where(same, 1.0, -1.0 / (n_classes - 1))
-    raise ValueError(f"unknown target kind {kind!r}")
+    return (labels[:, None] == labels[None, :]).astype(float)
 
 
 @dataclass(frozen=True)
@@ -206,8 +201,9 @@ def geometric_difference(classical: np.ndarray, quantum: np.ndarray,
     if regularizer is None:
         regularizer = 1e-8 * float(wc.sum()) / m
     shifted = wc + regularizer
-    if shifted.min() <= 0.0:
-        raise ValueError("regularized classical matrix is singular")
+    if not (np.isfinite(regularizer) and shifted.min() > 0.0):
+        raise ValueError(f"regularizer must be finite and leave the classical matrix "
+                         f"nonsingular, got {regularizer!r}")
     sqrt_q = (vq * np.sqrt(wq)) @ vq.T
     inv_c = (vc / shifted) @ vc.T
     sandwich = sqrt_q @ inv_c @ sqrt_q

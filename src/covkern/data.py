@@ -91,6 +91,7 @@ class Dataset:
 
 def haar_rotation(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed rotation from SO(dim) via sign-fixed QR of a Gaussian."""
+    _require_int("dim", dim)
     if dim < 1:
         raise ValueError("dim must be at least 1")
     z = rng.standard_normal((dim, dim))

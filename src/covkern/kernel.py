@@ -17,12 +17,17 @@ circuit (``_compile_fiducial``): M_q fuses qubit q's three rotations into one
 2x2 matrix and D is the +-1 diagonal of all the CZ gates.  The embedding
 layers collapse to one rotation per qubit about a shared axis, and such
 rotations are diagonal in one basis: R(a) = V RZ(a) V^dagger, both R and
-V^dagger read from the axis table ``simcore.AXES``.  Let phi = (x)V^dagger psi
-be the fiducial state psi = U|0> in that basis.  Every Kronecker product of
-per-qubit length-2 factors (D's sign rows, psi as D times the product of the
-M_q's first columns, the profile route's diagonals and phase tables, and the
-Kronecker blocks of every product layer) comes from one in-place builder,
-``simcore.kron_factors``.
+V^dagger read from the axis table ``simcore.AXES``.  With V in ZYZ Euler form,
+diag(left) . RY . diag(right), both routes share one embedding layer
+(``_embedding_layer``): the left phases and the Kronecker blocks of the RY
+layer, built once per width and axis.  Let phi be the fiducial state
+psi = U|0> in that basis, (x)V^dagger psi up to the right phases, which have
+modulus 1 (``_to_z_basis``): the exact route reads only |phi_k|^2, and the
+profile route would multiply those phases straight back in.  Every Kronecker
+product of per-qubit length-2 factors (D's sign rows, psi as D times the
+product of the M_q's first columns, the profile route's diagonals and phase
+tables, and the Kronecker blocks of every product layer) comes from one
+in-place builder, ``simcore.kron_factors``.
 
 The noiseless exact tolerance-0 kernel is a phase-feature Gram product.
 With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
@@ -37,10 +42,11 @@ route: one compiled pair circuit per pair of angle rows (a, b),
     (x)M_q^dagger . D . (x)V . (E(b) * conj(E(a)) * phi),   E(x)_k = exp(-i z_k . x / 2).
 
 Each 2x2 factor of both layers is written in ZYZ Euler form,
-diag . RY . diag.  The diagonals fold into phi and D, except the left ones
-of (x)M_q^dagger, which are dropped, as a diagonal just before measurement
-changes no probability.  What is left is two real product layers, L1 (the
-embedding's RYs) and L2 (the M_q's), with one diagonal ``mid`` between them.
+diag . RY . diag.  The right diagonals of (x)V are already on phi, and the
+others fold into D, except the left ones of (x)M_q^dagger, which are
+dropped, as a diagonal just before measurement changes no probability.
+What is left is two real product layers, L1 (the embedding's RYs) and L2
+(the M_q's), with one diagonal ``mid`` between them.
 A layer's 4-qubit groups act on disjoint qubits, so they commute, and
 L2_0 . diag(mid) . L1_0, both group-0 blocks with the diagonal between, is
 block-diagonal over the index h of the qubits above group 0: its blocks are
@@ -58,9 +64,7 @@ them.  Pairs go in tiles of
 the rows of one (pairs, 2**n) complex array.  The tile working set is
 allocated once per call and reused by every tile, so no tile-sized array is
 allocated (and page-faulted in) per tile: two complex buffers that the
-product layers ping-pong between, about 1 MB whatever the number of pairs
-(at least two rows when folded: a one-pair tile runs its row twice, so that
-the stacked matmul stays on BLAS's matrix-matrix routine).
+product layers ping-pong between, about 1 MB whatever the number of pairs.
 The per-sample phase tables, E(b) for column samples and conj(E(a)) * phi
 for row samples, are built with ``simcore.kron_factors`` in blocks of at
 most ``max(1, _TILE_AMPS // 2**n)`` samples, one block per side held at a
@@ -78,8 +82,9 @@ view and summed into weight bins by one row matmul per 4-qubit group
 applied to each pair's weight histogram, and shots are one multinomial per
 matrix row over its pairs' n+1 weight bins.  A pair's numbers come out the
 same in whatever tile it falls: every matmul of the product and weight
-layers varies only in its row or item count, and one-row products take the
-same BLAS routine as wider ones, so results do not depend on the tiling.
+layers varies only in its row or item count, and each that a one-pair tile
+could hand a single row goes through ``simcore.matmul_rows``, so results do
+not depend on the tiling.
 
 The size constants bound different things: ``_TILE_AMPS`` the profile
 route's pair tiles, whose elementwise passes are memory-bound,
@@ -176,11 +181,13 @@ def _fiducial_state(mats: np.ndarray, diag: np.ndarray) -> np.ndarray:
 
 
 def _to_z_basis(psi: np.ndarray, n: int, axis: str) -> np.ndarray:
-    """(x)V^dagger psi: the state in the basis where the embedding is diagonal."""
-    _, to_z = sc.rotation_axis(axis)
-    blocks = sc.product_blocks([to_z] * n)
-    cur = np.array(psi, dtype=complex).reshape(1, -1)   # a copy to overwrite
-    return sc.product_into(cur, np.empty_like(cur), blocks)[0].reshape(-1)
+    """(x)V^dagger psi up to (x)V's right phases, which have modulus 1: the
+    state in the basis where the embedding is diagonal.  With V in ZYZ form,
+    V^dagger = diag(conj right) . RY^T . diag(conj left), so this is the
+    embedding layer's cached RY blocks, transposed, applied to conj(left) * psi."""
+    left, blocks = _embedding_layer(n, axis)
+    cur = (sc.kron_factors([left.conj()] * n) * psi).reshape(1, -1)
+    return sc.product_into(cur, np.empty_like(cur), [b.T for b in blocks])[0].reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +225,7 @@ def overlap_kernel_from_state(psi: np.ndarray, angles_a: np.ndarray,
             raise ValueError(f"{name} must be finite")
     if sc._state_qubits(psi, "psi") != n:
         raise ValueError("state size does not match the number of angle columns")
+    sc.rotation_axis(axis)   # a ValueError, before _embedding_layer's cache hashes the axis
     psi = _to_z_basis(psi, n, axis)
     t = (psi.conj() * psi).real
     held = n + angles_a.shape[0] + (0 if symmetric else angles_b.shape[0])
@@ -256,16 +264,17 @@ def _zyz(u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _embedding_layer(n: int, axis: str) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """(x)V on n qubits about ``axis`` in ZYZ form: its left phases, the
-    Kronecker blocks of its RY layer and its right phases, built once per
-    width and axis and shared read-only by every profile call."""
-    _, to_z = sc.AXES[axis]
-    left, embed, right = _zyz(to_z.conj().T)
+def _embedding_layer(n: int, axis: str) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(x)V on n qubits about ``axis`` in ZYZ form, V = diag(left) . RY .
+    diag(right): V's left phases and the Kronecker blocks of the RY layer,
+    built once per width and axis and shared read-only by both routes.  The
+    right phases are never needed (``_to_z_basis``)."""
+    _, to_z = sc.rotation_axis(axis)
+    left, embed, _ = _zyz(to_z.conj().T)
     blocks = sc.product_blocks([embed] * n)
-    for a in (left, right, *blocks):
+    for a in (left, *blocks):
         a.flags.writeable = False
-    return left, blocks, right
+    return left, blocks
 
 
 def _middle_blocks(first: np.ndarray, mid: np.ndarray, last: np.ndarray) -> np.ndarray:
@@ -297,16 +306,18 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     is set (exact 1 otherwise).
 
     The pair state is (x)M_q^dagger . D . (x)V . (E(b) * conj(E(a)) * phi),
-    with both layers in ZYZ form (``_zyz``), evaluated one tile of pairs at a
+    with both layers in ZYZ form (``_zyz``) and phi carrying (x)V's right
+    phases already (``_to_z_basis``), evaluated one tile of pairs at a
     time, each pair a row, on buffers allocated once per call (see the module
     docstring); the last, short tile takes a leading part of each.  Up to
     n = 12 (``_FOLD_BYTES``) a tile runs these passes:
 
     1. the phase multiply, one per run of a row's columns;
     2. the embedding layer's groups from 1 on;
-    3. one matmul of the tile's float view, seen as (2**n / s, pairs, 2s),
-       by the stack of folded middle blocks (``_middle_blocks``), written
-       through the same view of the spare buffer;
+    3. one ``simcore.matmul_rows`` of the tile's float view, seen as
+       (2**n / s, pairs, 2s), by the stack of folded middle blocks
+       (``_middle_blocks``), written through the same view of the spare
+       buffer;
     4. the fiducial layer's groups from 1 on;
     5. the squares, summed into weight bins by ``simcore.weight_histograms``.
 
@@ -342,10 +353,9 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
         rows_a, rows_b = (idx.ravel() for idx in np.indices((m_a, angles_b.shape[0])))
         streams = [([0, 0, i, 0], angles_b.shape[0]) for i in range(m_a)]
     mats, fid_diag = _compile_fiducial(spec, params)
-    left, to_embed, right = _embedding_layer(n, spec.embed_axis)
+    left, to_embed = _embedding_layer(n, spec.embed_axis)
     _, undo_ry, undo_right = _zyz(np.conj(mats).transpose(0, 2, 1))
     phi = _to_z_basis(_fiducial_state(mats, fid_diag), n, spec.embed_axis)
-    phi *= sc.kron_factors([right] * n)
     mid = fid_diag * sc.kron_factors(undo_right * left)
     undo_fid = sc.product_blocks(undo_ry)
     s = to_embed[0].shape[0]
@@ -358,7 +368,7 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     tile = max(1, min(b, per))
     out = np.empty((b, n + 1))
     transfer = sc.weight_transfer(n, noise or sc.NoiseModel())   # the identity without noise
-    amps = np.empty((2, max(tile, 2 * fold) * 2 ** n), dtype=complex)
+    amps = np.empty((2, tile * 2 ** n), dtype=complex)
 
     def phase_rows(angles, times):
         """``rows(k)``: rows k.. of E(x) * times, E(x)_k = exp(-i z_k . x / 2),
@@ -385,23 +395,21 @@ def _pair_profiles(spec: FeatureMapSpec, params, angles_a, angles_b, config: Ker
     for lo in range(0, b, tile):
         hi = min(lo + tile, b)
         t = hi - lo
-        u = max(t, 2 * fold)   # rows through the layers, at least two when folded
-        cur, spare = (buf[:u * 2 ** n].reshape(u, -1) for buf in amps)
+        cur, spare = (buf[:t * 2 ** n].reshape(t, -1) for buf in amps)
         starts = np.flatnonzero(new_run[lo:hi]).tolist()
         for r0, r1 in zip(starts, [*starts[1:], t]):
             np.multiply(rows_e(walk_b[lo + r0])[:r1 - r0], rows_conj(walk_a[lo + r0])[0],
                         out=cur[r0:r1])
         if fold:
-            cur[t:] = cur[:1]   # a one-pair tile feeds its row twice, as matmul_rows does
             cur, spare = sc.product_into(cur, spare, to_embed, start=1)
-            np.matmul(cur.view(float).reshape(u, -1, 2 * s).transpose(1, 0, 2), stack,
-                      out=spare.view(float).reshape(u, -1, 2 * s).transpose(1, 0, 2))
+            sc.matmul_rows(cur.view(float).reshape(t, -1, 2 * s).transpose(1, 0, 2), stack,
+                           out=spare.view(float).reshape(t, -1, 2 * s).transpose(1, 0, 2))
             cur, spare = sc.product_into(spare, cur, undo_fid, start=1)
         else:
             cur, spare = sc.product_into(cur, spare, to_embed)
             cur *= mid
             cur, spare = sc.product_into(cur, spare, undo_fid)
-        squares = np.square(cur[:t].view(float), out=spare[:t].view(float))
+        squares = np.square(cur.view(float), out=spare.view(float))
         out[walk[lo:hi]] = sc.matmul_rows(sc.weight_histograms(squares, layers), transfer.T)
     if config.shots is None:
         np.cumsum(out, axis=1, out=out)

@@ -16,7 +16,9 @@ Amplitudes stay exact; noise acts on the outcome distribution.  The
 reference is ``run_circuit``, ``apply_readout_noise`` over all 2**n outcomes
 and ``sample_counts`` (one count per outcome index), with one single-qubit
 kernel, ``_apply_rotation``, for every gate rotation and each qubit's flip
-matrix, on a state or on each row of a batch.  The kernel routes keep only
+matrix, on a state or on each row of a batch: two elementwise combinations of
+the halves where the qubit's bit is clear and where it is set, so a row's
+result does not depend on its batch.  The kernel routes keep only
 an outcome's Hamming weight, on which flips act alone (true weight w reads
 as Bin(n - w, p01) + Bin(w, 1 - p10)), so they push the (n+1)-bin weight
 histogram through ``weight_transfer(n, noise)``, cached per width and noise.
@@ -29,7 +31,10 @@ start group on when the caller folds the lower ones into other work).
 ``weight_histograms`` sums a batch's squared amplitudes into Hamming-weight
 bins the same way, one row matmul per group by a one-hot map of
 ``weight_layers``; the ``bincount`` of ``weight_mass_profile`` is the one
-Hamming-mass reference, which ``kernel.kernel_entry`` reads as well.
+Hamming-mass reference, which ``kernel.kernel_entry`` reads as well.  numpy
+rounds a one-row product differently from a wider one, and ``matmul_rows``,
+over any leading axes, is the one place that runs such a row as two, so no
+matmul of these layers depends on how many rows share it.
 """
 
 from __future__ import annotations
@@ -37,8 +42,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
+
+from .data import _require_int
 
 MAX_QUBITS = 24
 _GROUP = 4  # qubits per Kronecker block in product_blocks
@@ -66,7 +74,8 @@ def rotation_axis(axis: str):
     return AXES[axis]
 
 
-def _check_n(n: int) -> None:
+def _check_n(n: int, name: str = "n") -> None:
+    _require_int(name, n)
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count {n} outside supported range 1..{MAX_QUBITS}")
 
@@ -78,6 +87,12 @@ class GateOp:
     name: str
     qubits: tuple[int, ...]
     angle: float = 0.0
+
+    def __post_init__(self):
+        for q in self.qubits:
+            _require_int("each entry of qubits", q)
+        if not np.isfinite(self.angle):
+            raise ValueError(f"angle must be finite, got {self.angle!r}")
 
     def inverse(self) -> "GateOp":
         if self.name == "cz":
@@ -108,7 +123,7 @@ class Circuit:
     gates: list[GateOp] = field(default_factory=list)
 
     def __post_init__(self):
-        _check_n(self.n_qubits)
+        _check_n(self.n_qubits, "n_qubits")
 
     def add(self, gate: GateOp) -> "Circuit":
         for q in gate.qubits:
@@ -139,23 +154,30 @@ def zero_state(n: int) -> np.ndarray:
 
 
 def _state_qubits(amps, name: str = "amps", batched: bool = False) -> int:
-    """n of a 1-D array-like of 2**n entries, n >= 1, or with ``batched`` of
-    rows of them along its last axis; else a ValueError naming it."""
+    """n of a 1-D array-like of 2**n finite entries, n >= 1, or with
+    ``batched`` of rows of them along its last axis; else a ValueError naming it."""
     shape = np.shape(amps)
     n = shape[-1].bit_length() - 1 if len(shape) == 1 or batched and shape else 0
     if n < 1 or shape[-1] != 2 ** n:
         what = "an array of rows" if batched else "a 1-D array"
         raise ValueError(f"{name} must be {what} of 2**n entries, n >= 1; got shape {shape}")
+    if not np.isfinite(amps).all():
+        raise ValueError(f"{name} must be finite (found NaN or inf)")
     return n
 
 
 def _apply_rotation(amps: np.ndarray, q: int, mat: np.ndarray) -> np.ndarray:
-    """The 2x2 ``mat`` on qubit q of every state along the last axis of amps:
-    qubit q sits on axis ndim - 1 + n - 1 - q of the (*lead, 2, ..., 2) view."""
-    n = amps.shape[-1].bit_length() - 1
-    axis = amps.ndim - 1 + n - 1 - q
-    view = amps.reshape(amps.shape[:-1] + (2,) * n)
-    return np.moveaxis(np.tensordot(mat, view, axes=([1], [axis])), 0, axis).reshape(amps.shape)
+    """The 2x2 ``mat`` on qubit q of every state along the last axis of amps.
+
+    On the (*lead, -1, 2, 2**q) view the amplitudes with bit q clear sit at
+    index 0 of the length-2 axis and those with it set at index 1; each half
+    of the result is one elementwise combination of the two, so a state's
+    result does not depend on its batch.
+    """
+    view = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << q))
+    clear, set_ = view[..., 0, :], view[..., 1, :]
+    return np.stack([mat[0, 0] * clear + mat[0, 1] * set_,
+                     mat[1, 0] * clear + mat[1, 1] * set_], axis=-2).reshape(amps.shape)
 
 
 def kron_factors(pairs) -> np.ndarray:
@@ -198,15 +220,21 @@ def product_blocks(mats) -> list[np.ndarray]:
     return [np.ascontiguousarray(full[:s, g, :s]) for g, s in enumerate(sizes)]
 
 
-def matmul_rows(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat, each output row the same however many rows share the call.
+def matmul_rows(rows: np.ndarray, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rows @ mat over any leading axes, into ``out`` when given, each output
+    row the same however many rows share its product.
 
     numpy hands a one-row product to BLAS's matrix-vector routine, which
     rounds differently from the matrix-matrix one, so one row goes in as two.
+    This is the package's one home for that rule.
     """
-    if rows.shape[0] == 1:
-        return (np.concatenate([rows, rows]) @ mat)[:1]
-    return rows @ mat
+    if rows.shape[-2] != 1:
+        return np.matmul(rows, mat, out=out)
+    two = np.matmul(np.concatenate([rows, rows], axis=-2), mat)[..., :1, :]
+    if out is None:
+        return two
+    out[...] = two
+    return out
 
 
 def product_into(cur: np.ndarray, spare: np.ndarray, blocks,
@@ -215,9 +243,9 @@ def product_into(cur: np.ndarray, spare: np.ndarray, blocks,
     the rows of two C-contiguous (B, 2**n) buffers.  Both buffers are
     overwritten; returns (result, the other buffer).
 
-    Group 0 is one matmul over the B * 2**n // s rows of its s amplitudes (one
-    row goes through ``matmul_rows``).  Each later group g is one stacked
-    matmul, block times each (s, 2**(4g)) slab of each state.  A real block
+    Group 0 is one ``matmul_rows`` over the B * 2**n // s rows of its s
+    amplitudes.  Each later group g is one stacked matmul, block times each
+    (s, 2**(4g)) slab of each state.  A real block
     acts on real and imaginary parts alike, so on complex states it runs in
     float64 on the buffers' float view.  Every matmul varies only in its row
     or item count, so a state's result does not depend on how many states
@@ -228,11 +256,7 @@ def product_into(cur: np.ndarray, spare: np.ndarray, blocks,
     """
     s = blocks[0].shape[0]
     if start == 0:
-        rows, first = cur.reshape(-1, s), blocks[0].T.astype(cur.dtype)
-        if rows.shape[0] == 1:
-            spare.reshape(1, s)[:] = matmul_rows(rows, first)
-        else:
-            np.matmul(rows, first, out=spare.reshape(-1, s))
+        matmul_rows(cur.reshape(-1, s), blocks[0].T.astype(cur.dtype), out=spare.reshape(-1, s))
         cur, spare = spare, cur
     width = s ** max(start, 1)   # amplitudes per index of the groups below the next one
     for block in blocks[max(start, 1):]:
@@ -286,6 +310,8 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("p01", "p10", "depolarizing"):
             v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Real):
+                raise TypeError(f"{name} must be a real number, got {v!r}")
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
@@ -320,7 +346,7 @@ def _binomial_law(k: int, p: float) -> np.ndarray:
     return np.array([math.comb(k, j) * p ** j * (1.0 - p) ** (k - j) for j in range(k + 1)])
 
 
-@functools.lru_cache(maxsize=128)
+@functools.lru_cache(maxsize=128, typed=True)   # typed: True must not hit 1's entry
 def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
     """Column-stochastic (n+1) x (n+1) map from true to observed Hamming weight.
 
@@ -347,6 +373,7 @@ def weight_transfer(n: int, noise: NoiseModel) -> np.ndarray:
 def sample_counts(dist, shots: int, seed) -> np.ndarray:
     """Shot counts drawn from an outcome distribution, deterministically by seed:
     one per outcome index, qubit 0 the low bit, so the 2**n counts sum to ``shots``."""
+    _require_int("shots", shots)
     if shots <= 0:
         raise ValueError("shots must be positive")
     dist = np.asarray(dist)
@@ -357,7 +384,7 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, dist / total)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def hamming_weights(n: int) -> np.ndarray:
     """Hamming weight of every basis index on n qubits, cached per width and
     shared read-only."""
@@ -407,9 +434,9 @@ def weight_histograms(squares: np.ndarray, layers) -> np.ndarray:
     amplitudes' float view, (B, 2 * 2**n) with real and imaginary parts
     interleaved, through the maps of ``weight_layers(n)``.
 
-    Each map is one row matmul (one row goes through ``matmul_rows``) whose
-    rows are a state's (indices of the later groups, weight so far), so a
-    state's histogram does not depend on how many states share the call.
+    Each map is one ``matmul_rows`` whose rows are a state's (indices of the
+    later groups, weight so far), so a state's histogram does not depend on
+    how many states share the call.
     """
     hist = squares
     for layer in layers:

@@ -61,8 +61,8 @@ def fit_binary(kernel: np.ndarray, labels: np.ndarray, c: float = 1.0,
         raise ValueError("need both classes present to fit")
     if not 0 < c < np.inf:
         raise ValueError(f"c must be positive and finite, got {c!r}")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if max_iter is None:
         max_iter = 200 * m + 10_000
     _require_int("max_iter", max_iter)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, unit_rows, write_table
+from .data import Dataset, _require_int, unit_rows, write_table
 from .featuremap import product_rotation_circuit
 from .kernel import overlap_kernel_from_state
 from .simcore import Circuit, _state_qubits, run_circuit, rx
@@ -51,8 +51,10 @@ def sphere_inner_moment(dim: int, trials: int, seed: int = 0) -> tuple[float, fl
 
     Returns (mean, standard error).  The exact value is 1/dim.
     """
+    _require_int("dim", dim)
     if dim < 1:
         raise ValueError("dim must be at least 1")
+    _require_int("trials", trials)
     if trials < 2:
         raise ValueError("need at least 2 trials")
     rng = np.random.default_rng(seed)
@@ -77,6 +79,8 @@ def cosine_product_kernel(xs: np.ndarray, ys: np.ndarray | None = None,
     ys = xs if ys is None else np.asarray(ys, dtype=float)
     if xs.ndim != 2 or ys.ndim != 2 or xs.shape[1] != ys.shape[1]:
         raise ValueError("feature arrays must be 2D with matching width")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
     half = 0.5 * angle_scale
     diff = xs[:, None, :] - ys[None, :, :]
     return np.prod(np.cos(half * diff) ** 2, axis=2)
@@ -121,6 +125,7 @@ def subspace_kernel_expectations(dims, trials: int, seed: int = 0,
     rows: list[ExpectationRow] = []
     half = 0.5 * angle_scale
     for dx in dims:
+        _require_int("each entry of dims", dx)
         if dx < 1:
             raise ValueError("subspace dims must be positive")
         rng = np.random.default_rng((seed, dx))

@@ -44,25 +44,23 @@ def test_alignment_rejects_constant_kernel():
         al.centered_alignment(target, np.ones((3, 3)))
 
 
-def test_target_matrix_variants():
+def test_target_matrix_is_the_class_indicator():
     labels = [0, 1, 2, 0]
     t = al.target_matrix(labels)
     assert t[0, 3] == 1.0 and t[0, 1] == 0.0 and t[1, 1] == 1.0
-    s = al.target_matrix(labels, kind="shifted")
-    assert s[0, 3] == 1.0
-    assert s[0, 1] == pytest.approx(-0.5)
-    with pytest.raises(ValueError):
-        al.target_matrix(labels, kind="other")
-    with pytest.raises(ValueError):
-        al.target_matrix([0, 0], kind="shifted")
+    np.testing.assert_array_equal(al.target_matrix([0, 0]), np.ones((2, 2)))
 
 
 def test_both_targets_give_identical_alignment():
-    # shifted = a * zero_one + b * ones with a > 0, and centering kills b
+    # the +1 / -1/(C-1) target is a * zero_one + b * ones with a > 0, and
+    # centering kills b
     labels = [0, 1, 2, 0, 1, 2, 0]
     k = random_symmetric(7, 3)
-    a0 = al.centered_alignment(al.target_matrix(labels), k)
-    a1 = al.centered_alignment(al.target_matrix(labels, "shifted"), k)
+    zero_one = al.target_matrix(labels)
+    shifted = 1.5 * zero_one - 0.5   # C = 3
+    assert shifted[0, 3] == 1.0 and shifted[0, 1] == -0.5
+    a0 = al.centered_alignment(zero_one, k)
+    a1 = al.centered_alignment(shifted, k)
     assert a1 == pytest.approx(a0, abs=1e-12)
 
 

@@ -16,6 +16,7 @@ from covkern import featuremap as fm
 from covkern import kernel as kn
 from covkern import simcore as sc
 from covkern import svc
+from covkern import theory as th
 
 QUICK_START = ["KernelConfig", "NoiseModel", "SPSAConfig", "accuracy", "align_kernel",
                "assemble_cross", "assemble_matrix", "bell_pair_dataset", "calibrate",
@@ -200,6 +201,47 @@ BAD_INPUT = [
     ("split_dataset", "train_fraction", 1.5,
      lambda v: dt.split_dataset(dt.bell_pair_dataset(2), v), ValueError,
      "train_fraction must lie strictly between"),
+    ("Circuit", "n_qubits", 2.5, sc.Circuit, TypeError, "n_qubits must be an int"),
+    ("Circuit", "n_qubits", True, sc.Circuit, TypeError, "n_qubits must be an int"),
+    ("hamming_weights", "n", True, sc.hamming_weights, TypeError, "n must be an int"),
+    ("weight_transfer", "n", True, lambda v: sc.weight_transfer(v, sc.NoiseModel()), TypeError,
+     "n must be an int"),
+    ("cz", "qubits", 0.5, lambda v: sc.cz(0, v), TypeError, "each entry of qubits must be an int"),
+    ("rx", "qubits", 0.5, lambda v: sc.rx(v, 1.0), TypeError,
+     "each entry of qubits must be an int"),
+    ("rx", "angle", np.nan, lambda v: sc.rx(0, v), ValueError, "angle must be finite"),
+    ("sample_counts", "shots", True, lambda v: sc.sample_counts([0.5, 0.5], v, 0), TypeError,
+     "shots must be an int"),
+    ("sample_counts", "shots", 2.5, lambda v: sc.sample_counts([0.5, 0.5], v, 0), TypeError,
+     "shots must be an int"),
+    ("NoiseModel", "p01", True, lambda v: sc.NoiseModel(p01=v), TypeError,
+     "p01 must be a real number"),
+    ("NoiseModel", "p01", "0.1", lambda v: sc.NoiseModel(p01=v), TypeError,
+     "p01 must be a real number"),
+    ("apply_readout_noise", "probs", np.array([np.nan, 1.0]),
+     lambda v: sc.apply_readout_noise(v, sc.NoiseModel(p01=0.1)), ValueError,
+     "probs must be finite"),
+    ("weight_mass_profile", "dist", np.array([np.nan, 1.0]), sc.weight_mass_profile, ValueError,
+     "dist must be finite"),
+    ("sphere_inner_moment", "dim", 2.5, lambda v: th.sphere_inner_moment(v, 10), TypeError,
+     "dim must be an int"),
+    ("sphere_inner_moment", "trials", 2.5, lambda v: th.sphere_inner_moment(2, v), TypeError,
+     "trials must be an int"),
+    ("subspace_kernel_expectations", "dims", 1.5,
+     lambda v: th.subspace_kernel_expectations([v], 10), TypeError,
+     "each entry of dims must be an int"),
+    ("haar_rotation", "dim", 2.5, lambda v: dt.haar_rotation(v, np.random.default_rng(0)),
+     TypeError, "dim must be an int"),
+    ("cosine_product_kernel", "xs", np.array([[np.nan]]), th.cosine_product_kernel, ValueError,
+     "xs and ys must be finite"),
+    ("center_matrix", "values", np.ones(3), al.center_matrix, ValueError,
+     "values must be a 2-D matrix"),
+    ("geometric_difference", "regularizer", np.nan,
+     lambda v: al.geometric_difference(np.eye(2), np.eye(2), regularizer=v), ValueError,
+     "regularizer must be finite"),
+    ("fit_binary", "tol", np.inf,
+     lambda v: svc.fit_binary(np.eye(2), np.array([1.0, -1.0]), tol=v), ValueError,
+     "tol must be positive and finite"),
 ]
 
 # top-level callables with no BAD_INPUT row, each with the reason it has none

@@ -56,3 +56,5 @@ def test_every_entry_taking_an_axis_rejects_an_unknown_one(entry, tmp_path, caps
 def test_an_unhashable_axis_is_a_value_error():
     with pytest.raises(ValueError, match=r"unknown rotation axis \['x'\]"):
         sc.rotation_axis(["x"])
+    with pytest.raises(ValueError, match=r"unknown rotation axis \['x'\]"):
+        kn.overlap_kernel_from_state(sc.zero_state(2), np.zeros((1, 2)), axis=["x"])
