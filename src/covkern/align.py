@@ -114,7 +114,12 @@ class AlignmentTrace:
 
 def alignment_loss(xs, labels, spec, params, config: KernelConfig, noise=None,
                    target: np.ndarray | None = None) -> float:
-    """1 - alignment(target, PSD-repaired kernel); degenerate kernels score 1."""
+    """1 - alignment(target, PSD-repaired kernel); degenerate kernels score 1.
+
+    An exact Gram (no noise, no shots, tolerance 0) is PSD by the Schur
+    product theorem, K = A o conj(A) with A the Hermitian PSD overlap Gram, so
+    ``repair_psd`` keeps it with no eigensolve; other estimates are projected.
+    """
     kt = target_matrix(labels) if target is None else target
     if kt.shape[:1] != np.shape(xs)[:1]:
         raise ValueError(f"labels must hold one label per row of xs, got {kt.shape[0]} "

@@ -513,7 +513,9 @@ def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> _Result:
         scores["kernel_psd_projected"] = bool(repaired.psd_projected)
         extra["fingerprint"] = pipeline_fingerprint(spec, params, config, noise,
                                                     fmap["standardize"])
-        extra["stats"] = {"smo_iterations": model.iterations, "smo_kkt_gaps": model.kkt_gaps}
+        extra["stats"] = {"smo_iterations": model.iterations, "smo_kkt_gaps": model.kkt_gaps,
+                          "min_eigenvalue_before": repaired.min_eigenvalue_before,
+                          "psd_by_construction": repaired.psd_by_construction}
 
     if baseline is not None:
         base_model, base_train = _fit_baseline(baseline, svc_sec, train)

@@ -34,7 +34,11 @@ With t_k = |phi_k|^2 and signs z_kq = +-1 (+1 when bit q of k is clear), each
 sample becomes one row F[k] = sqrt(t_k) exp(-i z_k . a / 2), and
 K = |conj(F_a) F_b^T|^2.  That costs O(m_a m_b 2**n) for the product, and the
 2**n basis axis is streamed in blocks whose feature and sign rows hold at
-most ``_CHUNK_AMPS`` values together.
+most ``_CHUNK_AMPS`` values together.  Such a Gram is PSD by construction:
+K = A o conj(A), the entrywise product of the Hermitian PSD Gram
+A = conj(F) F^T with its conjugate, is PSD by the Schur product theorem
+(Horn & Johnson, Matrix Analysis, Thm 7.5.3), so ``assemble_matrix`` marks
+it and ``repair_psd`` returns it with no eigensolve.
 
 Every other case (readout noise, shots, tolerance > 0) takes the profile
 route: one compiled pair circuit per pair of angle rows (a, b),
@@ -144,9 +148,20 @@ class KernelConfig:
 
 @dataclass
 class KernelMatrixEstimate:
+    """A kernel matrix and what PSD repair did to it.
+
+    ``psd_by_construction`` marks an exact-route Gram (no noise, no shots,
+    tolerance 0): K = A o conj(A), with A_ab = <R(a)psi|R(b)psi> a Hermitian
+    PSD Gram matrix, is PSD by the Schur product theorem (Horn & Johnson,
+    Matrix Analysis, Thm 7.5.3), so ``repair_psd`` keeps it with no
+    eigensolve and ``min_eigenvalue_before`` stays None.  Profile, noisy and
+    sampled estimates can be indefinite and are not marked.
+    """
+
     values: np.ndarray
     psd_projected: bool = False
     min_eigenvalue_before: float | None = None
+    psd_by_construction: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +499,9 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     Entries (i, j) and (j, i) come from the single evaluation with i < j.  The
     noiseless exact zero-tolerance case is the phase-feature Gram product
     K = |conj(F) F^T|^2, symmetrized, streaming F over the basis axis within
-    ``_CHUNK_AMPS`` amplitudes; everything else takes the profile route of
-    compiled pair circuits (see the module docstring).
+    ``_CHUNK_AMPS`` amplitudes, and is marked ``psd_by_construction``;
+    everything else takes the profile route of compiled pair circuits (see
+    the module docstring).
     """
     angles = embedding_angles(spec, xs)
     if not _exact_route(spec, config, noise):
@@ -494,7 +510,7 @@ def assemble_matrix(xs, spec: FeatureMapSpec, params, config: KernelConfig,
     values = (values + values.T) / 2.0
     if not config.estimate_diagonal:
         np.fill_diagonal(values, 1.0)
-    return KernelMatrixEstimate(values)
+    return KernelMatrixEstimate(values, psd_by_construction=True)
 
 
 def assemble_cross(xs_rows, xs_cols, spec: FeatureMapSpec, params, config: KernelConfig,
@@ -524,11 +540,13 @@ def kernel_entry(spec: FeatureMapSpec, params, x, y, config: KernelConfig,
 # positive semidefinite repair and diagnostics
 # ---------------------------------------------------------------------------
 
-def _square(values) -> np.ndarray:
+def _square(values, finite: bool = False) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[0] != values.shape[1] or values.size == 0:
         raise ValueError(f"values must be a square matrix with at least one row, "
                          f"got shape {values.shape}")
+    if finite and not np.isfinite(values).all():
+        raise ValueError("matrix must be finite (found NaN or inf)")
     return values
 
 
@@ -538,9 +556,7 @@ def symmetric_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     Van Loan, Matrix Computations, 4th ed., 8.1): an eigenvalue within it cannot
     be told from zero.  Raises ValueError for a matrix that is not square or
     has no rows, or a NaN or infinite entry."""
-    values = _square(values)
-    if not np.isfinite(values).all():
-        raise ValueError("matrix must be finite (found NaN or inf)")
+    values = _square(values, finite=True)
     w, v = np.linalg.eigh((values + values.T) / 2.0)
     return w, v, values.shape[0] * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
 
@@ -564,6 +580,18 @@ def psd_project(values: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def repair_psd(estimate: KernelMatrixEstimate) -> KernelMatrixEstimate:
+    """The estimate with its values projected onto the PSD cone (``psd_project``),
+    recording the minimum eigenvalue before and whether projection changed them.
+
+    An estimate marked ``psd_by_construction`` is PSD by the Schur product
+    theorem (see ``KernelMatrixEstimate``): after the same shape and
+    finiteness checks it comes back with the same array, unprojected and with
+    no eigensolve, so ``min_eigenvalue_before`` is None.  Raises ValueError
+    for a matrix that is not square or has a NaN or infinite entry.
+    """
+    if estimate.psd_by_construction:
+        _square(estimate.values, finite=True)
+        return replace(estimate, psd_projected=False, min_eigenvalue_before=None)
     projected, min_eig = psd_project(estimate.values)
     return replace(estimate, values=projected, psd_projected=projected is not estimate.values,
                    min_eigenvalue_before=min_eig)

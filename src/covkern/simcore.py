@@ -324,6 +324,8 @@ def apply_readout_noise(probs, noise: NoiseModel) -> np.ndarray:
     through the noise model: one ``_apply_rotation`` of the flip matrix per qubit."""
     p = probs = np.asarray(probs)
     n = _state_qubits(probs, "probs", batched=True)
+    if (probs < 0).any():
+        raise ValueError("probs must have no negative entry")
     if noise.depolarizing > 0.0:
         p = (1.0 - noise.depolarizing) * p + noise.depolarizing / p.shape[-1]
     if noise.p01 == 0.0 and noise.p10 == 0.0:
@@ -378,6 +380,8 @@ def sample_counts(dist, shots: int, seed) -> np.ndarray:
         raise ValueError("shots must be positive")
     dist = np.asarray(dist)
     _state_qubits(dist, "dist")
+    if (dist < 0).any():
+        raise ValueError("dist must have no negative entry")
     total = dist.sum()
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"distribution sums to {total}, not 1")

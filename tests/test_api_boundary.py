@@ -143,6 +143,9 @@ BAD_INPUT = [
     ("repair_psd", "values", np.ones((2, 3)),
      lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v)), ValueError,
      "values must be a square matrix"),
+    ("repair_psd", "values", np.ones((3, 2)),
+     lambda v: kn.repair_psd(kn.KernelMatrixEstimate(v, psd_by_construction=True)), ValueError,
+     "values must be a square matrix"),
     ("apply_gate", "amps", np.ones(3), lambda v: sc.apply_gate(v, sc.rx(0, 0.1)), ValueError,
      "amps must be a 1-D array of 2"),
     ("apply_gate", "amps", np.ones(1), lambda v: sc.apply_gate(v, sc.rx(0, 0.1)), ValueError,
@@ -223,6 +226,11 @@ BAD_INPUT = [
      "probs must be finite"),
     ("weight_mass_profile", "dist", np.array([np.nan, 1.0]), sc.weight_mass_profile, ValueError,
      "dist must be finite"),
+    ("sample_counts", "dist", np.array([1.5, -0.5]), lambda v: sc.sample_counts(v, 10, 0),
+     ValueError, "dist must have no negative entry"),
+    ("apply_readout_noise", "probs", np.array([[0.5, 0.5], [1.5, -0.5]]),
+     lambda v: sc.apply_readout_noise(v, sc.NoiseModel(p01=0.1)), ValueError,
+     "probs must have no negative entry"),
     ("sphere_inner_moment", "dim", 2.5, lambda v: th.sphere_inner_moment(v, 10), TypeError,
      "dim must be an int"),
     ("sphere_inner_moment", "trials", 2.5, lambda v: th.sphere_inner_moment(2, v), TypeError,
@@ -292,4 +300,4 @@ def test_all_lists_resolvable_non_module_names_only():
     assert not hasattr(svc.BinarySVC, "support")
     assert [f.name for f in dataclasses.fields(kn.CalibrationReport)] == ["thresholds", "rows"]
     assert [f.name for f in dataclasses.fields(kn.KernelMatrixEstimate)] == [
-        "values", "psd_projected", "min_eigenvalue_before"]
+        "values", "psd_projected", "min_eigenvalue_before", "psd_by_construction"]

@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from covkern import cli
 from covkern import data as dt
+from covkern import kernel as kn
 from covkern import svc
 from covkern import theory as th
 
@@ -288,6 +289,32 @@ def test_fit_manifest_records_smo_stats_per_class_pair(tmp_path):
     assert len(stats["smo_iterations"]) == len(stats["smo_kkt_gaps"]) == 3
     assert all(isinstance(n, int) and n > 0 for n in stats["smo_iterations"])
     assert all(0.0 <= gap <= 1e-4 for gap in stats["smo_kkt_gaps"])
+
+
+@pytest.mark.parametrize("kernel, noise, exact", [
+    ({}, None, True),
+    ({"shots": 500, "tolerance": 1}, {"p01": 0.05}, False),
+])
+def test_fit_manifest_records_the_psd_repair(tmp_path, kernel, noise, exact):
+    ds = dt.gen_union_subspaces(dt.SubspaceSpec(ambient_dim=4, class_dims=[1, 1, 1],
+                                                samples_per_class=6, seed=2))
+    train_path = tmp_path / "train.csv"
+    dt.save_csv(ds, train_path)
+    fit_out = tmp_path / "fit"
+    payload = {"out": str(fit_out), "seed": 0, "train": str(train_path), "params": "zeros",
+               "kernel": kernel, "svc": {"c": 1.0}}
+    if noise is not None:
+        payload["noise"] = noise
+    assert run(["fit", "--config", write_config(tmp_path, "fit.json", payload)]) == 0
+    stats = read_json(fit_out / "manifest.json")["stats"]
+    assert stats["psd_by_construction"] is exact
+    if exact:
+        # PSD by the Schur product theorem: no eigensolve, so no eigenvalue
+        assert stats["min_eigenvalue_before"] is None
+    else:
+        kernel_values, _ = kn.load_matrix_csv(fit_out / "kernel_train.csv")
+        assert isinstance(stats["min_eigenvalue_before"], float)
+        assert stats["min_eigenvalue_before"] <= np.linalg.eigvalsh(kernel_values)[0] + 1e-12
 
 
 def test_predict_rejects_mismatched_pipeline(tmp_path, capsys):

@@ -1002,8 +1002,9 @@ def test_psd_projection_rejects_non_finite_matrix(bad):
     values[0, 1] = values[1, 0] = bad
     with pytest.raises(ValueError, match="finite"):
         kn.psd_project(values)
-    with pytest.raises(ValueError, match="finite"):
-        kn.repair_psd(kn.KernelMatrixEstimate(values))
+    for marked in (False, True):
+        with pytest.raises(ValueError, match="finite"):
+            kn.repair_psd(kn.KernelMatrixEstimate(values, psd_by_construction=marked))
 
 
 def test_psd_distance_rejects_zero_matrix():
@@ -1038,12 +1039,65 @@ def test_exact_gram_with_a_rounding_level_eigenvalue_is_not_projected():
     spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=2 * np.pi)
     params = rng.uniform(0.0, 2 * np.pi, 9)
     est = kn.assemble_matrix(rng.uniform(0.0, 1.0, (300, 3)), spec, params, kn.KernelConfig())
+    assert -1e-12 < np.linalg.eigvalsh(est.values)[0] < 0.0
     repaired = kn.repair_psd(est)
-    assert -1e-12 < repaired.min_eigenvalue_before < 0.0
+    assert repaired.min_eigenvalue_before is None
     assert not repaired.psd_projected
     assert repaired.values is est.values
     assert kn.psd_project(est.values)[0] is est.values
     assert kn.psd_distance(est.values) == 0.0
+
+
+def test_repairing_an_exact_gram_runs_no_eigensolver(monkeypatch):
+    rng = np.random.default_rng(4)
+    spec = fm.make_feature_map(fm.line_coupling(4), 4, angle_scale=2 * np.pi)
+    params = rng.uniform(0.0, 2 * np.pi, 12)
+    xs = rng.uniform(0.0, 1.0, (20, 4))
+    for config in (kn.KernelConfig(), kn.KernelConfig(estimate_diagonal=False)):
+        est = kn.assemble_matrix(xs, spec, params, config)
+        assert est.psd_by_construction
+        keep = est.values.copy()
+
+        def no_eigensolve(values):
+            raise AssertionError("an exact Gram needs no eigensolve")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(kn, "symmetric_eigh", no_eigensolve)
+            repaired = kn.repair_psd(est)
+        assert repaired.values is est.values
+        np.testing.assert_array_equal(repaired.values, keep)
+        assert not repaired.psd_projected and repaired.min_eigenvalue_before is None
+        assert repaired.psd_by_construction
+
+
+def test_profile_route_estimates_are_not_marked_and_keep_the_eigensolve():
+    rng = np.random.default_rng(6)
+    spec = fm.make_feature_map(fm.line_coupling(3), 3, angle_scale=2 * np.pi)
+    params = rng.uniform(0.0, 2 * np.pi, 9)
+    xs = rng.uniform(0.0, 1.0, (8, 3))
+    for config, noise in ((kn.KernelConfig(tolerance=1), None),
+                          (kn.KernelConfig(shots=50), None),
+                          (kn.KernelConfig(), sc.NoiseModel(p01=0.05))):
+        est = kn.assemble_matrix(xs, spec, params, config, noise)
+        assert not est.psd_by_construction
+        repaired = kn.repair_psd(est)
+        w = np.linalg.eigvalsh((est.values + est.values.T) / 2.0)
+        assert repaired.min_eigenvalue_before == pytest.approx(w[0], abs=1e-12)
+
+
+@pytest.mark.parametrize("axes", [("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")])
+@pytest.mark.parametrize("n", [1, 3, 8, 10, 12])
+def test_exact_grams_have_no_eigenvalue_below_rounding(n, axes):
+    # the Schur product theorem that lets repair skip the eigensolve, checked
+    # directly: the smallest eigenvalue is within m * eps * max|lambda| of 0
+    rng = np.random.default_rng((n, ord(axes[2])))
+    spec = fm.make_feature_map(fm.line_coupling(n), n, axes=axes, angle_scale=2 * np.pi)
+    params = rng.uniform(0.0, 2 * np.pi, 3 * n)
+    m = 60
+    est = kn.assemble_matrix(rng.uniform(0.0, 1.0, (m, n)), spec, params, kn.KernelConfig())
+    assert est.psd_by_construction
+    w = np.linalg.eigvalsh(est.values)
+    assert w[0] >= -m * np.finfo(float).eps * max(abs(w[0]), abs(w[-1]))
 
 
 def test_sampled_gram_with_a_negative_eigenvalue_is_projected():
