@@ -97,11 +97,15 @@ class SPSAConfig:
 
 @dataclass
 class AlignmentTrace:
-    """Loss and parameter snapshot per iteration (row 0 is the initial point)."""
+    """Loss and parameter snapshot per iteration (row 0 is the initial point);
+    the best iteration is read from the losses."""
 
     losses: np.ndarray
     params_history: np.ndarray
-    best_index: int
+
+    @property
+    def best_index(self) -> int:
+        return int(np.argmin(self.losses))
 
     @property
     def best_loss(self) -> float:
@@ -158,8 +162,7 @@ def align_kernel(xs, labels, spec, init_params, spsa: SPSAConfig,
         params = params - a_k * gradient
         losses.append(loss(params))
         history.append(params.copy())
-    losses_arr = np.array(losses)
-    return AlignmentTrace(losses_arr, np.array(history), int(np.argmin(losses_arr)))
+    return AlignmentTrace(np.array(losses), np.array(history))
 
 
 def save_trace_csv(trace: AlignmentTrace, path) -> None:
@@ -174,7 +177,7 @@ def load_trace_csv(path) -> AlignmentTrace:
     if not records:
         raise ValueError(f"{path}: trace file has no data rows")
     table = np.array(parse_records(path, records, lambda cells: list(map(float, cells))))
-    return AlignmentTrace(table[:, 1], table[:, 2:], int(np.argmin(table[:, 1])))
+    return AlignmentTrace(table[:, 1], table[:, 2:])
 
 
 # ---------------------------------------------------------------------------

@@ -237,9 +237,11 @@ def kernel_config_from_config(cfg: dict, seed: int) -> kn.KernelConfig:
     return _config_call("kernel", kn.KernelConfig, **sec)
 
 
-def _feature_map(sec: dict, dataset: dt.Dataset, tolerance: int = 0) -> fm.FeatureMapSpec:
-    """The feature map a read feature_map section gives for ``dataset``, whose
-    register must be simulable and hold a kernel ``tolerance`` wide."""
+def feature_map_from_config(cfg: dict, dataset: dt.Dataset,
+                            tolerance: int = 0) -> fm.FeatureMapSpec:
+    """The feature map the config's feature_map section gives for ``dataset``,
+    whose register must be simulable and hold a kernel ``tolerance`` wide."""
+    sec = _section(cfg, "feature_map")
     n_qubits = sec.get("n_qubits", dataset.n_features)
     if n_qubits != dataset.n_features:
         raise ConfigError(
@@ -267,10 +269,6 @@ def _feature_map(sec: dict, dataset: dt.Dataset, tolerance: int = 0) -> fm.Featu
                                    axes=sec["axes"], angle_scale=angle_scale)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"bad feature_map section: {exc}")
-
-
-def feature_map_from_config(cfg: dict, dataset: dt.Dataset) -> fm.FeatureMapSpec:
-    return _feature_map(_section(cfg, "feature_map"), dataset)
 
 
 def standardizer(train: dt.Dataset, standardize: bool):
@@ -444,7 +442,7 @@ def cmd_align(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     noise = noise_from_config(cfg)
     spsa = _config_call("spsa", al.SPSAConfig, **{"seed": seed} | _section(cfg, "spsa"))
     train = _load_dataset(top.get("train"))
-    spec = _feature_map(fmap, train, config.tolerance)
+    spec = feature_map_from_config(cfg, train, config.tolerance)
     init = params_from_config(cfg, spec, seed)
     transform = standardizer(train, fmap["standardize"])
     trace = al.align_kernel(transform(train.features), train.labels, spec, init, spsa,
@@ -494,7 +492,7 @@ def cmd_fit(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     extra: dict = {"train_sha256": file_sha256(train_path)}
 
     if top["quantum"]:
-        spec = _feature_map(fmap, train, config.tolerance)
+        spec = feature_map_from_config(cfg, train, config.tolerance)
         params = params_from_config(cfg, spec, seed)
         transform = standardizer(train, fmap["standardize"])
         estimate = kn.assemble_matrix(transform(train.features), spec, params, config,
@@ -562,7 +560,7 @@ def cmd_predict(cfg: dict, top: dict, out: str, seed: int) -> _Result:
     if test.n_features != train.n_features:
         raise DataError("test dataset width does not match the training data")
 
-    spec = _feature_map(fmap, train, config.tolerance)
+    spec = feature_map_from_config(cfg, train, config.tolerance)
     params = params_from_config(cfg, spec, seed)
     fingerprint = pipeline_fingerprint(spec, params, config, noise, fmap["standardize"])
     if fingerprint != fit_manifest["fingerprint"]:

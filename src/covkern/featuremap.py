@@ -32,10 +32,13 @@ class CouplingMap:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        _require_int("n_qubits", self.n_qubits)
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be at least 1, got {self.n_qubits}")
         seen = set()
         for u, v in self.edges:
+            _require_int("each endpoint of edges", u)
+            _require_int("each endpoint of edges", v)
             if u == v:
                 raise ValueError(f"self-loop on qubit {u}")
             if not (0 <= u < self.n_qubits and 0 <= v < self.n_qubits):
@@ -128,21 +131,55 @@ def load_coupling(path) -> CouplingMap:
 class EntanglerPlan:
     """Spanning-tree entangler over a chosen register.
 
-    All indices are logical (0..n-1); ``physical`` maps logical index ->
-    physical qubit on the coupling map.  ``order`` is the breadth-first visit
-    order from ``root``; ``layers`` partitions ``tree_edges`` into
-    vertex-disjoint groups that can run in parallel.
+    A plan is its root, its tree and its register.  All indices are logical
+    (0..n-1); ``physical`` maps logical index -> physical qubit on the
+    coupling map, and ``tree_edges`` holds (parent, child) pairs in
+    breadth-first discovery order from ``root``: each joins a new child to a
+    qubit already reached, so no CZ repeats.  The visit order ``order``
+    and the CZ ``layers`` (``tree_edges`` packed greedily, in order, into
+    vertex-disjoint groups that can run in parallel) are read from the tree.
     """
 
     root: int
     tree_edges: tuple[tuple[int, int], ...]
-    layers: tuple[tuple[tuple[int, int], ...], ...]
-    order: tuple[int, ...]
     physical: tuple[int, ...]
+
+    def __post_init__(self):
+        n = len(self.physical)
+        for name, q in (("root", self.root),
+                        *(("each endpoint of tree_edges", q) for e in self.tree_edges for q in e)):
+            _require_int(name, q)
+            if not 0 <= q < n:
+                raise ValueError(f"{name} must lie in the {n}-qubit register, got {q}")
+        reached = {self.root}
+        for parent, child in self.tree_edges:
+            if parent not in reached or child in reached:
+                raise ValueError("tree_edges must join each new child to a qubit already "
+                                 f"reached from the root, got ({parent}, {child})")
+            reached.add(child)
 
     @property
     def n_qubits(self) -> int:
-        return len(self.order)
+        return len(self.physical)
+
+    @property
+    def order(self) -> tuple[int, ...]:
+        return (self.root, *(child for _, child in self.tree_edges))
+
+    @property
+    def layers(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        layers: list[tuple[list, set]] = []
+        for edge in self.tree_edges:
+            placed = False
+            for edges_in_layer, used in layers:
+                if edge[0] not in used and edge[1] not in used:
+                    edges_in_layer.append(edge)
+                    used.update(edge)
+                    placed = True
+                    break
+            if not placed:
+                layers.append(([edge], set(edge)))
+        return tuple(tuple(edges) for edges, _ in layers)
 
     @property
     def height(self) -> int:
@@ -190,7 +227,7 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
     walk from each start qubit (the whole map, when it is connected and no
     larger than the register), each scored once by its best root (lowest on
     ties); the first shallowest is walked in place from that root.  Tree edges
-    are packed greedily into vertex-disjoint layers in discovery order.
+    are listed in discovery order, from which the plan reads its layers.
     """
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
@@ -218,23 +255,8 @@ def build_entangler(coupling: CouplingMap, n_qubits: int) -> EntanglerPlan:
     chosen = tuple(sorted(register))
     logical = {p: i for i, p in enumerate(chosen)}
     walk, parent, _ = _bfs(adj, root, register)
-    order = tuple(logical[p] for p in walk)
     tree_edges = tuple((logical[parent[p]], logical[p]) for p in walk[1:])
-
-    layers: list[tuple[list, set]] = []
-    for edge in tree_edges:
-        placed = False
-        for edges_in_layer, used in layers:
-            if edge[0] not in used and edge[1] not in used:
-                edges_in_layer.append(edge)
-                used.update(edge)
-                placed = True
-                break
-        if not placed:
-            layers.append(([edge], set(edge)))
-    packed = tuple(tuple(edges) for edges, _ in layers)
-
-    return EntanglerPlan(logical[root], tree_edges, packed, order, chosen)
+    return EntanglerPlan(logical[root], tree_edges, chosen)
 
 
 def assign_features(plan: EntanglerPlan, importance=None) -> tuple[int, ...]:
@@ -260,11 +282,11 @@ class FeatureMapSpec:
 
     ``axes`` gives the three fiducial rotation axes per qubit; the last one is
     also the embedding axis.  ``assignment[q]`` is the feature index embedded
-    on qubit q, and feature values are multiplied by ``angle_scale`` before
-    use as rotation angles.
+    on qubit q, a permutation of the plan's qubits, and feature values are
+    multiplied by ``angle_scale`` before use as rotation angles.  The width
+    is the plan's.
     """
 
-    n_qubits: int
     axes: tuple[str, str, str]
     angle_scale: float
     assignment: tuple[int, ...]
@@ -277,8 +299,15 @@ class FeatureMapSpec:
             rotation_axis(a)
         if not np.isfinite(self.angle_scale):
             raise ValueError(f"angle_scale must be finite, got {self.angle_scale!r}")
-        if len(self.assignment) != self.n_qubits:
-            raise ValueError("assignment length must equal the qubit count")
+        for q in self.assignment:
+            _require_int("each entry of assignment", q)
+        if sorted(self.assignment) != list(range(self.n_qubits)):
+            raise ValueError(f"assignment must permute the plan's {self.n_qubits} qubits, "
+                             f"got {self.assignment}")
+
+    @property
+    def n_qubits(self) -> int:
+        return self.plan.n_qubits
 
     @property
     def n_params(self) -> int:
@@ -294,7 +323,7 @@ def make_feature_map(coupling: CouplingMap, n_qubits: int, importance=None,
                      angle_scale: float = 1.0) -> FeatureMapSpec:
     plan = build_entangler(coupling, n_qubits)
     assignment = assign_features(plan, importance)
-    return FeatureMapSpec(n_qubits, tuple(axes), float(angle_scale), assignment, plan)
+    return FeatureMapSpec(tuple(axes), float(angle_scale), assignment, plan)
 
 
 def fiducial_angles(spec: FeatureMapSpec, params) -> np.ndarray:

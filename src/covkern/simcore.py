@@ -407,6 +407,8 @@ def weight_mass_profile(dist) -> np.ndarray:
     """
     dist = np.asarray(dist)
     n = _state_qubits(dist, "dist", batched=True)
+    if (dist < 0).any():
+        raise ValueError("dist must have no negative entry")
     rows = dist.reshape(-1, 2 ** n)
     bins = np.arange(rows.shape[0])[:, None] * (n + 1) + hamming_weights(n)
     per = np.bincount(bins.ravel(), weights=rows.ravel(), minlength=rows.shape[0] * (n + 1))

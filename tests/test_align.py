@@ -138,7 +138,7 @@ def test_degenerate_kernel_with_rounding_noise_scores_worst_loss():
 def test_trace_csv_roundtrip(tmp_path):
     losses = np.array([0.9, 0.4, 0.6])
     history = np.random.default_rng(0).normal(size=(3, 4))
-    trace = al.AlignmentTrace(losses, history, 1)
+    trace = al.AlignmentTrace(losses, history)
     path = tmp_path / "trace.csv"
     al.save_trace_csv(trace, path)
     back = al.load_trace_csv(path)

@@ -29,6 +29,10 @@ def _feature_map(angle_scale):
     return fm.make_feature_map(fm.line_coupling(2), 2, angle_scale=angle_scale)
 
 
+def _spec(assignment, plan=fm.build_entangler(fm.line_coupling(2), 2)):
+    return fm.FeatureMapSpec(fm.DEFAULT_AXES, 1.0, assignment, plan)
+
+
 def _dataset(importance):
     return dt.Dataset(np.zeros((3, 2)), np.zeros(3, dtype=int), importance=importance)
 
@@ -250,25 +254,60 @@ BAD_INPUT = [
     ("fit_binary", "tol", np.inf,
      lambda v: svc.fit_binary(np.eye(2), np.array([1.0, -1.0]), tol=v), ValueError,
      "tol must be positive and finite"),
+    ("CouplingMap", "n_qubits", True, lambda v: fm.CouplingMap(v, ()), TypeError,
+     "n_qubits must be an int"),
+    ("CouplingMap", "n_qubits", 2.5, lambda v: fm.CouplingMap(v, ()), TypeError,
+     "n_qubits must be an int"),
+    ("CouplingMap", "edges", ((0, 1.0),), lambda v: fm.CouplingMap(2, v), TypeError,
+     "each endpoint of edges must be an int"),
+    ("EntanglerPlan", "root", 2, lambda v: fm.EntanglerPlan(v, (), (0, 1)), ValueError,
+     "root must lie in the 2-qubit register"),
+    ("EntanglerPlan", "tree_edges", ((0, 5),), lambda v: fm.EntanglerPlan(0, v, (0, 1)),
+     ValueError, "each endpoint of tree_edges must lie in the 2-qubit register"),
+    ("EntanglerPlan", "tree_edges", ((0, 1), (0, 1)), lambda v: fm.EntanglerPlan(0, v, (0, 1)),
+     ValueError, "tree_edges must join each new child to a qubit already reached"),
+    ("EntanglerPlan", "tree_edges", ((1, 2), (0, 1)),
+     lambda v: fm.EntanglerPlan(0, v, (0, 1, 2)), ValueError,
+     "tree_edges must join each new child to a qubit already reached"),
+    ("FeatureMapSpec", "plan", fm.build_entangler(fm.line_coupling(5), 5),
+     lambda v: _spec((0, 1), v), ValueError, "assignment must permute the plan's 5 qubits"),
+    ("FeatureMapSpec", "assignment", (0, 0), _spec, ValueError,
+     "assignment must permute the plan's 2 qubits"),
+    ("FeatureMapSpec", "assignment", (1, -1), _spec, ValueError,
+     "assignment must permute the plan's 2 qubits"),
+    ("FeatureMapSpec", "assignment", (0, 1.0), _spec, TypeError,
+     "each entry of assignment must be an int"),
+    ("weight_mass_profile", "dist", np.array([1.5, -0.5]), sc.weight_mass_profile, ValueError,
+     "dist must have no negative entry"),
 ]
 
 # top-level callables with no BAD_INPUT row, each with the reason it has none
 EXEMPT: dict[str, str] = {}
 
 
-def _row_id(row):
-    entry, argument, value = row[:3]
-    shown = repr(value) if np.ndim(value) == 0 else f"shape{np.shape(value)}"
-    return f"{entry}-{argument}-{shown}"
+def _row_ids(rows):
+    """Entry, argument and value (its shape when it is an array) per row, and
+    the row's index where that would repeat an earlier row's id."""
+    ids = []
+    for k, (entry, argument, value, *_) in enumerate(rows):
+        shown = repr(value) if np.ndim(value) == 0 else f"shape{np.shape(value)}"
+        row_id = f"{entry}-{argument}-{shown}"
+        ids.append(f"{row_id}-{k}" if row_id in ids else row_id)
+    return ids
 
 
 @pytest.mark.parametrize("entry, argument, value, call, error, fragment", BAD_INPUT,
-                         ids=map(_row_id, BAD_INPUT))
+                         ids=_row_ids(BAD_INPUT))
 def test_bad_input_fails_in_the_entry_points_checker(entry, argument, value, call, error,
                                                      fragment):
     assert argument in fragment
     with pytest.raises(error, match=fragment):
         call(value)
+
+
+def test_bad_input_rows_have_distinct_ids():
+    ids = _row_ids(BAD_INPUT)
+    assert len(set(ids)) == len(ids) == len(BAD_INPUT)
 
 
 def test_every_top_level_callable_has_a_bad_input_row_or_a_stated_exemption():
@@ -299,5 +338,11 @@ def test_all_lists_resolvable_non_module_names_only():
                    for module in (covkern, al, covkern.theory, covkern.simcore, svc))
     assert not hasattr(svc.BinarySVC, "support")
     assert [f.name for f in dataclasses.fields(kn.CalibrationReport)] == ["thresholds", "rows"]
+    assert [f.name for f in dataclasses.fields(fm.EntanglerPlan)] == [
+        "root", "tree_edges", "physical"]
+    assert [f.name for f in dataclasses.fields(fm.FeatureMapSpec)] == [
+        "axes", "angle_scale", "assignment", "plan"]
+    assert [f.name for f in dataclasses.fields(al.AlignmentTrace)] == [
+        "losses", "params_history"]
     assert [f.name for f in dataclasses.fields(kn.KernelMatrixEstimate)] == [
         "values", "psd_projected", "min_eigenvalue_before", "psd_by_construction"]

@@ -326,7 +326,7 @@ ARTIFACTS = {
               and a.coefs.tobytes() == b.coefs.tobytes()
               and a.biases.tobytes() == b.biases.tobytes()),
     "trace": (al.save_trace_csv, al.load_trace_csv,
-              al.AlignmentTrace(np.array([0.9, 0.4]), np.array([[0.1, -0.0], [1 / 3, 2.0]]), 1),
+              al.AlignmentTrace(np.array([0.9, 0.4]), np.array([[0.1, -0.0], [1 / 3, 2.0]])),
               lambda a, b: a.losses.tobytes() == b.losses.tobytes()
               and a.params_history.tobytes() == b.params_history.tobytes()),
     "params": (cli.save_params_csv, cli.load_params_csv, np.array([0.1, -0.0, 5e-324]),

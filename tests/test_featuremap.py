@@ -153,8 +153,10 @@ FULL_REGISTER_PLANS = {
 def test_full_register_plan_is_unchanged(name):
     coupling, root, tree_edges, layers, order = FULL_REGISTER_PLANS[name]
     plan = fm.build_entangler(coupling, coupling.n_qubits)
-    assert plan == fm.EntanglerPlan(root, tree_edges, layers, order,
-                                    tuple(range(coupling.n_qubits)))
+    assert plan == fm.EntanglerPlan(root, tree_edges, tuple(range(coupling.n_qubits)))
+    levels = fm._bfs(coupling.adjacency(), root)[2]
+    assert (plan.layers, plan.order, plan.height, plan.n_qubits) == (
+        layers, order, max(levels.values()), len(order))
 
 
 def test_single_qubit_plan_is_trivial():
@@ -216,7 +218,7 @@ def test_feature_map_spec_counts():
     assert spec.embed_axis == "x"
     assert spec.axes == ("z", "y", "x")
     with pytest.raises(ValueError):
-        fm.FeatureMapSpec(2, ("z", "y", "w"), 1.0, (0, 1), spec.plan)
+        fm.FeatureMapSpec(("z", "y", "w"), 1.0, (0, 1, 2, 3), spec.plan)
 
 
 @pytest.mark.parametrize("axes", [("z", "y"), ("z", "y", "x", "x"), ()])

@@ -628,6 +628,32 @@ def test_profile_route_matrices_equal_kernel_entry(n, axes, p01, p10, depolarizi
         assert cross[i, j] == pytest.approx(ref, rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("axes", [("z", "y", "x"), ("x", "z", "y"), ("y", "x", "z")])
+@pytest.mark.parametrize("root, tree_edges", [
+    (2, ((2, 0), (2, 1), (2, 3), (2, 4))),    # star
+    (4, ((4, 3), (3, 2), (2, 1), (1, 0))),    # reversed line
+])
+def test_hand_built_plans_give_kernel_entry_on_both_routes(root, tree_edges, axes):
+    # a plan is its root, tree and register: the oracle applies the CZ layers
+    # read from tree_edges, the routes fold tree_edges into their diagonal
+    n = 5
+    plan = fm.EntanglerPlan(root, tree_edges, tuple(range(n)))
+    assert sorted(edge for layer in plan.layers for edge in layer) == sorted(tree_edges)
+    spec = fm.FeatureMapSpec(axes, 2.0, fm.assign_features(plan), plan)
+    rng = np.random.default_rng(35)
+    params = rng.uniform(-np.pi, np.pi, spec.n_params)
+    xs = rng.normal(size=(4, n))
+    noise = sc.NoiseModel(p01=0.04, p10=0.09)
+    exact = kn.assemble_matrix(xs, spec, params, kn.KernelConfig()).values
+    prof = kn.assemble_profiles(xs, spec, params, kn.KernelConfig(), noise)
+    for i, j in itertools.combinations_with_replacement(range(4), 2):
+        ref = kn.kernel_entry(spec, params, xs[i], xs[j], kn.KernelConfig())
+        assert exact[i, j] == pytest.approx(ref, rel=0, abs=1e-12)
+        for d in range(n + 1):
+            ref = kn.kernel_entry(spec, params, xs[i], xs[j], kn.KernelConfig(tolerance=d), noise)
+            assert prof[i, j, d] == pytest.approx(ref, rel=0, abs=1e-12)
+
+
 _COUPLINGS = {"line": fm.line_coupling, "ring": fm.ring_coupling,
               "heavy-hex": lambda n: fm.heavy_hex_coupling(2, 6)}   # 14 qubits
 
